@@ -69,12 +69,40 @@ let evaluator_tests () =
            ignore (C.run_equal template_compiled ~env ~lhs_shape ~expected)));
   ]
 
+(* Per-layer rows for the mini-C interpreter under each of its value
+   domains: traced DAGs (the candidate oracle), rationals (I/O example
+   generation) and rational functions (bounded verification).
+   [dk_conv1x1] is the suite's slowest kernel to trace. *)
+let interpreter_tests () =
+  let open Bechamel in
+  let module Bench = Stagg_benchsuite.Bench in
+  let skeletons name =
+    let b = representative name in
+    let func = Bench.func b in
+    Test.make ~name:("oracle: Trace.skeletons " ^ name)
+      (Staged.stage (fun () -> ignore (Stagg_oracle.Trace.skeletons func b.Bench.signature)))
+  in
+  let gemv = representative "art_gemv" in
+  let func = Bench.func gemv and signature = gemv.Bench.signature in
+  let candidate = Option.get (Bench.truth gemv) in
+  [
+    skeletons "dk_conv1x1";
+    skeletons "art_ttm";
+    Test.make ~name:"examples: Examples.generate art_gemv"
+      (Staged.stage (fun () ->
+           ignore
+             (Stagg_validate.Examples.generate ~func ~signature
+                ~prng:(Stagg_util.Prng.create ~seed:1) ())));
+    Test.make ~name:"verify: Bmc.check art_gemv"
+      (Staged.stage (fun () -> ignore (Stagg_verify.Bmc.check ~func ~signature ~candidate ())));
+  ]
+
 let bechamel_tests () =
   let open Bechamel in
   let gemv = representative "art_gemv" in
   let run_method m () = ignore (Stagg.Pipeline.run m gemv) in
   let staged f = Staged.stage f in
-  evaluator_tests ()
+  evaluator_tests () @ interpreter_tests ()
   @ [
     (* Table 1 / Fig 9 / Fig 10: the head-to-head methods *)
     Test.make ~name:"table1/fig9/fig10 STAGG_TD" (staged (run_method Stagg.Method_.stagg_td));

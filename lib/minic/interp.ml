@@ -2,30 +2,35 @@ open Ast
 
 let max_steps = 50_000_000
 
+(* [run] compiles the function body once into OCaml closures and then runs
+   them. Compilation resolves every variable name to a slot of a flat
+   [value array] and every statement list to an array of closures, so the
+   hot loop does no name lookups and no AST dispatch. *)
 module Make (V : Stagg_util.Value.S) = struct
   type arg = Scalar of V.t | Array of V.t array
 
-  type value = Num of V.t | Ptr of string * int
+  (* A pointer carries the buffer it points into, so loads and stores need
+     no lookup. [base] names the parameter the buffer was passed as. *)
+  type buf = { base : string; cells : V.t array }
+  type value = Num of V.t | Ptr of buf * int
 
   exception Exec_error of string
   exception Return_exc
 
   let errf fmt = Printf.ksprintf (fun msg -> raise (Exec_error msg)) fmt
 
-  type env = {
-    vars : (string, value) Hashtbl.t;
-    mem : (string, V.t array) Hashtbl.t;
-    mutable steps : int;
-  }
+  (* The function's variables share one flat scope, as in the source
+     semantics: a slot per distinct name, holding [unbound] (physically)
+     until first assigned. *)
+  type env = { slots : value array; mutable steps : int }
 
+  let unbound = Ptr ({ base = ""; cells = [||] }, 0)
+
+  (* One tick per executed statement and per loop-condition test: a run
+     never ticks more than an AST walk that ticks every node would. *)
   let tick env =
     env.steps <- env.steps + 1;
     if env.steps > max_steps then errf "iteration budget exceeded"
-
-  let lookup env v =
-    match Hashtbl.find_opt env.vars v with
-    | Some x -> x
-    | None -> errf "unbound variable %s" v
 
   let as_int v =
     match v with
@@ -41,163 +46,254 @@ module Make (V : Stagg_util.Value.S) = struct
         | None -> errf "symbolic branch condition")
     | Ptr _ -> true
 
-  let read_mem env base off =
-    match Hashtbl.find_opt env.mem base with
-    | None -> errf "dereference of non-array %s" base
-    | Some buf ->
-        if off < 0 || off >= Array.length buf then
-          errf "out-of-bounds read: %s[%d] (size %d)" base off (Array.length buf)
-        else buf.(off)
+  let load m off =
+    if off < 0 || off >= Array.length m.cells then
+      errf "out-of-bounds read: %s[%d] (size %d)" m.base off (Array.length m.cells)
+    else m.cells.(off)
 
-  let write_mem env base off v =
-    match Hashtbl.find_opt env.mem base with
-    | None -> errf "store through non-array %s" base
-    | Some buf ->
-        if off < 0 || off >= Array.length buf then
-          errf "out-of-bounds write: %s[%d] (size %d)" base off (Array.length buf)
-        else buf.(off) <- v
+  let store m off v =
+    match v with
+    | Ptr _ -> errf "invalid store"
+    | Num n ->
+        if off < 0 || off >= Array.length m.cells then
+          errf "out-of-bounds write: %s[%d] (size %d)" m.base off (Array.length m.cells)
+        else m.cells.(off) <- n
 
-  let num_binop op a b =
+  let vzero = Num V.zero
+  let vone = Num V.one
+  let of_bool b = if b then vone else vzero
+
+  let num_binop op : V.t -> V.t -> V.t =
+    let relation test a b =
+      match V.compare_concrete a b with
+      | None -> errf "symbolic comparison"
+      | Some c -> if test c then V.one else V.zero
+    in
     match op with
-    | Add -> V.add a b
-    | Sub -> V.sub a b
-    | Mul -> V.mul a b
-    | Div -> V.div a b
+    | Add -> V.add
+    | Sub -> V.sub
+    | Mul -> V.mul
+    | Div -> V.div
     | Mod -> (
-        match (V.to_int a, V.to_int b) with
-        | Some x, Some y when y <> 0 -> V.of_int (x mod y)
-        | Some _, Some _ -> raise Division_by_zero
-        | _ -> errf "'%%' requires concrete operands")
-    | Lt | Le | Gt | Ge | Eq | Ne -> (
-        match V.compare_concrete a b with
-        | None -> errf "symbolic comparison"
-        | Some c ->
-            let r =
-              match op with
-              | Lt -> c < 0
-              | Le -> c <= 0
-              | Gt -> c > 0
-              | Ge -> c >= 0
-              | Eq -> c = 0
-              | Ne -> c <> 0
-              | _ -> assert false
-            in
-            if r then V.one else V.zero)
-    | And | Or -> assert false (* handled with short-circuit in eval *)
+        fun a b ->
+          match (V.to_int a, V.to_int b) with
+          | Some x, Some y when y <> 0 -> V.of_int (x mod y)
+          | Some _, Some _ -> raise Division_by_zero
+          | _ -> errf "'%%' requires concrete operands")
+    | Lt -> relation (fun c -> c < 0)
+    | Le -> relation (fun c -> c <= 0)
+    | Gt -> relation (fun c -> c > 0)
+    | Ge -> relation (fun c -> c >= 0)
+    | Eq -> relation (fun c -> c = 0)
+    | Ne -> relation (fun c -> c <> 0)
+    | And | Or -> assert false (* short-circuit forms are compiled apart *)
 
-  let rec eval env (e : expr) : value =
-    tick env;
+  (* Compile-time scope: name -> slot. *)
+  type scope = { index : (string, int) Hashtbl.t; mutable count : int }
+
+  let slot sc name =
+    match Hashtbl.find_opt sc.index name with
+    | Some i -> i
+    | None ->
+        let i = sc.count in
+        Hashtbl.add sc.index name i;
+        sc.count <- i + 1;
+        i
+
+  let read_var sc name =
+    let i = slot sc name in
+    fun env ->
+      let v = env.slots.(i) in
+      if v == unbound then errf "unbound variable %s" name else v
+
+  let rec cexpr sc (e : expr) : env -> value =
     match e with
-    | Num c -> Num (V.of_rat c)
-    | Var v -> lookup env v
+    | Num c ->
+        let v = Num (V.of_rat c) in
+        fun _ -> v
+    | Var v -> read_var sc v
     | Neg e -> (
-        match eval env e with
-        | Num n -> Num (V.neg n)
-        | Ptr _ -> errf "cannot negate a pointer")
-    | Not e -> Num (if as_bool (eval env e) then V.zero else V.one)
+        let ce = cexpr sc e in
+        fun env ->
+          match ce env with Num n -> Num (V.neg n) | Ptr _ -> errf "cannot negate a pointer")
+    | Not e ->
+        let ce = cexpr sc e in
+        fun env -> of_bool (not (as_bool (ce env)))
     | Bin (And, a, b) ->
-        if as_bool (eval env a) then Num (if as_bool (eval env b) then V.one else V.zero)
-        else Num V.zero
+        let ca = cexpr sc a and cb = cexpr sc b in
+        fun env -> if as_bool (ca env) then of_bool (as_bool (cb env)) else vzero
     | Bin (Or, a, b) ->
-        if as_bool (eval env a) then Num V.one
-        else Num (if as_bool (eval env b) then V.one else V.zero)
+        let ca = cexpr sc a and cb = cexpr sc b in
+        fun env -> if as_bool (ca env) then vone else of_bool (as_bool (cb env))
     | Bin (op, a, b) -> (
-        let va = eval env a and vb = eval env b in
-        match (va, vb, op) with
-        | Num x, Num y, _ -> Num (num_binop op x y)
-        | Ptr (base, off), Num n, Add -> Ptr (base, off + as_int (Num n))
-        | Num n, Ptr (base, off), Add -> Ptr (base, off + as_int (Num n))
-        | Ptr (base, off), Num n, Sub -> Ptr (base, off - as_int (Num n))
-        | _ -> errf "unsupported pointer arithmetic")
+        let ca = cexpr sc a and cb = cexpr sc b in
+        let f = num_binop op in
+        fun env ->
+          let va = ca env in
+          let vb = cb env in
+          match (va, vb, op) with
+          | Num x, Num y, _ -> Num (f x y)
+          | Ptr (m, off), Num _, Add -> Ptr (m, off + as_int vb)
+          | Num _, Ptr (m, off), Add -> Ptr (m, off + as_int va)
+          | Ptr (m, off), Num _, Sub -> Ptr (m, off - as_int vb)
+          | _ -> errf "unsupported pointer arithmetic")
     | Deref e -> (
-        match eval env e with
-        | Ptr (base, off) -> Num (read_mem env base off)
-        | Num _ -> errf "dereference of a non-pointer")
+        let ce = cexpr sc e in
+        fun env ->
+          match ce env with
+          | Ptr (m, off) -> Num (load m off)
+          | Num _ -> errf "dereference of a non-pointer")
     | Index (a, ix) -> (
-        match eval env a with
-        | Ptr (base, off) -> Num (read_mem env base (off + as_int (eval env ix)))
-        | Num _ -> errf "subscript of a non-pointer")
+        let ca = cexpr sc a and ci = cexpr sc ix in
+        fun env ->
+          match ca env with
+          | Ptr (m, off) -> Num (load m (off + as_int (ci env)))
+          | Num _ -> errf "subscript of a non-pointer")
     | Addr_index (a, ix) -> (
-        match eval env a with
-        | Ptr (base, off) -> Ptr (base, off + as_int (eval env ix))
-        | Num _ -> errf "'&' subscript of a non-pointer")
-    | Post_incr v -> (
-        let old = lookup env v in
-        (match old with
-        | Num n -> Hashtbl.replace env.vars v (Num (V.add n V.one))
-        | Ptr (b, off) -> Hashtbl.replace env.vars v (Ptr (b, off + 1)));
-        old)
-    | Post_decr v -> (
-        let old = lookup env v in
-        (match old with
-        | Num n -> Hashtbl.replace env.vars v (Num (V.sub n V.one))
-        | Ptr (b, off) -> Hashtbl.replace env.vars v (Ptr (b, off - 1)));
-        old)
-    | Ternary (c, t, e) -> if as_bool (eval env c) then eval env t else eval env e
+        let ca = cexpr sc a and ci = cexpr sc ix in
+        fun env ->
+          match ca env with
+          | Ptr (m, off) -> Ptr (m, off + as_int (ci env))
+          | Num _ -> errf "'&' subscript of a non-pointer")
+    | Post_incr v -> post_step sc v 1
+    | Post_decr v -> post_step sc v (-1)
+    | Ternary (c, t, e) ->
+        let cc = cexpr sc c and ct = cexpr sc t and ce = cexpr sc e in
+        fun env -> if as_bool (cc env) then ct env else ce env
 
+  (* [v++] / [v--] as an expression: yields the old value. *)
+  and post_step sc v step =
+    let read = read_var sc v and i = slot sc v in
+    fun env ->
+      let old = read env in
+      env.slots.(i) <- bump step old;
+      old
 
-  let read_lvalue env = function
-    | Lvar v -> lookup env v
-    | Lderef e -> (
-        match eval env e with
-        | Ptr (b, off) -> Num (read_mem env b off)
-        | Num _ -> errf "dereference of a non-pointer")
-    | Lindex (a, ix) -> (
-        match eval env a with
-        | Ptr (b, off) -> Num (read_mem env b (off + as_int (eval env ix)))
-        | Num _ -> errf "subscript of a non-pointer")
+  and bump step = function
+    | Num n -> Num (if step > 0 then V.add n V.one else V.sub n V.one)
+    | Ptr (m, off) -> Ptr (m, off + step)
 
-  let write_lvalue env lv v =
+  (* [update sc lv f] resolves [lv]'s location once, reads it, and stores
+     [f current] back to the same location. [f] may evaluate further
+     expressions (a compound assignment's right-hand side); they run after
+     the location is resolved and read. *)
+  let update sc lv (f : env -> value -> value) : env -> unit =
     match lv with
-    | Lvar x -> Hashtbl.replace env.vars x v
+    | Lvar x ->
+        let read = read_var sc x and i = slot sc x in
+        fun env -> env.slots.(i) <- f env (read env)
     | Lderef e -> (
-        match (eval env e, v) with
-        | Ptr (b, off), Num n -> write_mem env b off n
-        | _ -> errf "invalid store")
+        let ce = cexpr sc e in
+        fun env ->
+          match ce env with
+          | Ptr (m, off) -> store m off (f env (Num (load m off)))
+          | Num _ -> errf "dereference of a non-pointer")
     | Lindex (a, ix) -> (
-        match (eval env a, v) with
-        | Ptr (b, off), Num n -> write_mem env b (off + as_int (eval env ix)) n
-        | _ -> errf "invalid store")
+        let ca = cexpr sc a and ci = cexpr sc ix in
+        fun env ->
+          match ca env with
+          | Ptr (m, off) ->
+              let k = off + as_int (ci env) in
+              store m k (f env (Num (load m k)))
+          | Num _ -> errf "subscript of a non-pointer")
 
-  let rec exec env (s : stmt) : unit =
-    tick env;
+  (* Plain assignment: the right-hand side runs first, then the location. *)
+  let assign sc lv e : env -> unit =
+    let ce = cexpr sc e in
+    match lv with
+    | Lvar x ->
+        let i = slot sc x in
+        fun env -> env.slots.(i) <- ce env
+    | Lderef p -> (
+        let cp = cexpr sc p in
+        fun env ->
+          let v = ce env in
+          match (cp env, v) with
+          | Ptr (m, off), Num _ -> store m off v
+          | _ -> errf "invalid store")
+    | Lindex (a, ix) -> (
+        let ca = cexpr sc a and ci = cexpr sc ix in
+        fun env ->
+          let v = ce env in
+          match (ca env, v) with
+          | Ptr (m, off), Num _ -> store m (off + as_int (ci env)) v
+          | _ -> errf "invalid store")
+
+  (* Blocks open no scope, so nested ones are spliced into their parent. *)
+  let rec flatten stmts =
+    List.concat_map (function Block b -> flatten b | s -> [ s ]) stmts
+
+  let rec cstmt sc (s : stmt) : env -> unit =
     match s with
-    | Decl (_, name, init) ->
-        let v = match init with None -> Num V.zero | Some e -> eval env e in
-        Hashtbl.replace env.vars name v
-    | Assign (lv, e) -> write_lvalue env lv (eval env e)
-    | Op_assign (lv, op, e) -> (
-        let cur = read_lvalue env lv in
-        let rhs = eval env e in
-        match (cur, rhs) with
-        | Num a, Num b -> write_lvalue env lv (Num (num_binop op a b))
-        | Ptr (b, off), Num _ when op = Add -> write_lvalue env lv (Ptr (b, off + as_int rhs))
-        | Ptr (b, off), Num _ when op = Sub -> write_lvalue env lv (Ptr (b, off - as_int rhs))
-        | _ -> errf "invalid compound assignment")
-    | Incr_stmt lv -> (
-        match read_lvalue env lv with
-        | Num n -> write_lvalue env lv (Num (V.add n V.one))
-        | Ptr (b, off) -> write_lvalue env lv (Ptr (b, off + 1)))
-    | Decr_stmt lv -> (
-        match read_lvalue env lv with
-        | Num n -> write_lvalue env lv (Num (V.sub n V.one))
-        | Ptr (b, off) -> write_lvalue env lv (Ptr (b, off - 1)))
+    | Decl (_, name, init) -> (
+        let i = slot sc name in
+        match init with
+        | None -> fun env -> env.slots.(i) <- vzero
+        | Some e ->
+            let ce = cexpr sc e in
+            fun env -> env.slots.(i) <- ce env)
+    | Assign (lv, e) -> assign sc lv e
+    | Op_assign (lv, op, e) ->
+        let ce = cexpr sc e and f = num_binop op in
+        update sc lv (fun env cur ->
+            let rhs = ce env in
+            match (cur, rhs) with
+            | Num a, Num b -> Num (f a b)
+            | Ptr (m, off), Num _ when op = Add -> Ptr (m, off + as_int rhs)
+            | Ptr (m, off), Num _ when op = Sub -> Ptr (m, off - as_int rhs)
+            | _ -> errf "invalid compound assignment")
+    | Incr_stmt lv -> update sc lv (fun _ cur -> bump 1 cur)
+    | Decr_stmt lv -> update sc lv (fun _ cur -> bump (-1) cur)
     | For (h, body) ->
-        Option.iter (exec env) h.init;
-        let continue_ = ref true in
-        while !continue_ do
-          let c = match h.cond with None -> true | Some e -> as_bool (eval env e) in
-          if not c then continue_ := false
-          else begin
-            List.iter (exec env) body;
-            Option.iter (exec env) h.step
-          end
-        done
+        let init = cstmt_opt sc h.init and step = cstmt_opt sc h.step in
+        let body = cblock sc body in
+        let test =
+          match h.cond with
+          | Some c ->
+              let cc = cexpr sc c in
+              fun env ->
+                tick env;
+                as_bool (cc env)
+          | None when Option.is_none h.step && Array.length body = 0 ->
+              (* nothing else ticks in [for (...;;) {}]: tick the test so
+                 the loop ends in the budget error instead of hanging *)
+              fun env ->
+                tick env;
+                true
+          | None -> fun _ -> true
+        in
+        fun env ->
+          init env;
+          while test env do
+            run_block body env;
+            step env
+          done
     | If (c, then_, else_) ->
-        if as_bool (eval env c) then List.iter (exec env) then_ else List.iter (exec env) else_
-    | Block b -> List.iter (exec env) b
-    | Expr_stmt e -> ignore (eval env e)
-    | Return _ -> raise Return_exc
+        let cc = cexpr sc c and t = cblock sc then_ and e = cblock sc else_ in
+        fun env -> run_block (if as_bool (cc env) then t else e) env
+    | Block b ->
+        let b = cblock sc b in
+        fun env -> run_block b env
+    | Expr_stmt e ->
+        let ce = cexpr sc e in
+        fun env -> ignore (ce env)
+    | Return _ -> fun _ -> raise Return_exc
+
+  and cstmt_opt sc = function
+    | None -> fun _ -> ()
+    | Some s ->
+        let c = cstmt sc s in
+        fun env ->
+          tick env;
+          c env
+
+  and cblock sc stmts = Array.of_list (List.map (cstmt sc) (flatten stmts))
+
+  and run_block (b : (env -> unit) array) env =
+    for k = 0 to Array.length b - 1 do
+      tick env;
+      b.(k) env
+    done
 
   let run (f : func) ~args =
     if List.length args <> List.length f.params then
@@ -205,18 +301,19 @@ module Make (V : Stagg_util.Value.S) = struct
         (Printf.sprintf "arity mismatch: %s takes %d arguments, got %d" f.fname
            (List.length f.params) (List.length args))
     else begin
-      let env = { vars = Hashtbl.create 16; mem = Hashtbl.create 8; steps = 0 } in
+      let sc = { index = Hashtbl.create 16; count = 0 } in
+      let params = List.map (fun p -> (p, slot sc p.pname)) f.params in
+      let body = cblock sc f.body in
+      let env = { slots = Array.make sc.count unbound; steps = 0 } in
       List.iter2
-        (fun p a ->
+        (fun (p, i) a ->
           match (p.ptyp, a) with
-          | Tint, Scalar v -> Hashtbl.replace env.vars p.pname (Num v)
-          | Tptr, Array buf ->
-              Hashtbl.replace env.mem p.pname buf;
-              Hashtbl.replace env.vars p.pname (Ptr (p.pname, 0))
+          | Tint, Scalar v -> env.slots.(i) <- Num v
+          | Tptr, Array cells -> env.slots.(i) <- Ptr ({ base = p.pname; cells }, 0)
           | Tint, Array _ -> raise (Exec_error (p.pname ^ ": array passed for scalar parameter"))
           | Tptr, Scalar _ -> raise (Exec_error (p.pname ^ ": scalar passed for pointer parameter")))
-        f.params args;
-      match List.iter (exec env) f.body with
+        params args;
+      match run_block body env with
       | () -> Ok ()
       | exception Return_exc -> Ok ()
       | exception Exec_error msg -> Error msg

@@ -30,14 +30,24 @@ let rec pp_dag fmt = function
       Format.fprintf fmt "(%a %s %a)" pp_dag a (T.op_to_string op) pp_dag b
 
 module TV = struct
-  type t = Conc of Rat.t | Sym of dag
+  (* [Int n] is a concrete integer that fits a native int, in the range
+     [Rat.to_int] accepts ([-max_int, max_int]); [Conc r] is any other
+     concrete rational and never holds such an integer. Sizes, loop
+     counters and index arithmetic stay on the [Int] path. *)
+  type t = Int of int | Conc of Rat.t | Sym of dag
 
-  let dag_of = function Conc r -> Cst r | Sym d -> d
+  let of_rat r = match Rat.to_int r with Some n -> Int n | None -> Conc r
+  let rat_of = function Int n -> Rat.of_int n | Conc r -> r | Sym _ -> assert false
+  let dag_of = function Int n -> Cst (Rat.of_int n) | Conc r -> Cst r | Sym d -> d
   let leaf p k = Sym (Leaf (p, k))
-  let zero = Conc Rat.zero
-  let one = Conc Rat.one
-  let of_int n = Conc (Rat.of_int n)
-  let of_rat r = Conc r
+  let zero = Int 0
+  let one = Int 1
+  let of_int n = if n = min_int then Conc (Rat.of_int n) else Int n
+
+  (* Operands bounded so the native result cannot leave [-max_int, max_int]. *)
+  let add_bound = max_int / 2
+  let mul_bound = 0x7fff_ffff
+  let[@inline] within bound x y = abs x <= bound && abs y <= bound
 
   (* Only value-preserving simplifications: anything more (e.g. [0 * x = 0],
      [1 * x = x]) would still be sound, but keeping the DAG a literal record
@@ -45,45 +55,53 @@ module TV = struct
      bit-for-bit statement about the interpreter, not about a simplifier. *)
   let add a b =
     match (a, b) with
-    | Conc x, Conc y -> Conc (Rat.add x y)
-    | Conc z, Sym d when Rat.is_zero z -> Sym d
-    | Sym d, Conc z when Rat.is_zero z -> Sym d
+    | Int x, Int y when within add_bound x y -> Int (x + y)
+    | (Int _ | Conc _), (Int _ | Conc _) -> of_rat (Rat.add (rat_of a) (rat_of b))
+    | Int 0, Sym d | Sym d, Int 0 -> Sym d
     | _ -> Sym (Bin (T.Add, dag_of a, dag_of b))
 
   let sub a b =
     match (a, b) with
-    | Conc x, Conc y -> Conc (Rat.sub x y)
-    | Sym d, Conc z when Rat.is_zero z -> Sym d
-    | Conc z, Sym d when Rat.is_zero z -> Sym (Neg d)
+    | Int x, Int y when within add_bound x y -> Int (x - y)
+    | (Int _ | Conc _), (Int _ | Conc _) -> of_rat (Rat.sub (rat_of a) (rat_of b))
+    | Sym d, Int 0 -> Sym d
+    | Int 0, Sym d -> Sym (Neg d)
     | _ -> Sym (Bin (T.Sub, dag_of a, dag_of b))
 
   let mul a b =
     match (a, b) with
-    | Conc x, Conc y -> Conc (Rat.mul x y)
+    | Int x, Int y when within mul_bound x y -> Int (x * y)
+    | (Int _ | Conc _), (Int _ | Conc _) -> of_rat (Rat.mul (rat_of a) (rat_of b))
     | _ -> Sym (Bin (T.Mul, dag_of a, dag_of b))
 
   let div a b =
     match (a, b) with
-    | _, Conc z when Rat.is_zero z -> raise Division_by_zero
-    | Conc x, Conc y -> Conc (Rat.div x y)
+    | _, Int 0 -> raise Division_by_zero
+    | Int x, Int y when x mod y = 0 -> Int (x / y)
+    | (Int _ | Conc _), (Int _ | Conc _) -> of_rat (Rat.div (rat_of a) (rat_of b))
     | _ -> Sym (Bin (T.Div, dag_of a, dag_of b))
 
-  let neg = function Conc x -> Conc (Rat.neg x) | Sym d -> Sym (Neg d)
+  let neg = function Int x -> Int (-x) | Conc x -> Conc (Rat.neg x) | Sym d -> Sym (Neg d)
 
   let equal a b =
     match (a, b) with
+    | Int x, Int y -> x = y
     | Conc x, Conc y -> Rat.equal x y
     | Sym d1, Sym d2 -> equal_dag d1 d2
     | _ -> false
 
-  let to_int = function Conc r -> Rat.to_int r | Sym _ -> None
+  let to_int = function Int n -> Some n | Conc _ | Sym _ -> None
 
   let compare_concrete a b =
     match (a, b) with
-    | Conc x, Conc y -> Some (Rat.compare x y)
+    | Int x, Int y -> Some (Int.compare x y)
+    | (Int _ | Conc _), (Int _ | Conc _) -> Some (Rat.compare (rat_of a) (rat_of b))
     | _ -> None
 
-  let pp fmt = function Conc r -> Rat.pp fmt r | Sym d -> pp_dag fmt d
+  let pp fmt = function
+    | Int n -> Rat.pp fmt (Rat.of_int n)
+    | Conc r -> Rat.pp fmt r
+    | Sym d -> pp_dag fmt d
 end
 
 module I = Stagg_minic.Interp.Make (TV)

@@ -48,7 +48,9 @@ val pp_dag : Format.formatter -> dag -> unit
     loop counters, constant folding); anything touched by a leaf becomes
     symbolic. Only value-preserving simplifications are performed
     ([0 + x = x], [x - 0 = x], [0 - x = -x], constant folding), so a
-    traced DAG evaluates bit-for-bit like the rational interpreter. *)
+    traced DAG evaluates bit-for-bit like the rational interpreter.
+    Concrete integers within [Rat.to_int]'s range compute in native ints,
+    falling back to [Rat] where an operation would leave that range. *)
 module TV : sig
   include Stagg_util.Value.S
 

@@ -91,12 +91,58 @@ let test_interp_rational_division () =
   run_fn src [ I.Scalar (rat 3); I.Array a; I.Array r ];
   Alcotest.(check (list string)) "exact division" [ "1/4"; "1/2"; "3/4" ] (strs r)
 
+(* The interpreter's error strings reach trace refusals and serve
+   responses verbatim, so each one is pinned exactly. *)
+let run_error src args =
+  match I.run (parse src) ~args with
+  | Error msg -> msg
+  | Ok () -> Alcotest.failf "expected an error from: %s" src
+
+let zeros n = I.Array (Array.make n Rat.zero)
+
 let test_interp_out_of_bounds () =
-  let src = "void f(int N, int* A) { A[N] = 1; }" in
-  let f = parse src in
-  match I.run f ~args:[ I.Scalar (rat 2); I.Array (Array.make 2 Rat.zero) ] with
-  | Error msg -> check_bool "oob detected" true (String.length msg > 0)
-  | Ok () -> Alcotest.fail "expected out-of-bounds error"
+  check_string "write" "out-of-bounds write: A[2] (size 2)"
+    (run_error "void f(int N, int* A) { A[N] = 1; }" [ I.Scalar (rat 2); zeros 2 ]);
+  check_string "read" "out-of-bounds read: A[-1] (size 3)"
+    (run_error "void f(int* A, int* R) { R[0] = A[0 - 1]; }" [ zeros 3; zeros 1 ])
+
+let test_interp_error_strings () =
+  check_string "unbound" "unbound variable x" (run_error "void f(int* R) { R[0] = x; }" [ zeros 1 ]);
+  check_string "unbound before its declaration" "unbound variable s"
+    (run_error "void f(int* R) { R[0] = s; int s = 1; }" [ zeros 1 ]);
+  check_string "division" "division by zero"
+    (run_error "void f(int* A, int* R) { R[0] = A[0] / 0; }" [ zeros 1; zeros 1 ]);
+  check_string "modulo" "division by zero"
+    (run_error "void f(int N, int* R) { R[0] = N % 0; }" [ I.Scalar (rat 3); zeros 1 ]);
+  (* [A[0] / 2] is 1/2 here: not an integer, so [%] cannot run on it *)
+  check_string "non-integer modulo" "'%' requires concrete operands"
+    (run_error "void f(int* A, int* R) { R[0] = (A[0] / 2) % 2; }"
+       [ I.Array (rats [| 1 |]); zeros 1 ]);
+  check_string "non-integer index" "value used as index is not concrete"
+    (run_error "void f(int* A, int* R) { R[0] = A[1 / 2]; }" [ zeros 2; zeros 1 ])
+
+let test_interp_iteration_budget () =
+  check_string "empty unbounded loop" "iteration budget exceeded"
+    (run_error "void f(int* R) { for (;;) { } }" [ zeros 1 ]);
+  check_string "counting unbounded loop" "iteration budget exceeded"
+    (run_error "void f(int* R) { int i; for (i = 0; ; i++) { } }" [ zeros 1 ])
+
+(* A compound assignment resolves its location once, as in C: the
+   increment inside the target runs once per statement. *)
+let test_interp_compound_lvalue_once () =
+  let a = rats [| 1; 2; 3 |] in
+  let r = Array.make 3 Rat.zero in
+  run_fn "void f(int N, int* A, int* R) { int i; int* p; p = R; for (i = 0; i < N; i++) *p++ += A[i]; }"
+    [ I.Scalar (rat 3); I.Array a; I.Array r ];
+  Alcotest.(check (list string)) "*p++ +=" [ "1"; "2"; "3" ] (strs r);
+  let r = rats [| 10; 20; 30 |] in
+  run_fn "void f(int N, int* A, int* R) { int i, j; i = 0; for (j = 0; j < N; j++) R[i++] += A[j]; }"
+    [ I.Scalar (rat 3); I.Array a; I.Array r ];
+  Alcotest.(check (list string)) "R[i++] +=" [ "11"; "22"; "33" ] (strs r);
+  let r = rats [| 10; 20; 30 |] in
+  run_fn "void f(int N, int* R) { int i, j; i = 0; for (j = 0; j < N; j++) R[i++]++; }"
+    [ I.Scalar (rat 3); I.Array r ];
+  Alcotest.(check (list string)) "R[i++]++" [ "11"; "21"; "31" ] (strs r)
 
 let test_interp_ternary_and_logic () =
   let src =
@@ -123,7 +169,8 @@ let test_interp_post_incr_expr () =
 
 let test_interp_arity_mismatch () =
   let f = parse "void f(int N) { }" in
-  check_bool "arity checked" true (Result.is_error (I.run f ~args:[]))
+  Alcotest.(check (result unit string))
+    "arity checked" (Error "arity mismatch: f takes 1 arguments, got 0") (I.run f ~args:[])
 
 (* ---- affine polynomials ---- *)
 
@@ -286,6 +333,10 @@ let () =
           Alcotest.test_case "ternary and logic" `Quick test_interp_ternary_and_logic;
           Alcotest.test_case "post-increment" `Quick test_interp_post_incr_expr;
           Alcotest.test_case "arity" `Quick test_interp_arity_mismatch;
+          Alcotest.test_case "error strings" `Quick test_interp_error_strings;
+          Alcotest.test_case "iteration budget" `Quick test_interp_iteration_budget;
+          Alcotest.test_case "compound assignment evaluates its target once" `Quick
+            test_interp_compound_lvalue_once;
         ] );
       ("affine", [ Alcotest.test_case "basic" `Quick test_affine_basic; qc qcheck_affine_ring ]);
       ( "sigspec",

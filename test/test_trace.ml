@@ -97,6 +97,63 @@ let qcheck_dag_matches_interp =
                    (fun dag cell -> Rat.equal (Trace.eval_dag ~inputs dag) cell)
                    dags out_cells)
 
+(* ---- TV concrete arithmetic agrees with Rat ---- *)
+
+(* Concrete TV values take a native-int path that must be invisible: every
+   operation agrees with exact rational arithmetic, and a concrete result
+   is the same value [TV.of_rat] builds from its rational (so the int
+   representation is canonical). Operands cluster where the int path
+   switches to [Rat]: 0, +-1, +-2^30, +-2^31 and the ends of the native
+   range, plus non-integer rationals. *)
+let qcheck_tv_matches_rat =
+  let open QCheck.Gen in
+  let int_gen =
+    let base =
+      oneofl
+        [ 0; 1; -1; 1 lsl 30; -(1 lsl 30); 1 lsl 31; -(1 lsl 31); max_int / 2; -(max_int / 2);
+          max_int; min_int ]
+    in
+    (* the offset wraps around at the ends of the range: still an int *)
+    map2 ( + ) base (int_range (-3) 3)
+  in
+  let rat_gen =
+    oneof
+      [
+        map Rat.of_int int_gen;
+        map2 (fun n d -> Rat.of_ints n d) (int_range (-9) 9) (oneofl [ 2; 3; -7 ]);
+        map2 (fun n d -> Rat.div (Rat.of_int n) (Rat.of_int d)) int_gen
+          (oneofl [ 1; 2; -1; 1 lsl 31 ]);
+        map (fun n -> Rat.mul (Rat.of_int n) (Rat.of_int 4)) int_gen;
+      ]
+  in
+  let arb =
+    QCheck.make (triple rat_gen rat_gen int_gen) ~print:(fun (a, b, n) ->
+        Printf.sprintf "(%s, %s, %d)" (Rat.to_string a) (Rat.to_string b) n)
+  in
+  let as_rat v = match Trace.TV.dag_of v with Trace.Cst r -> r | _ -> assert false in
+  let same v r = Rat.equal (as_rat v) r && Trace.TV.equal v (Trace.TV.of_rat r) in
+  let agree tv_op rat_op a b =
+    match rat_op a b with
+    | r -> same (tv_op (Trace.TV.of_rat a) (Trace.TV.of_rat b)) r
+    | exception Division_by_zero -> (
+        match tv_op (Trace.TV.of_rat a) (Trace.TV.of_rat b) with
+        | _ -> false
+        | exception Division_by_zero -> true)
+  in
+  QCheck.Test.make ~name:"TV concrete arithmetic agrees with Rat" ~count:2000 arb (fun (a, b, n) ->
+      let ta = Trace.TV.of_rat a and tb = Trace.TV.of_rat b in
+      let sign c = Int.compare c 0 in
+      agree Trace.TV.add Rat.add a b
+      && agree Trace.TV.sub Rat.sub a b
+      && agree Trace.TV.mul Rat.mul a b
+      && agree Trace.TV.div Rat.div a b
+      && agree Trace.TV.div Rat.div a Rat.zero
+      && same (Trace.TV.neg ta) (Rat.neg a)
+      && Option.map sign (Trace.TV.compare_concrete ta tb) = Some (sign (Rat.compare a b))
+      && Trace.TV.to_int ta = Rat.to_int a
+      && Trace.TV.equal ta tb = Rat.equal a b
+      && same (Trace.TV.of_int n) (Rat.of_int n))
+
 (* ---- skeleton extraction over the artificial suite ---- *)
 
 let test_artificial_skeletons () =
@@ -220,6 +277,24 @@ let sig1 =
 
 let skel src = Trace.skeletons (Stagg_minic.Parser.parse_function_exn src) sig1
 
+(* ---- the interpreter's symbolic-domain errors, pinned ---- *)
+
+let test_symbolic_errors () =
+  let failure body =
+    let src = "void f(int n, int* A, int* R) { int i; for (i = 0; i < n; i++) " ^ body ^ " }" in
+    match Trace.trace_cells (Stagg_minic.Parser.parse_function_exn src) sig1 ~sizes:[ ("n", 3) ] with
+    | Error r -> Trace.refusal_to_string r
+    | Ok _ -> Alcotest.failf "expected a trace failure: %s" body
+  in
+  check_string "branch" "trace: execution failed: symbolic branch condition"
+    (failure "if (A[i]) R[i] = 1;");
+  check_string "comparison" "trace: execution failed: symbolic comparison"
+    (failure "if (A[i] > 0) R[i] = 1;");
+  check_string "modulo" "trace: execution failed: '%' requires concrete operands"
+    (failure "R[i] = A[i] % 2;");
+  check_string "index" "trace: execution failed: value used as index is not concrete"
+    (failure "R[A[i]] = 1;")
+
 let test_uninitialized_accumulator_refused () =
   match
     skel
@@ -281,7 +356,7 @@ let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "stagg_trace"
     [
-      ("differential", [ qc qcheck_dag_matches_interp ]);
+      ("differential", [ qc qcheck_dag_matches_interp; qc qcheck_tv_matches_rat ]);
       ( "skeletons",
         [
           Alcotest.test_case "artificial suite emits" `Quick test_artificial_skeletons;
@@ -291,6 +366,7 @@ let () =
       ( "refusals",
         [
           Alcotest.test_case "diagnostics are structured" `Quick test_diagnostic_refusals;
+          Alcotest.test_case "symbolic-domain errors" `Quick test_symbolic_errors;
           Alcotest.test_case "uninitialized accumulator" `Quick
             test_uninitialized_accumulator_refused;
           Alcotest.test_case "scalar-mediated scan" `Quick test_scalar_mediated_scan_refused;
