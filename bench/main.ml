@@ -180,38 +180,19 @@ let smoke_json rows =
   List.iteri
     (fun i (label, rs) ->
       let solved = List.length (List.filter (fun (r : Stagg.Result_.t) -> r.solved) rs) in
-      let attempts = List.fold_left (fun a (r : Stagg.Result_.t) -> a + r.attempts) 0 rs in
-      let instantiations =
-        List.fold_left (fun a (r : Stagg.Result_.t) -> a + r.instantiations) 0 rs
-      in
+      let sum f = List.fold_left (fun a (r : Stagg.Result_.t) -> a + f r) 0 rs in
       Printf.bprintf buf
         "    { \"method\": %S, \"solved\": %d, \"total\": %d, \"total_attempts\": %d, \
-         \"total_instantiations\": %d }%s\n"
-        label solved (List.length rs) attempts instantiations
+         \"total_instantiations\": %d, \"total_expansions\": %d, \"total_suppressed\": %d }%s\n"
+        label solved (List.length rs)
+        (sum (fun r -> r.attempts))
+        (sum (fun r -> r.instantiations))
+        (sum (fun r -> r.expansions))
+        (sum (fun r -> r.suppressed))
         (if i = n - 1 then "" else ","))
     rows;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
-
-(* [--strip-schema-version SRC DST]: copy SRC to DST minus the
-   "schema_version" line. The @smoke alias diffs generated summaries
-   against expectations committed before the field existed; stripping on
-   the generated side keeps that comparison byte-for-byte while the
-   emitted files stay versioned for downstream consumers. *)
-let strip_schema_version src dst =
-  let ic = open_in src in
-  let oc = open_out dst in
-  (try
-     while true do
-       let line = input_line ic in
-       if not (String.starts_with ~prefix:"\"schema_version\"" (String.trim line)) then begin
-         output_string oc line;
-         output_char oc '\n'
-       end
-     done
-   with End_of_file -> ());
-  close_in ic;
-  close_out oc
 
 let run_smoke ~json_file ~heap_ceiling ~tune () =
   let benches = Stagg_benchsuite.Suite.artificial in
@@ -274,7 +255,7 @@ let run_diagnostics () =
    requests and a stats probe — through one in-process server, cold
    then warm, at jobs = 1. Every response field except per-request wall
    time is deterministic, so the normalized output is byte-diffed
-   against committed expectations by the fifth @smoke leg: a drift
+   against committed expectations by the fourth @smoke leg: a drift
    means the cache/single-flight/remap behavior changed, not noise.
 
    [--serve-load] replays the full 77-benchmark suite twice through a
@@ -500,17 +481,11 @@ let usage () =
     "usage: main.exe [--smoke] [--serve-smoke] [--serve-load] [--skip-ablations] \
      [--skip-bechamel] [--no-analysis] \
      [--prune-mode off|replay|admission] [--batched-validate off|on] \
-     [--oracle llm|trace|trace+llm] [--search-domains K|auto] [--heap-ceiling WORDS] \
-     [--jobs N | -j N] [--json FILE] | --strip-schema-version SRC DST";
+     [--oracle llm|trace|trace+llm] [--heap-ceiling WORDS] \
+     [--jobs N | -j N] [--json FILE]";
   exit 2
 
 let () =
-  (* utility mode used by the @smoke alias; no campaign setup *)
-  (match Sys.argv with
-  | [| _; "--strip-schema-version"; src; dst |] ->
-      strip_schema_version src dst;
-      exit 0
-  | _ -> ());
   (* The campaign's hot loops (A* frontier, validation memo) allocate
      heavily against a large live heap; the default space_overhead of 120
      spends ~20% of search wall time in major-GC marking. Trading memory
@@ -526,7 +501,6 @@ let () =
   and prune_mode = ref Stagg_search.Astar.Prune_admission
   and batched_validate = ref true
   and oracle = ref Stagg.Method_.Oracle_llm
-  and search_domains = ref 1
   and heap_ceiling = ref None
   and jobs = ref (Stagg_util.Pool.default_jobs ())
   and json_file = ref None in
@@ -576,7 +550,7 @@ let () =
     | "--oracle" :: name :: rest ->
         (* candidate source for the smoke methods: [llm] (default — a run
            with an explicit [--oracle llm] is byte-identical to one
-           without the flag), [trace] (no LLM in the loop; the fourth
+           without the flag), [trace] (no LLM in the loop; the third
            @smoke leg diffs it against smoke_expected_trace.json), or
            [trace+llm]. The full campaign always carries its own
            Trace/Trace+LLM rows, so the flag only steers --smoke. *)
@@ -586,24 +560,6 @@ let () =
             Printf.eprintf "--oracle expects llm|trace|trace+llm, got %s\n" name;
             usage ());
         parse rest
-    | "--search-domains" :: k :: rest -> (
-        (* K domains for the deterministic parallel A* inside each search
-           (1 = sequential engine, the default); outcomes are
-           byte-identical for every K — the @smoke alias diffs a K=2 run
-           against the same expectations. [auto] takes whatever the Pool
-           budget grants. *)
-        match k with
-        | "auto" ->
-            search_domains := 0;
-            parse rest
-        | _ -> (
-            match int_of_string_opt k with
-            | Some n when n >= 1 ->
-                search_domains := n;
-                parse rest
-            | _ ->
-                Printf.eprintf "--search-domains expects a positive integer or auto, got %s\n" k;
-                usage ()))
     | "--heap-ceiling" :: n :: rest -> (
         match int_of_string_opt n with
         | Some n when n >= 1 ->
@@ -624,7 +580,7 @@ let () =
         json_file := Some file;
         parse rest
     | [ (("--jobs" | "-j" | "--json" | "--prune-mode" | "--batched-validate"
-         | "--oracle" | "--search-domains" | "--heap-ceiling")
+         | "--oracle" | "--heap-ceiling")
         as flag) ] ->
         Printf.eprintf "%s expects a value\n" flag;
         usage ()
@@ -645,15 +601,12 @@ let () =
     let analysis = !analysis
     and prune_mode = !prune_mode
     and batched = !batched_validate
-    and oracle = !oracle
-    and search_domains = !search_domains in
+    and oracle = !oracle in
     let tune (m : Stagg.Method_.t) =
       Stagg.Method_.with_oracle
-        (Stagg.Method_.with_search_domains
-           (Stagg.Method_.with_batched_validate
-              (Stagg.Method_.with_prune_mode { m with analysis } prune_mode)
-              batched)
-           search_domains)
+        (Stagg.Method_.with_batched_validate
+           (Stagg.Method_.with_prune_mode { m with analysis } prune_mode)
+           batched)
         oracle
     in
     run_smoke ~json_file:!json_file ~heap_ceiling:!heap_ceiling ~tune ();
@@ -664,17 +617,13 @@ let () =
   and analysis = !analysis
   and prune_mode = !prune_mode
   and batched_validate = !batched_validate
-  and search_domains = !search_domains
   and jobs = !jobs in
   let progress msg = Printf.eprintf "[bench] %s\n%!" msg in
   let t0 = Unix.gettimeofday () in
   let runs =
     if skip_ablations then
-      Experiments.run_core ~progress ~jobs ~analysis ~prune_mode ~batched_validate
-        ~search_domains ()
-    else
-      Experiments.run_all ~progress ~jobs ~analysis ~prune_mode ~batched_validate
-        ~search_domains ()
+      Experiments.run_core ~progress ~jobs ~analysis ~prune_mode ~batched_validate ()
+    else Experiments.run_all ~progress ~jobs ~analysis ~prune_mode ~batched_validate ()
   in
   Printf.printf "Guided Tensor Lifting — experiment harness (suite of %d queries, seed %d%s)\n\n"
     (List.length Stagg_benchsuite.Suite.all)

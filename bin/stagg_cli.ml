@@ -135,37 +135,14 @@ let with_oracle name m =
           Printf.eprintf "unknown oracle %s (expected llm|trace|trace+llm)\n" name;
           exit 2)
 
-let search_domains_arg =
-  Arg.(
-    value
-    & opt string "1"
-    & info [ "search-domains" ] ~docv:"K"
-        ~doc:
-          "Run each A* search on the deterministic parallel engine with $(docv) domains \
-           ($(b,1), the default, is the sequential engine; $(b,auto) takes whatever the \
-           domain budget grants). Outcomes — solved, attempts, expansions, first solutions \
-           — are byte-identical for every $(docv); only wall-clock time moves.")
-
-let with_search_domains k m =
-  match k with
-  | "1" -> m
-  | "auto" -> Stagg.Method_.with_search_domains m 0
-  | _ -> (
-      match int_of_string_opt k with
-      | Some n when n >= 1 -> Stagg.Method_.with_search_domains m n
-      | _ ->
-          Printf.eprintf "unknown search-domains value %s (expected a positive integer or auto)\n" k;
-          exit 2)
-
 let lift_cmd =
-  let run name meth no_analysis prune_mode batched_validate search_domains oracle =
+  let run name meth no_analysis prune_mode batched_validate oracle =
     let b = find_bench_exn name in
     let r =
       Stagg.Pipeline.run
         (with_oracle oracle
-           (with_search_domains search_domains
-              (with_batched_validate batched_validate
-                 (with_prune_mode prune_mode (with_analysis no_analysis (method_of_string meth))))))
+           (with_batched_validate batched_validate
+              (with_prune_mode prune_mode (with_analysis no_analysis (method_of_string meth)))))
         b
     in
     Format.printf "%a@." Stagg.Result_.pp r;
@@ -180,7 +157,7 @@ let lift_cmd =
     (Cmd.info "lift" ~doc:"Lift one benchmark to TACO and print the verified solution.")
     Term.(
       const run $ name_arg $ method_arg $ no_analysis_arg $ prune_mode_arg
-      $ batched_validate_arg $ search_domains_arg $ oracle_arg)
+      $ batched_validate_arg $ oracle_arg)
 
 (* ---- show ---- *)
 
@@ -274,7 +251,7 @@ let jobs_arg =
            $(docv) (modulo per-query times); 1 runs sequentially on the calling domain.")
 
 let suite_cmd =
-  let run meth jobs no_analysis prune_mode batched_validate search_domains oracle =
+  let run meth jobs no_analysis prune_mode batched_validate oracle =
     let batched =
       match batched_validate with
       | "on" -> true
@@ -298,9 +275,8 @@ let suite_cmd =
       | m ->
           Stagg.Pipeline.run_suite ~jobs
             (with_oracle oracle
-               (with_search_domains search_domains
-                  (with_batched_validate batched_validate
-                     (with_prune_mode prune_mode (with_analysis no_analysis (method_of_string m))))))
+               (with_batched_validate batched_validate
+                  (with_prune_mode prune_mode (with_analysis no_analysis (method_of_string m)))))
             Suite.all
     in
     List.iter (fun r -> Format.printf "%a@." Stagg.Result_.pp r) results;
@@ -311,7 +287,7 @@ let suite_cmd =
     (Cmd.info "suite" ~doc:"Run one method over the whole suite and print per-query results.")
     Term.(
       const run $ method_arg $ jobs_arg $ no_analysis_arg $ prune_mode_arg
-      $ batched_validate_arg $ search_domains_arg $ oracle_arg)
+      $ batched_validate_arg $ oracle_arg)
 
 (* ---- lift-file: arbitrary C + signature spec + recorded LLM transcript ---- *)
 

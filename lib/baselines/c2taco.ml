@@ -58,7 +58,6 @@ let run ~seed ~heuristics (b : Bench.t) : Stagg.Result_.t =
       validate_s = !validate_s;
       verify_s = 0.;
       instantiations = !attempts;
-      par = None;
       traced = false;
       trace_templates = 0;
       warnings = [];

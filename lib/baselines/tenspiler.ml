@@ -98,7 +98,6 @@ let run ?(batched_validate = true) ~seed (b : Bench.t) : Stagg.Result_.t =
       validate_s = !validate_s;
       verify_s = !verify_s;
       instantiations = !instantiations;
-      par = None;
       traced = false;
       trace_templates = 0;
       warnings = [];

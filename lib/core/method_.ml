@@ -55,12 +55,9 @@ type t = {
           the per-candidate instantiate + compile path for the on/off
           differential. *)
   search_domains : int;
-      (** domain count for the deterministic parallel A* engine inside
-          each single search (coordinator included). [1] (default) is the
-          sequential engine; [0] means auto — take whatever helper
-          domains the {!Stagg_util.Pool} budget grants. Outcomes (solved,
-          attempts, expansions, first solutions, memo keys) are
-          byte-identical for every value; only wall-clock time moves. *)
+      (** always [1]: the searches run on the calling domain. Kept only
+          because the lifting benchmark passes it on as
+          [Astar.search_*]'s [?domains], which accepts nothing else. *)
   seed : int;  (** drives the mock LLM and example generation *)
   oracle : oracle;
       (** where candidate templates come from ({!Oracle_llm} by default).
@@ -104,11 +101,6 @@ let with_prune_mode m prune_mode = { m with prune_mode }
     off; label unchanged so the [--batched-validate off] differential
     diffs cleanly against default runs. *)
 let with_batched_validate m batched_validate = { m with batched_validate }
-
-(** The same method searching with [search_domains] domains; label
-    unchanged so sweep outputs diff cleanly across domain counts (the
-    outcomes are byte-identical by design). *)
-let with_search_domains m search_domains = { m with search_domains }
 
 (** The same method drawing candidates from the given oracle; label
     unchanged, for differential runs ([--oracle llm] must diff cleanly

@@ -243,14 +243,9 @@ let prune_of (m : Method_.t) (q : query) ~(consts : 'a list) (prep : prepared) :
 let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
     (prefix_r : (prefix, string) result) : Result_.t =
   let started = Unix.gettimeofday () in
-  (* Per-phase accumulators. [validate_s] and [instantiations] are only
-     ever mutated on the search's coordinator domain (sequentially, or
-     via commit-time thunks under the parallel engine), so plain refs
-     are fine; [verify_s] accumulates inside the BMC hook, which the
-     parallel engine may run on a worker domain — it gets a mutex. *)
+  (* per-phase accumulators; the search and the validator both run on
+     the calling domain *)
   let validate_s = ref 0. and verify_s = ref 0. and instantiations = ref 0 in
-  let verify_mu = Mutex.create () in
-  let par = ref None in
   let facts = if m.analysis then Some (Stagg_minic.Facts.analyze q.func) else None in
   let traced, trace_templates, trace_warning =
     match prefix_r with
@@ -274,7 +269,6 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
       validate_s = !validate_s;
       verify_s = !verify_s;
       instantiations = !instantiations;
-      par = !par;
       traced;
       trace_templates;
       (* a trace refusal is a warning, not a failure: the search still
@@ -323,8 +317,7 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
                 | Bmc.Equivalent -> true
                 | Bmc.Not_equivalent _ | Bmc.Inconclusive _ -> false
               in
-              let dt = Unix.gettimeofday () -. t0 in
-              Mutex.protect verify_mu (fun () -> verify_s := !verify_s +. dt);
+              verify_s := !verify_s +. (Unix.gettimeofday () -. t0);
               ok
             end
           in
@@ -349,32 +342,6 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
             instantiations := !instantiations + n;
             sol
           in
-          (* The staged split of [validate] for the parallel engine: the
-             expensive pure compute (instantiation, example checking,
-             BMC) runs where the engine chooses — possibly a worker
-             domain — and the returned thunk, always invoked on the
-             coordinator at the pop's commit point, applies the
-             observable accumulator effects in commit order. Applying
-             the thunk immediately is exactly [validate], so inline and
-             speculative validations interleave without skew. *)
-          let staged_validate template =
-            let t0 = Unix.gettimeofday () in
-            let sol, n =
-              Validator.validate_counted ~signature:q.signature ~checker ~consts ~verify
-                ~memo_key ~batched:m.batched_validate template
-            in
-            let dt = Unix.gettimeofday () -. t0 in
-            fun () ->
-              validate_s := !validate_s +. dt;
-              instantiations := !instantiations + n;
-              sol
-          in
-          let staged_validate =
-            if m.search_domains = 1 then None else Some staged_validate
-          in
-          let on_par_stats =
-            if m.search_domains = 1 then None else Some (fun ps -> par := Some ps)
-          in
           let prune = prune_of m q ~consts prep in
           let pruned_rules =
             match prune with Some pr -> Prune.n_doomed pr | None -> 0
@@ -384,13 +351,11 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
             | Method_.Top_down ->
                 Astar.search_topdown ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
                   ~max_depth:m.max_depth ~dedup:m.dedup ?prune ~prune_mode:m.prune_mode
-                  ~domains:m.search_domains ?staged_validate ?on_par_stats ~budget:m.budget
-                  ~validate ()
+                  ~budget:m.budget ~validate ()
             | Method_.Bottom_up ->
                 Astar.search_bottomup ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
                   ~dim_list:prep.dim_list ~dedup:m.dedup ?prune ~prune_mode:m.prune_mode
-                  ~domains:m.search_domains ?staged_validate ?on_par_stats ~budget:m.budget
-                  ~validate ()
+                  ~budget:m.budget ~validate ()
           in
           let stats = Astar.stats_of outcome in
           let finish =

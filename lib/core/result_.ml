@@ -16,10 +16,6 @@ type t = {
   validate_s : float;  (** wall time inside the validator, incl. [verify_s] *)
   verify_s : float;  (** wall time inside the BMC verify hook *)
   instantiations : int;  (** concrete substitution instantiations executed *)
-  par : Stagg_search.Astar.par_stats option;
-      (** parallel-engine telemetry (speculated/committed/steal counts),
-          summed over this query's searches; [None] when the run was
-          configured sequential ([search_domains = 1]) *)
   traced : bool;
       (** the trace oracle ran and emitted at least one template for this
           query (always [false] under {!Method_.Oracle_llm}) *)

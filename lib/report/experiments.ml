@@ -9,10 +9,6 @@ type sweep = {
   sw_heap_words : int;
   sw_instantiations : int;
   sw_validate_s : float;
-  sw_par : Stagg_search.Astar.par_stats option;
-      (** parallel-engine telemetry summed over the sweep's queries
-          ([par_domains] is the maximum effective domain count seen);
-          [None] when the sweep ran the sequential engine *)
 }
 
 type runs = {
@@ -91,20 +87,6 @@ let sweep_timed ?log ~progress label f =
           sw_instantiations =
             List.fold_left (fun a (x : Result_.t) -> a + x.instantiations) 0 r;
           sw_validate_s = List.fold_left (fun a (x : Result_.t) -> a +. x.validate_s) 0. r;
-          sw_par =
-            (match List.filter_map (fun (x : Result_.t) -> x.par) r with
-            | [] -> None
-            | ps ->
-                Some
-                  (List.fold_left
-                     (fun (a : Stagg_search.Astar.par_stats) (p : Stagg_search.Astar.par_stats) ->
-                       {
-                         Stagg_search.Astar.par_domains = max a.par_domains p.par_domains;
-                         par_speculated = a.par_speculated + p.par_speculated;
-                         par_committed = a.par_committed + p.par_committed;
-                         par_steals = a.par_steals + p.par_steals;
-                       })
-                     Stagg_search.Astar.no_par_stats ps));
         }
         :: !l
   | None -> ());
@@ -116,12 +98,12 @@ let sweep_timed ?log ~progress label f =
 
 let run_core_cached ?jobs ?(analysis = true)
     ?(prune_mode = Stagg_search.Astar.Prune_admission) ?(batched_validate = true)
-    ?(search_domains = 1) ~seed ~progress (cache : prep) =
+    ~seed ~progress (cache : prep) =
   let all = Suite.all and rw = Suite.real_world in
   let sweep_log = ref [] in
   let sweep = sweep_timed ~log:sweep_log ~progress in
   let with_seed m =
-    { m with Method_.seed; analysis; prune_mode; batched_validate; search_domains }
+    { m with Method_.seed; analysis; prune_mode; batched_validate }
   in
   let sweep_m m = sweep m.Method_.label (fun () -> sweep_prepared ?jobs (with_seed m) cache) in
   let td = sweep_m Method_.stagg_td in
@@ -172,9 +154,9 @@ let run_core_cached ?jobs ?(analysis = true)
    trace oracle is off. *)
 let run_trace_sweeps ?jobs ?(analysis = true)
     ?(prune_mode = Stagg_search.Astar.Prune_admission) ?(batched_validate = true)
-    ?(search_domains = 1) ~seed ~progress ~sweep_log () =
+    ~seed ~progress ~sweep_log () =
   let with_seed m =
-    { m with Method_.seed; analysis; prune_mode; batched_validate; search_domains }
+    { m with Method_.seed; analysis; prune_mode; batched_validate }
   in
   let sweep m ~oracle =
     sweep_timed ~log:sweep_log ~progress m.Method_.label (fun () ->
@@ -186,29 +168,29 @@ let run_trace_sweeps ?jobs ?(analysis = true)
   (trace, trace_llm)
 
 let run_core ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?analysis ?prune_mode
-    ?batched_validate ?search_domains () =
+    ?batched_validate () =
   let core =
-    run_core_cached ?jobs ?analysis ?prune_mode ?batched_validate ?search_domains ~seed
+    run_core_cached ?jobs ?analysis ?prune_mode ?batched_validate ~seed
       ~progress
       (prepare_suite ?jobs ~seed Suite.all)
   in
   let sweep_log = ref [] in
   let trace, trace_llm =
-    run_trace_sweeps ?jobs ?analysis ?prune_mode ?batched_validate ?search_domains ~seed
+    run_trace_sweeps ?jobs ?analysis ?prune_mode ?batched_validate ~seed
       ~progress ~sweep_log ()
   in
   { core with trace; trace_llm; sweeps = core.sweeps @ List.rev !sweep_log }
 
 let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = true)
     ?(prune_mode = Stagg_search.Astar.Prune_admission) ?(batched_validate = true)
-    ?(search_domains = 1) () =
+    () =
   let cache = prepare_suite ?jobs ~seed Suite.all in
   let core =
-    run_core_cached ?jobs ~analysis ~prune_mode ~batched_validate ~search_domains ~seed
+    run_core_cached ?jobs ~analysis ~prune_mode ~batched_validate ~seed
       ~progress cache
   in
   let with_seed m =
-    { m with Method_.seed; analysis; prune_mode; batched_validate; search_domains }
+    { m with Method_.seed; analysis; prune_mode; batched_validate }
   in
   let sweep_log = ref [] in
   let sweep m =
@@ -230,7 +212,7 @@ let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = 
   let bu_full_grammar = sweep Method_.bu_full_grammar in
   (* trace sweeps last — see [run_trace_sweeps] on why the order matters *)
   let trace, trace_llm =
-    run_trace_sweeps ?jobs ~analysis ~prune_mode ~batched_validate ~search_domains ~seed
+    run_trace_sweeps ?jobs ~analysis ~prune_mode ~batched_validate ~seed
       ~progress ~sweep_log ()
   in
   {
@@ -526,22 +508,11 @@ let json_summary ?(jobs = 1) ~wall_s runs =
       let inst_per_s =
         if s.sw_validate_s > 0. then float_of_int s.sw_instantiations /. s.sw_validate_s else 0.
       in
-      let par_fields =
-        match s.sw_par with
-        | None -> ""
-        | Some (p : Stagg_search.Astar.par_stats) ->
-            Printf.sprintf
-              ", \"par_domains\": %d, \"par_speculated\": %d, \"par_committed\": %d, \
-               \"par_wasted\": %d, \"par_steals\": %d"
-              p.par_domains p.par_speculated p.par_committed
-              (p.par_speculated - p.par_committed)
-              p.par_steals
-      in
       Printf.bprintf buf
         "    {\"sweep\": \"%s\", \"wall_s\": %.3f, \"heap_words\": %d, \
-         \"instantiations\": %d, \"validate_s\": %.3f, \"inst_per_s\": %.0f%s}%s\n"
+         \"instantiations\": %d, \"validate_s\": %.3f, \"inst_per_s\": %.0f}%s\n"
         (json_escape s.sw_label) s.sw_wall_s s.sw_heap_words s.sw_instantiations
-        s.sw_validate_s inst_per_s par_fields
+        s.sw_validate_s inst_per_s
         (if i = nsweeps - 1 then "" else ","))
     runs.sweeps;
   Buffer.add_string buf "  ],\n";

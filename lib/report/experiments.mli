@@ -13,10 +13,6 @@ type sweep = {
   sw_heap_words : int;  (** major-heap words at sweep end (compacted start) *)
   sw_instantiations : int;  (** validator instantiations summed over the sweep *)
   sw_validate_s : float;  (** in-validator seconds summed over the sweep *)
-  sw_par : Stagg_search.Astar.par_stats option;
-      (** parallel-engine telemetry (speculated/committed/steal counts)
-          summed over the sweep's queries, [par_domains] being the
-          maximum effective domain count; [None] for sequential sweeps *)
 }
 
 type runs = {
@@ -69,12 +65,7 @@ type runs = {
     outcomes byte-identical. [batched_validate] (default [true]) selects
     template-level compilation in the validator — a third knob with the
     same contract: solved/attempt/instantiation outcomes are
-    byte-identical on and off (the [@smoke] differential enforces it).
-    [search_domains] (default [1]) runs each STAGG search on the
-    deterministic parallel A* engine with that many domains
-    ({!Method_.t.search_domains}) — a fourth knob with the same
-    contract: outcomes are byte-identical for every domain count (the
-    [@smoke] [--search-domains 2] leg enforces it); [0] means auto. *)
+    byte-identical on and off (the [@smoke] differential enforces it). *)
 val run_all :
   ?seed:int ->
   ?progress:(string -> unit) ->
@@ -82,7 +73,6 @@ val run_all :
   ?analysis:bool ->
   ?prune_mode:Stagg_search.Astar.prune_mode ->
   ?batched_validate:bool ->
-  ?search_domains:int ->
   unit ->
   runs
 
@@ -94,7 +84,6 @@ val run_core :
   ?analysis:bool ->
   ?prune_mode:Stagg_search.Astar.prune_mode ->
   ?batched_validate:bool ->
-  ?search_domains:int ->
   unit ->
   runs
 

@@ -78,21 +78,6 @@ type prune_mode = Prune_replay | Prune_admission
 
 val prune_mode_to_string : prune_mode -> string
 
-(** Telemetry from the parallel engine (see [?domains] below):
-    speculative expansions computed by worker domains, how many the
-    commit loop actually consumed ([par_speculated - par_committed] is
-    wasted speculation), and how many claims came off another worker's
-    shard (the work-stealing overflow lane). All zero when
-    [par_domains = 1]. *)
-type par_stats = {
-  par_domains : int;  (** effective domain count, coordinator included *)
-  par_speculated : int;  (** speculation payloads workers finished *)
-  par_committed : int;  (** payloads the commit loop consumed *)
-  par_steals : int;  (** claims taken from a non-owned shard *)
-}
-
-val no_par_stats : par_stats
-
 (** Top-down search (Algorithm 1): validates templates when a complete
     tree is dequeued; trees deeper than [max_depth] (default 6, §5.1) are
     discarded. The [validate] callback receives the template AST and
@@ -108,38 +93,10 @@ val no_par_stats : par_stats
     dedup (and, top-down, static depth tables); silently off
     otherwise.
 
-    [?domains] (default 1) turns on the deterministic parallel engine:
-    the frontier is sharded across [domains] {!Stagg_util.Pqueue} shards
-    and [domains - 1] worker domains speculatively precompute the PURE
-    part of upcoming pops (child annotations, penalties, prune states,
-    program rebuilds, and — via [?staged_validate] — the compute half of
-    validation), while the single coordinator commits pops in exactly
-    the sequential (f, seq) order, substituting finished speculations
-    where they exist and computing inline otherwise. Every speculative
-    value is bit-identical to its inline counterpart, so
-    solved/attempt/expansion/first-solution outcomes are byte-identical
-    to [?domains:1] for every domain count — parallelism changes
-    wall-clock time only (the wall-clock timeout backstop remains, as
-    always, machine-dependent). [0] means auto: take whatever helper
-    domains the {!Stagg_util.Pool} budget grants. Explicit counts are
-    honored but still debited from the Pool budget so nested parallelism
-    clamps instead of oversubscribing. Searches whose grammar lacks
-    incremental metrics (or, top-down, static depth tables) run
-    sequentially regardless.
-
-    [?staged_validate] splits validation for speculation: [sv p]
-    performs the expensive pure compute and returns a thunk whose later
-    invocation (always on the coordinator, at the commit point) applies
-    the observable effects (timing/instantiation counters) and yields
-    the result. Must satisfy [(sv p) () ≡ validate p] observably; when
-    absent, workers only speculate expansions and every validation runs
-    inline on the coordinator.
-
-    [?on_par_stats] receives the engine's {!par_stats} once, after the
-    workers have been joined. [?commit_probe] is called with the (f,
-    seq) key of every committed pop — frontier pops and admission-ledger
-    drains alike, in commit order — and exists so tests can assert the
-    commit stream itself, not just the end counts. *)
+    [?domains] must be [1] (the default) and raises [Invalid_argument]
+    otherwise: the search always runs on the calling domain. The
+    parameter is kept only because the lifting benchmark's replay passes
+    it. *)
 val search_topdown :
   pcfg:Stagg_grammar.Pcfg.t ->
   penalty_ctx:Penalty.ctx ->
@@ -148,9 +105,6 @@ val search_topdown :
   ?prune:Stagg_grammar.Prune.t ->
   ?prune_mode:prune_mode ->
   ?domains:int ->
-  ?staged_validate:(Stagg_taco.Ast.program -> unit -> 'sol option) ->
-  ?on_par_stats:(par_stats -> unit) ->
-  ?commit_probe:(float -> int -> unit) ->
   budget:budget ->
   validate:(Stagg_taco.Ast.program -> 'sol option) ->
   unit ->
@@ -159,8 +113,7 @@ val search_topdown :
 (** Bottom-up search (Algorithm 2): when a dequeued tree has exactly the
     predicted number of tensors, its trailing TAIL nonterminals are erased
     (RemoveTail) and the completed template is validated; expansion then
-    continues regardless. [?prune] / [?prune_mode] / [?domains] /
-    [?staged_validate] / [?on_par_stats] / [?commit_probe] as in
+    continues regardless. [?prune] / [?prune_mode] / [?domains] as in
     {!search_topdown}; the bottom-up penalties never read the rebuilt
     AST, so pruned completions skip materialization entirely. *)
 val search_bottomup :
@@ -171,9 +124,6 @@ val search_bottomup :
   ?prune:Stagg_grammar.Prune.t ->
   ?prune_mode:prune_mode ->
   ?domains:int ->
-  ?staged_validate:(Stagg_taco.Ast.program -> unit -> 'sol option) ->
-  ?on_par_stats:(par_stats -> unit) ->
-  ?commit_probe:(float -> int -> unit) ->
   budget:budget ->
   validate:(Stagg_taco.Ast.program -> 'sol option) ->
   unit ->

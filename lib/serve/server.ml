@@ -334,47 +334,40 @@ let handle_lift t ~seq ~(req : request) ~raw_id =
               ~time_s:(Unix.gettimeofday () -. t0)
               o
           in
-          (* per-request domain-budget isolation: claim on admit, release
-             on every exit path — a request that raises (or times out
-             inside the search) must not leak its allowance *)
-          Pool.claim_exact 1;
-          Fun.protect
-            ~finally:(fun () -> Pool.release 1)
-            (fun () ->
-              match Cache.acquire t.cache ~key ~fp with
-              | Cache.Hit o -> respond "hit" o
-              | Cache.Joined o -> respond "join" o
-              | Cache.Owner donor -> (
-                  try
-                    let outcome, path =
-                      match
-                        Option.bind donor (fun (d : Cache.outcome) ->
-                            Option.bind d.lifted
-                              (try_remap ~m ~qname ~func ~signature ~consts))
-                      with
-                      | Some o -> (o, "remap")
-                      | None ->
-                          let q =
-                            {
-                              Pipeline.qname;
-                              func;
-                              signature;
-                              c_source = req.c_source;
-                              client = Stagg_oracle.Replay.of_lines [];
-                              oracle = m.Method_.oracle;
-                            }
-                          in
-                          (outcome_of_result signature consts
-                             (Pipeline.lift ~memo_scope:(memo_scope t) m q),
-                            "miss")
-                    in
-                    Cache.fulfill t.cache ~key ~fp outcome;
-                    if String.equal path "remap" then Cache.note_remap t.cache;
-                    respond path outcome
-                  with e ->
-                    Cache.abort t.cache ~key;
-                    error_response ~id:raw_id ~seq
-                      ("internal error: " ^ Printexc.to_string e))))
+          match Cache.acquire t.cache ~key ~fp with
+          | Cache.Hit o -> respond "hit" o
+          | Cache.Joined o -> respond "join" o
+          | Cache.Owner donor -> (
+              try
+                let outcome, path =
+                  match
+                    Option.bind donor (fun (d : Cache.outcome) ->
+                        Option.bind d.lifted
+                          (try_remap ~m ~qname ~func ~signature ~consts))
+                  with
+                  | Some o -> (o, "remap")
+                  | None ->
+                      let q =
+                        {
+                          Pipeline.qname;
+                          func;
+                          signature;
+                          c_source = req.c_source;
+                          client = Stagg_oracle.Replay.of_lines [];
+                          oracle = m.Method_.oracle;
+                        }
+                      in
+                      (outcome_of_result signature consts
+                         (Pipeline.lift ~memo_scope:(memo_scope t) m q),
+                        "miss")
+                in
+                Cache.fulfill t.cache ~key ~fp outcome;
+                if String.equal path "remap" then Cache.note_remap t.cache;
+                respond path outcome
+              with e ->
+                Cache.abort t.cache ~key;
+                error_response ~id:raw_id ~seq
+                  ("internal error: " ^ Printexc.to_string e)))
 
 let stats_response t ~id ~seq =
   let vs = Validator.stats () in
@@ -402,13 +395,17 @@ let stats_response t ~id ~seq =
              ] );
        ])
 
+let op_of j = match field_str j "op" with Ok (Some s) -> s | _ -> "lift"
+
+let is_shutdown line =
+  match Json.of_string line with Ok j -> op_of j = "shutdown" | Error _ -> false
+
 let process t ~seq line : string * [ `Continue | `Shutdown ] =
   match Json.of_string line with
   | Error e -> (error_response ~id:None ~seq ("bad request: " ^ e), `Continue)
   | Ok j -> (
       let id = match field_str j "id" with Ok v -> v | Error _ -> None in
-      let op = match field_str j "op" with Ok (Some s) -> s | _ -> "lift" in
-      match op with
+      match op_of j with
       | "shutdown" ->
           ( Json.to_string
               (Json.Obj
@@ -439,7 +436,9 @@ let run_lines t lines =
 (* Streaming loop shared by stdio and socket: emit responses in request
    order with at most [jobs] requests in flight (a FIFO of running
    domains; joining the oldest both bounds concurrency and preserves
-   order). Returns [true] when a shutdown request ended the stream. *)
+   order). A shutdown line is recognised as it is read: the requests
+   before it are drained, its [bye] is emitted, and nothing more is
+   read. Returns [true] when a shutdown request ended the stream. *)
 let serve_channel t ~ic ~oc =
   let jobs = t.cfg.jobs in
   let pending : (unit -> string * [ `Continue | `Shutdown ]) Queue.t = Queue.create () in
@@ -457,7 +456,12 @@ let serve_channel t ~ic ~oc =
        | None -> raise Exit
        | Some line ->
            let seq = reserve_seqs t 1 in
-           if jobs <= 1 then emit (process t ~seq line)
+           if jobs <= 1 || is_shutdown line then begin
+             while not (Queue.is_empty pending) do
+               drain_one ()
+             done;
+             emit (process t ~seq line)
+           end
            else begin
              if Queue.length pending >= jobs then drain_one ();
              let d = Domain.spawn (fun () -> process t ~seq line) in

@@ -26,11 +26,7 @@
     answered: ["miss"] (searched), ["hit"], ["join"] (waited out a
     concurrent identical search), or ["remap"].
 
-    Each admitted request claims one domain from the process-wide
-    {!Stagg_util.Pool} budget and releases it on every exit path, so a
-    long-lived server never leaks its allowance across requests —
-    nested parallel constructs inside a search see the budget honestly
-    drained. Each server instance gets a fresh {e epoch}, which scopes
+    Each server instance gets a fresh {e epoch}, which scopes
     the validation memo: verdicts never bleed between epochs, while
     requests within one epoch still share them.
 
@@ -69,7 +65,9 @@ val process_line : t -> seq:int -> string -> string
 val run_lines : t -> string list -> string list
 
 (** Serve stdin → stdout until EOF or a shutdown request. Responses are
-    emitted in request order; at most [jobs] requests are in flight. *)
+    emitted in request order; at most [jobs] requests are in flight. A
+    shutdown is answered after every earlier request, and no line after
+    it is read. *)
 val run_stdio : t -> unit
 
 (** Serve a Unix-domain socket (serial accept; [jobs]-wide within a

@@ -1,5 +1,4 @@
-(** A fixed-size domain pool with an ordered [map] / [map_reduce] API and
-    a process-wide helper-domain budget.
+(** A fixed-size domain pool with an ordered [map] / [map_reduce] API.
 
     Each call builds a pool of worker domains over a shared work queue
     (an atomic cursor into the input array) and a result-slot array
@@ -22,48 +21,9 @@
     least 1 — leave one core to the spawning domain's own bookkeeping. *)
 val default_jobs : unit -> int
 
-(** {1 The helper-domain budget}
-
-    A process-wide atomic count of helper domains that may be spawned,
-    initialized to [recommended_domain_count () - 1]. Callers that pick
-    their own concurrency ({!map} without [~jobs], the parallel A*'s
-    [--search-domains auto]) {!claim} from it and clamp to the grant, so
-    nesting composes: a default pool inside a pool worker (or inside a
-    parallel search) finds the budget drained and runs sequentially
-    instead of oversubscribing jobs × K domains. Explicit requests are
-    honored as asked but still debit the budget, clamping the defaults
-    beneath them. Because every parallel construct in this codebase is
-    outcome-deterministic for any domain count, dynamic clamping never
-    changes results — only scheduling. *)
-
-(** Helper domains currently grantable (never negative). *)
-val budget : unit -> int
-
-(** [claim ~max:n] atomically takes up to [n] helpers from the budget
-    and returns how many were granted (0 when drained or [n <= 0]).
-    Pair with {!release}. *)
-val claim : max:int -> int
-
-(** [claim_exact n] debits [n] helpers unconditionally — the budget may
-    go negative (defaults then see zero). Used for explicit user
-    requests. Pair with {!release}. *)
-val claim_exact : int -> unit
-
-(** [release n] returns [n] helpers to the budget. *)
-val release : int -> unit
-
-(** [with_budget n f] runs [f] with the budget set to [n], restoring the
-    previous value afterwards (even on exception). The restore is
-    race-safe: claims and releases made by other domains while [f] runs
-    are preserved — the restore re-applies the original delta rather
-    than overwriting the counter. *)
-val with_budget : int -> (unit -> 'a) -> 'a
-
-(** [map ?jobs f xs] — [List.map f xs], computed on several domains.
-    With [~jobs:N] exactly [min N (length xs) - 1] helper domains are
-    spawned (an explicit request); without, the helper count is whatever
-    {!claim} grants, so the default composes under nesting. Values below
-    1 are clamped to 1. *)
+(** [map ?jobs f xs] — [List.map f xs], computed on several domains:
+    [min jobs (length xs) - 1] helper domains are spawned, [jobs]
+    defaulting to {!default_jobs}. Values below 1 are clamped to 1. *)
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [map_reduce ?jobs ~map ~init ~reduce xs] — parallel [map] followed by

@@ -116,7 +116,3 @@ let clear q =
   q.prio <- [||];
   q.seq <- [||];
   q.value <- [||]
-
-(* Racy by design: returns the live backing array and size with no
-   synchronisation. See the .mli for the reading discipline. *)
-let snapshot q = (q.value, q.size)

@@ -46,16 +46,3 @@ val top_prio : 'a t -> float
 val top_seq : 'a t -> int
 
 val clear : 'a t -> unit
-
-(** [snapshot q] returns the queue's backing value array and current
-    size, with NO synchronisation — a deliberately racy view for
-    speculative readers on other domains (the parallel A*'s worker
-    domains scan frontier-shard prefixes through it while the owning
-    domain keeps pushing and popping). Readers must clamp the returned
-    size to [Array.length] of the returned array (a concurrent grow may
-    have replaced the array), and must treat every slot as possibly
-    stale: a live element, the queue's dummy, or an element that was
-    already popped. Each slot read still yields a well-formed value of
-    type ['a] (word-sized writes do not tear), so stale reads cost
-    wasted work, never corruption. Never mutate through the snapshot. *)
-val snapshot : 'a t -> 'a array * int

@@ -81,13 +81,13 @@ let test_allow_parse () =
   match
     R.of_string
       "# comment\n\n\
-       protocol-module Pool -- budget protocol lives here\n\
+       protocol-module Pool -- work-queue cursor protocol lives here\n\
        nondeterminism-source foo.ml:run -- telemetry only\n"
   with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok t ->
       Alcotest.(check bool) "Pool is protocol" true (R.is_protocol t "Pool");
-      Alcotest.(check bool) "Fpset is not" false (R.is_protocol t "Fpset");
+      Alcotest.(check bool) "Pqueue is not" false (R.is_protocol t "Pqueue");
       Alcotest.(check int) "one entry" 1 (List.length t.R.entries);
       let e = List.hd t.R.entries in
       Alcotest.(check string) "file" "foo.ml" e.R.e_file;

@@ -46,7 +46,6 @@ let fake name solved time =
     validate_s = 0.;
     verify_s = 0.;
     instantiations = 1;
-    par = None;
     traced = false;
     trace_templates = 0;
     warnings = [];
@@ -109,7 +108,6 @@ let synthetic_runs () =
           sw_heap_words = 1_000_000;
           sw_instantiations = 10;
           sw_validate_s = 0.5;
-          sw_par = None;
         };
       ];
   }

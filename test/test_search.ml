@@ -415,6 +415,29 @@ let test_search_dedup () =
   | _ -> ());
   check_int "no duplicate validations" 0 !dups
 
+(* [?domains] survives only for a call site that passes 1; any other
+   count must be refused before a search starts *)
+let test_domains_only_one () =
+  let templates = templates_of [ "a = b(i) * c(i)" ] in
+  let dim_list = [ 0; 1; 1 ] in
+  let pcfg = Pcfg.uniform (Gen_topdown.generate ~dim_list ~templates) in
+  let bu_pcfg = Pcfg.uniform (Gen_bottomup.generate ~dim_list ~templates) in
+  let penalty_ctx = ctx ~enabled:[] ~dims:dim_list () in
+  let validate _ = None in
+  List.iter
+    (fun domains ->
+      let expect = Invalid_argument (Printf.sprintf "Astar: ~domains must be 1, got %d" domains) in
+      Alcotest.check_raises "top-down" expect (fun () ->
+          ignore (Astar.search_topdown ~pcfg ~penalty_ctx ~domains ~budget ~validate ()));
+      Alcotest.check_raises "bottom-up" expect (fun () ->
+          ignore
+            (Astar.search_bottomup ~pcfg:bu_pcfg ~penalty_ctx ~dim_list ~domains ~budget ~validate
+               ())))
+    [ 0; 2; 4 ];
+  match Astar.search_topdown ~pcfg ~penalty_ctx ~domains:1 ~budget ~validate () with
+  | Astar.Exhausted _ | Astar.Budget_exceeded _ -> ()
+  | Astar.Solved _ -> Alcotest.fail "nothing validates"
+
 let () =
   Alcotest.run "stagg_search"
     [
@@ -446,5 +469,6 @@ let () =
           Alcotest.test_case "bottom-up cannot right-nest" `Quick test_bottomup_cannot_nest;
           Alcotest.test_case "duplicate templates validated once" `Quick test_search_dedup;
           Alcotest.test_case "timeout fires on a 64-pop poll boundary" `Quick test_timeout_poll;
+          Alcotest.test_case "domains other than 1 rejected" `Quick test_domains_only_one;
         ] );
     ]

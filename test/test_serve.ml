@@ -6,7 +6,6 @@ module Sig = Stagg_minic.Signature
 module Canon = Stagg_minic.Canon
 module Sigspec = Stagg_minic.Sigspec
 module Bench = Stagg_benchsuite.Bench
-module Pool = Stagg_util.Pool
 module J = Json
 
 let check_bool = Alcotest.(check bool)
@@ -315,21 +314,81 @@ let test_server_jobs_agree () =
   in
   Alcotest.(check (list string)) "4-way run answers like the sequential one" (run 1) (run 4)
 
-(* Kill-mid-request at the server level: error requests, unsolvable
-   requests and successful ones must all release their pool claim — a
-   long-lived server drifts to a starved budget otherwise. *)
-let test_server_budget_balanced () =
-  let before = Pool.budget () in
-  let s = Server.create () in
-  ignore
-    (Server.run_lines s
-       [
-         lift_req mul3_src mul3_sig;
-         lift_req "void f(int n { }" "n:size" (* C parse error *);
-         lift_req mul3_src "oops" (* signature parse error *);
-         J.to_string (J.Obj [ ("op", J.String "stats") ]);
-       ]);
-  check_int "every request path released its pool claim" before (Pool.budget ())
+(* ---- the streaming loop over a socket ---- *)
+
+(* One '\n'-terminated line from [fd] within [timeout] seconds, [buf]
+   carrying bytes read past the previous line; [None] on timeout, EOF
+   or a reset connection. *)
+let read_line_within fd buf ~timeout =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    let s = Buffer.contents buf in
+    match String.index_opt s '\n' with
+    | Some i ->
+        Buffer.clear buf;
+        Buffer.add_string buf (String.sub s (i + 1) (String.length s - i - 1));
+        Some (String.sub s 0 i)
+    | None -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then None
+        else
+          match Unix.select [ fd ] [] [] left with
+          | [], _, _ -> None
+          | _ -> (
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | 0 -> None
+              | n ->
+                  Buffer.add_subbytes buf chunk 0 n;
+                  go ()
+              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None))
+  in
+  go ()
+
+let send fd line =
+  let s = line ^ "\n" in
+  try ignore (Unix.write_substring fd s 0 (String.length s))
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+
+(* Shutdown at jobs = 2 over a connection whose writer stays open, so
+   only the shutdown line, not EOF, can end the server's reading: [bye]
+   must arrive while the client is still connected, and a line sent
+   after the shutdown must not be answered. *)
+let test_shutdown_stops_reading () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "stagg-serve-test-%d.sock" (Unix.getpid ()))
+  in
+  let s = Server.create ~config:{ Server.jobs = 2; cache_max = 8; verify = true } () in
+  let server = Domain.spawn (fun () -> Server.run_socket s ~path) in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec connect tries =
+    try Unix.connect fd (Unix.ADDR_UNIX path)
+    with Unix.Unix_error _ when tries > 0 ->
+      Unix.sleepf 0.01;
+      connect (tries - 1)
+  in
+  connect 500;
+  let buf = Buffer.create 256 in
+  send fd (J.to_string (J.Obj [ ("id", J.String "s"); ("op", J.String "shutdown") ]));
+  let first = read_line_within fd buf ~timeout:10. in
+  send fd (J.to_string (J.Obj [ ("op", J.String "stats") ]));
+  let after = read_line_within fd buf ~timeout:0.5 in
+  (* half-close so a server still reading sees EOF and the domain joins *)
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  let rec rest acc =
+    match read_line_within fd buf ~timeout:10. with
+    | Some l -> rest (l :: acc)
+    | None -> List.rev acc
+  in
+  let later = Option.to_list after @ rest [] in
+  Unix.close fd;
+  Domain.join server;
+  check_string "bye while the writer is still open" "bye"
+    (match first with Some l -> Option.value ~default:"-" (field "status" (parse_resp l)) | None -> "-");
+  Alcotest.(check (list string)) "nothing answered after the shutdown" []
+    (List.map (fun l -> Option.value ~default:"-" (field "status" (parse_resp l))) later)
 
 let () =
   Alcotest.run "stagg_serve"
@@ -354,6 +413,6 @@ let () =
             test_server_telemetry_independent;
           Alcotest.test_case "epoch isolation" `Quick test_server_epoch_isolation;
           Alcotest.test_case "jobs=4 answers match jobs=1" `Quick test_server_jobs_agree;
-          Alcotest.test_case "pool budget balanced" `Quick test_server_budget_balanced;
+          Alcotest.test_case "shutdown stops reading at jobs 2" `Quick test_shutdown_stops_reading;
         ] );
     ]

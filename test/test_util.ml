@@ -297,257 +297,52 @@ let test_pool_map_reduce () =
   in
   check_string "ordered reduce" "12345" cat
 
-(* ---- Pool: the helper-domain budget ---- *)
+(* ---- Frontier: two queues under one sequence numbering ---- *)
 
-let test_pool_budget_accounting () =
-  Pool.with_budget 5 (fun () ->
-      check_int "budget set" 5 (Pool.budget ());
-      let got = Pool.claim ~max:3 in
-      check_int "claim grants up to max" 3 got;
-      check_int "claim debits" 2 (Pool.budget ());
-      (* explicit (claim_exact) requests may overdraw — the budget floor
-         is 0, and release pays the debt back *)
-      Pool.claim_exact 4;
-      check_int "overdrawn budget reads 0" 0 (Pool.budget ());
-      check_int "no grants while overdrawn" 0 (Pool.claim ~max:2);
-      Pool.release 4;
-      check_int "release restores" 2 (Pool.budget ());
-      Pool.release 3;
-      check_int "fully restored" 5 (Pool.budget ()));
-  Pool.with_budget 7 (fun () -> check_int "nested budget visible" 7 (Pool.budget ()))
-
-let test_pool_budget_restored () =
-  let before = Pool.budget () in
-  (try Pool.with_budget 3 (fun () -> raise Exit) with Exit -> ());
-  check_int "with_budget restores on raise" before (Pool.budget ())
-
-(* Restore-race regression: a claim made while [with_budget]'s body runs
-   must survive the restore. The old restore blindly overwrote the
-   counter with the saved value, erasing the claim — the racing claimer
-   would later [release] into a counter that never recorded its debit,
-   inflating the budget for the rest of the process. *)
-let test_pool_with_budget_restore_compensates () =
-  Pool.with_budget 8 (fun () ->
-      Pool.with_budget 4 (fun () -> Pool.claim_exact 3);
-      check_int "outstanding claim survives the restore" 5 (Pool.budget ());
-      Pool.release 3;
-      check_int "balanced once the claimer releases" 8 (Pool.budget ());
-      (* fast path: an undisturbed region restores exactly *)
-      Pool.with_budget 2 (fun () -> check_int "inner budget visible" 2 (Pool.budget ()));
-      check_int "undisturbed restore is exact" 8 (Pool.budget ()))
-
-let test_pool_with_budget_racing_claimer () =
-  Pool.with_budget 10 (fun () ->
-      let claimed = Atomic.make false in
-      Pool.with_budget 6 (fun () ->
-          let d =
-            Domain.spawn (fun () ->
-                Pool.claim_exact 2;
-                Atomic.set claimed true)
-          in
-          while not (Atomic.get claimed) do
-            Domain.cpu_relax ()
-          done;
-          Domain.join d);
-      check_int "claim from another domain survives the restore" 8 (Pool.budget ());
-      Pool.release 2;
-      check_int "balanced once the claimer releases" 10 (Pool.budget ()))
-
-(* Oversubscription regression: with a zero budget, a DEFAULT-jobs map
-   must run entirely on the calling domain (no helper spawn), and nested
-   default maps under an explicit outer map must clamp to sequential
-   because the outer map already debited the only helper slot. Before
-   the budget existed, [run_suite ~jobs:N] nested over parallel searches
-   would spawn jobs × K domains. *)
-let test_pool_budget_clamps_default_jobs () =
-  Pool.with_budget 0 (fun () ->
-      let self = Domain.self () in
-      let helper_ran = Atomic.make false in
-      let r =
-        Pool.map
-          (fun x ->
-            if Domain.self () <> self then Atomic.set helper_ran true;
-            x * 2)
-          (List.init 64 Fun.id)
-      in
-      check_bool "zero budget: all tasks on the caller" false (Atomic.get helper_ran);
-      check_bool "map still correct" true (r = List.init 64 (fun i -> i * 2)))
-
-let test_pool_nested_defaults_clamp () =
-  Pool.with_budget 1 (fun () ->
-      let inner_helpers = Atomic.make 0 in
-      let outer =
-        Pool.map ~jobs:2
-          (fun x ->
-            let self = Domain.self () in
-            ignore
-              (Pool.map
-                 (fun y ->
-                   if Domain.self () <> self then Atomic.incr inner_helpers;
-                   y)
-                 (List.init 16 Fun.id));
-            x)
-          [ 1; 2; 3; 4 ]
-      in
-      check_bool "outer map correct" true (outer = [ 1; 2; 3; 4 ]);
-      check_int "inner default maps spawned no helpers" 0 (Atomic.get inner_helpers));
-  check_bool "explicit jobs honored outside any budget" true
-    (Pool.map ~jobs:3 (fun x -> x + 1) [ 1; 2; 3 ] = [ 2; 3; 4 ])
-
-(* ---- Frontier ---- *)
-
-let qcheck_frontier_matches_single_queue =
-  QCheck.Test.make
-    ~name:"sharded frontier pops like one queue, any shard count" ~count:200
-    QCheck.(pair (int_range 1 5) (small_list (pair (int_range 0 3) small_int)))
-    (fun (k, xs) ->
-      (* priorities from a tiny range force heavy ties, exercising the
-         (prio, seq) lexicographic cross-shard comparison *)
-      let fr = Frontier.create ~dummy:(-1) ~shards:k in
-      let q = Pqueue.create ~dummy:(-1) in
-      List.iteri
-        (fun i (p, v) ->
-          let prio = float_of_int p in
-          Frontier.push fr prio i v;
-          Pqueue.push_seq q prio i v)
-        xs;
-      let rec drain acc =
-        match Frontier.pop fr with
-        | None -> List.rev acc
-        | Some (p, s, v) -> drain ((p, s, v) :: acc)
-      in
-      let rec drain_q acc =
-        if Pqueue.is_empty q then List.rev acc
-        else
-          let s = Pqueue.top_seq q in
-          match Pqueue.pop q with
-          | Some (p, v) -> drain_q ((p, s, v) :: acc)
-          | None -> assert false
-      in
-      drain [] = drain_q [])
-
-(* interleaved pushes and pops against a single queue, with tops checked
-   before each pop *)
-let qcheck_frontier_interleaved =
-  QCheck.Test.make ~name:"frontier interleaved push/pop matches single queue" ~count:200
-    QCheck.(pair (int_range 1 4) (small_list (pair bool (int_range 0 3))))
-    (fun (k, ops) ->
-      let fr = Frontier.create ~dummy:(-1) ~shards:k in
-      let q = Pqueue.create ~dummy:(-1) in
+(* The admission-mode A* keeps its frontier and its suppressed ledger in
+   two structures numbered from one counter, and decides which head the
+   baseline would pop next by an exact (priority, seq) comparison of the
+   two tops. Merging two [push_seq] queues that way must pop exactly like
+   one queue holding every element, under interleaved pushes and pops. *)
+let qcheck_frontier_split_merge =
+  QCheck.Test.make ~name:"two queues sharing one sequence counter pop like one queue"
+    ~count:300
+    QCheck.(small_list (option (pair bool (int_range 0 3))))
+    (fun ops ->
+      let a = Pqueue.create ~dummy:(-1) and b = Pqueue.create ~dummy:(-1) in
+      let one = Pqueue.create ~dummy:(-1) in
       let seq = ref 0 in
+      let pop_merged () =
+        let from q =
+          let s = Pqueue.top_seq q in
+          Option.map (fun (p, v) -> (p, s, v)) (Pqueue.pop q)
+        in
+        match (Pqueue.is_empty a, Pqueue.is_empty b) with
+        | true, true -> None
+        | false, true -> from a
+        | true, false -> from b
+        | false, false ->
+            let pa = Pqueue.top_prio a and pb = Pqueue.top_prio b in
+            if pa < pb || (pa = pb && Pqueue.top_seq a < Pqueue.top_seq b) then from a
+            else from b
+      in
       List.for_all
-        (fun (is_pop, p) ->
-          if is_pop then begin
-            let same_top =
-              Frontier.is_empty fr = Pqueue.is_empty q
-              && (Pqueue.is_empty q
-                 || Frontier.top_prio fr = Pqueue.top_prio q
-                    && Frontier.top_seq fr = Pqueue.top_seq q)
-            in
-            let fp = Frontier.pop fr in
-            let qp =
-              if Pqueue.is_empty q then None
-              else
-                let s = Pqueue.top_seq q in
-                Option.map (fun (prio, v) -> (prio, s, v)) (Pqueue.pop q)
-            in
-            same_top && fp = qp
-          end
-          else begin
-            let prio = float_of_int p in
-            Frontier.push fr prio !seq !seq;
-            Pqueue.push_seq q prio !seq !seq;
-            incr seq;
-            Frontier.length fr = Pqueue.length q
-          end)
+        (function
+          | Some (to_a, p) ->
+              let prio = float_of_int p in
+              Pqueue.push_seq (if to_a then a else b) prio !seq !seq;
+              Pqueue.push_seq one prio !seq !seq;
+              incr seq;
+              Pqueue.length a + Pqueue.length b = Pqueue.length one
+          | None ->
+              let expected =
+                if Pqueue.is_empty one then None
+                else
+                  let s = Pqueue.top_seq one in
+                  Option.map (fun (p, v) -> (p, s, v)) (Pqueue.pop one)
+              in
+              pop_merged () = expected)
         ops)
-
-(* ---- Fpset ---- *)
-
-let test_fpset_check_add () =
-  let s = Fpset.create () in
-  check_bool "absent before add" false (Fpset.mem s 42);
-  check_bool "first check_add reports absent" false (Fpset.check_add s 42);
-  check_bool "present after add" true (Fpset.mem s 42);
-  check_bool "second check_add reports present" true (Fpset.check_add s 42);
-  for i = 0 to 99 do
-    ignore (Fpset.check_add s (i * 7919))
-  done;
-  let missing = ref 0 in
-  for i = 0 to 99 do
-    if not (Fpset.mem s (i * 7919)) then incr missing
-  done;
-  check_int "all stripes retain members" 0 !missing
-
-(* Multi-domain stress: D domains hammer [check_add] over the same key
-   workload (each in a different order) behind a start barrier. The set
-   contract must hold regardless of interleaving:
-     - exactly-once winners: for every distinct key, exactly one
-       [check_add] call across all domains reported "absent";
-     - no lost inserts: every key is a member once all domains join;
-     - no false positives: keys never inserted stay non-members. *)
-let qcheck_fpset_parallel =
-  let universe = 100 in
-  QCheck.Test.make ~name:"fpset: parallel check_add keeps set semantics" ~count:25
-    (QCheck.list_of_size (QCheck.Gen.return 300) (QCheck.int_range 0 (universe - 1)))
-    (fun keys ->
-      QCheck.assume (keys <> []);
-      let s = Fpset.create () in
-      let arr = Array.of_list keys in
-      let n = Array.length arr in
-      let domains = 4 in
-      let wins = Array.init domains (fun _ -> Array.make universe 0) in
-      let started = Atomic.make 0 in
-      let body d () =
-        Atomic.incr started;
-        while Atomic.get started < domains do
-          Domain.cpu_relax ()
-        done;
-        for i = 0 to n - 1 do
-          (* rotate the workload per domain so claims collide *)
-          let k = arr.((i + (d * n / domains)) mod n) in
-          if not (Fpset.check_add s k) then wins.(d).(k) <- wins.(d).(k) + 1
-        done
-      in
-      let ds = List.init (domains - 1) (fun d -> Domain.spawn (body (d + 1))) in
-      body 0 ();
-      List.iter Domain.join ds;
-      let inserted = Array.make universe false in
-      Array.iter (fun k -> inserted.(k) <- true) arr;
-      let ok = ref true in
-      for k = 0 to universe - 1 do
-        let total = Array.fold_left (fun acc w -> acc + w.(k)) 0 wins in
-        if inserted.(k) then begin
-          if total <> 1 then ok := false;
-          if not (Fpset.mem s k) then ok := false
-        end
-        else begin
-          if total <> 0 then ok := false;
-          if Fpset.mem s k then ok := false
-        end
-      done;
-      !ok)
-
-(* Kill-mid-request (PR 10): a serve request claims a pool slot, runs,
-   and may die on any path — C parse error, search exception, timeout.
-   The server pairs every [claim_exact] with a [Fun.protect]ed release;
-   this pins the discipline at the pool level, including an exception
-   that crosses a domain join (the killed-worker shape). *)
-let test_pool_claim_release_on_kill () =
-  Pool.with_budget 6 (fun () ->
-      let handle die () =
-        Pool.claim_exact 1;
-        Fun.protect
-          ~finally:(fun () -> Pool.release 1)
-          (fun () -> if die then raise Exit else ())
-      in
-      (try handle true () with Exit -> ());
-      check_int "claim released when the handler raises" 6 (Pool.budget ());
-      handle false ();
-      check_int "claim released on the normal path" 6 (Pool.budget ());
-      let d = Domain.spawn (fun () -> try handle true () with Exit -> ()) in
-      Domain.join d;
-      check_int "claim released when a worker domain dies mid-request" 6 (Pool.budget ()))
 
 (* ---- Lru ---- *)
 
@@ -696,17 +491,6 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagates;
           Alcotest.test_case "poison stops claiming" `Quick test_pool_poison_stops_claiming;
           Alcotest.test_case "ordered map_reduce" `Quick test_pool_map_reduce;
-          Alcotest.test_case "budget accounting" `Quick test_pool_budget_accounting;
-          Alcotest.test_case "budget restored on raise" `Quick test_pool_budget_restored;
-          Alcotest.test_case "restore compensates racing claims" `Quick
-            test_pool_with_budget_restore_compensates;
-          Alcotest.test_case "restore survives a racing domain" `Quick
-            test_pool_with_budget_racing_claimer;
-          Alcotest.test_case "zero budget clamps default jobs" `Quick
-            test_pool_budget_clamps_default_jobs;
-          Alcotest.test_case "nested defaults clamp" `Quick test_pool_nested_defaults_clamp;
-          Alcotest.test_case "claim released on kill-mid-request" `Quick
-            test_pool_claim_release_on_kill;
         ] );
       ( "lru",
         [
@@ -714,13 +498,7 @@ let () =
           Alcotest.test_case "replace and remove" `Quick test_lru_replace_and_remove;
           qc qcheck_lru_model;
         ] );
-      ( "frontier",
-        [ qc qcheck_frontier_matches_single_queue; qc qcheck_frontier_interleaved ] );
-      ( "fpset",
-        [
-          Alcotest.test_case "check_add semantics" `Quick test_fpset_check_add;
-          QCheck_alcotest.to_alcotest qcheck_fpset_parallel;
-        ] );
+      ( "frontier", [ qc qcheck_frontier_split_merge ] );
       ( "prng",
         [
           Alcotest.test_case "determinism" `Quick test_prng_determinism;
