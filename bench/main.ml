@@ -2,16 +2,24 @@
     paper's evaluation (§8) and runs Bechamel micro-benchmarks — one
     [Test.make] per experiment — timing a representative query for each.
 
-    Run with: [dune exec bench/main.exe]
-    Pass [--skip-ablations] to produce only Table 1 and Figures 9–10;
-    pass [--skip-bechamel] to skip the micro-benchmark pass;
-    pass [--jobs N] (or [-j N]) to run the experiment sweeps on a pool
-    of N domains (default: [Domain.recommended_domain_count () - 1];
-    [--jobs 1] reproduces the sequential harness exactly, modulo
-    timing); pass [--json FILE] to also write the machine-readable
-    summary as JSON for perf-trajectory tracking; pass [--smoke] for
-    the <60s artificial-suite CI sweep ([dune build @smoke] runs it and
-    diffs the JSON against the committed expectations). *)
+    Run with [dune exec bench/main.exe]; [-- --help] lists the flags.
+    [--skip-ablations] produces only Table 1 and Figures 9–10;
+    [--skip-bechamel] skips the micro-benchmark pass; [--jobs N] (or
+    [-j N]) runs the sweeps on a pool of N domains (default:
+    [Domain.recommended_domain_count () - 1]; [--jobs 1] reproduces the
+    sequential harness exactly, modulo timing); [--json FILE] also
+    writes the machine-readable summary as JSON for perf-trajectory
+    tracking; [--no-analysis] runs the STAGG methods without the static
+    analysis, the reference its pruning is checked against. [--smoke]
+    is the <60s artificial-suite CI sweep ([dune build @smoke] runs it
+    and diffs the JSON against the committed expectations), steered by
+    [--oracle] and [--heap-ceiling WORDS]; [--serve-smoke] replays a
+    deterministic request mix through an in-process server.
+
+    [--jobs], [--no-analysis] and [--oracle] are defined once, in
+    {!Cli_flags}, and shared with the [stagg] CLI. Serve throughput and
+    latency under load are the lifting benchmark's serve-mix workload
+    ([sh liftbench/run.sh --workload serve-mix]). *)
 
 module Experiments = Stagg_report.Experiments
 
@@ -255,15 +263,8 @@ let run_diagnostics () =
    requests and a stats probe — through one in-process server, cold
    then warm, at jobs = 1. Every response field except per-request wall
    time is deterministic, so the normalized output is byte-diffed
-   against committed expectations by the fourth @smoke leg: a drift
-   means the cache/single-flight/remap behavior changed, not noise.
-
-   [--serve-load] replays the full 77-benchmark suite twice through a
-   server at configurable concurrency, asserts every answer is
-   byte-identical to the direct (serverless) pipeline, that the warm
-   pass never searches, and that the cache hit rate clears 50%; it
-   records p50/p95/p99 latency and cache counters into a BENCH-style
-   JSON snapshot. *)
+   against committed expectations by the third @smoke leg: a drift
+   means the cache/single-flight/remap behavior changed, not noise. *)
 
 module J = Stagg_serve.Json
 
@@ -332,298 +333,12 @@ let run_serve_smoke ~jobs ~json_file () =
       close_out oc;
       Printf.eprintf "[bench] wrote %s\n%!" file
 
-(* Nearest-rank percentile over an ascending array. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-
-let run_serve_load ~jobs ~json_file () =
-  let benches = Stagg_benchsuite.Suite.all in
-  Printf.printf "== serve load (%d benchmarks x 2 passes, %d jobs) ==\n%!" (List.length benches)
-    jobs;
-  (* Ground truth first: the direct, serverless pipeline. The serve
-     answers must match it byte for byte — the cache and the remap path
-     are allowed to save work, never to change a result. *)
-  let direct =
-    List.map
-      (fun (b : Stagg_benchsuite.Bench.t) ->
-        let r = Stagg.Pipeline.run Stagg.Method_.td_trace b in
-        let taco =
-          Option.map
-            (fun (s : Stagg_validate.Validator.solution) ->
-              Stagg_taco.Pretty.program_to_string s.concrete)
-            r.Stagg.Result_.solution
-        in
-        (b.name, r.Stagg.Result_.solved, taco))
-      benches
-  in
-  let requests =
-    List.map
-      (fun (b : Stagg_benchsuite.Bench.t) ->
-        J.to_string
-          (J.Obj
-             [
-               ("id", J.String b.name);
-               ("c", J.String b.c_source);
-               ("sig", J.String (Stagg_minic.Sigspec.to_string b.signature));
-             ]))
-      benches
-  in
-  let server =
-    Stagg_serve.Server.create ~config:{ Stagg_serve.Server.jobs; cache_max = 256; verify = true } ()
-  in
-  let t0 = Unix.gettimeofday () in
-  let pass1 = Stagg_serve.Server.run_lines server requests in
-  let s1 = Stagg_serve.Server.cache_stats server in
-  let pass2 = Stagg_serve.Server.run_lines server requests in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let s2 = Stagg_serve.Server.cache_stats server in
-  let failures = ref 0 in
-  let check pass responses =
-    List.iter2
-      (fun (name, d_solved, d_taco) resp ->
-        match J.of_string resp with
-        | Error e ->
-            incr failures;
-            Printf.eprintf "[bench] FAIL %s/%s: unparseable response (%s)\n%!" pass name e
-        | Ok j ->
-            let status = Option.bind (J.member "status" j) J.to_str in
-            let taco = Option.bind (J.member "taco" j) J.to_str in
-            let s_solved = status = Some "ok" in
-            if s_solved <> d_solved || (d_solved && taco <> d_taco) then begin
-              incr failures;
-              Printf.eprintf "[bench] FAIL %s/%s: serve %s %S, direct %b %S\n%!" pass name
-                (Option.value status ~default:"?")
-                (Option.value taco ~default:"")
-                d_solved
-                (Option.value d_taco ~default:"")
-            end)
-      direct responses
-  in
-  check "cold" pass1;
-  check "warm" pass2;
-  (* warm-cache replay must be O(1): every repeat answered from cache,
-     zero new searches admitted *)
-  if s2.Stagg_serve.Cache.misses <> s1.Stagg_serve.Cache.misses then begin
-    incr failures;
-    Printf.eprintf "[bench] FAIL: warm pass ran %d fresh searches (expected 0)\n%!"
-      (s2.Stagg_serve.Cache.misses - s1.Stagg_serve.Cache.misses)
-  end;
-  let lift_total = s2.Stagg_serve.Cache.hits + s2.Stagg_serve.Cache.misses + s2.Stagg_serve.Cache.joins in
-  let hit_rate =
-    float_of_int (s2.Stagg_serve.Cache.hits + s2.Stagg_serve.Cache.joins)
-    /. float_of_int (max 1 lift_total)
-  in
-  if hit_rate < 0.5 then begin
-    incr failures;
-    Printf.eprintf "[bench] FAIL: cache hit rate %.3f below 0.5 on a 2x replay\n%!" hit_rate
-  end;
-  let lat =
-    List.filter_map
-      (fun resp ->
-        match J.of_string resp with
-        | Ok j -> Option.map (fun s -> s *. 1000.) (Option.bind (J.member "time_s" j) J.to_float)
-        | Error _ -> None)
-      (pass1 @ pass2)
-    |> Array.of_list
-  in
-  Array.sort compare lat;
-  let p50 = percentile lat 50. and p95 = percentile lat 95. and p99 = percentile lat 99. in
-  let solved = List.length (List.filter (fun (_, s, _) -> s) direct) in
-  let heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
-  Printf.printf
-    "  requests %d  solved %d/%d  hit rate %.3f\n\
-    \  latency p50 %.3f ms  p95 %.3f ms  p99 %.3f ms\n\
-    \  cache: hits %d  misses %d  joins %d  remaps %d  evictions %d  entries %d\n\
-     serve load wall: %.1fs\n"
-    (2 * List.length benches)
-    solved (List.length benches) hit_rate p50 p95 p99 s2.Stagg_serve.Cache.hits
-    s2.Stagg_serve.Cache.misses s2.Stagg_serve.Cache.joins s2.Stagg_serve.Cache.remaps
-    s2.Stagg_serve.Cache.evictions s2.Stagg_serve.Cache.entries wall_s;
-  (match json_file with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema_version\": %d,\n\
-        \  \"suite\": \"serve-load\",\n\
-        \  \"jobs\": %d,\n\
-        \  \"requests\": %d,\n\
-        \  \"solved\": %d,\n\
-        \  \"total\": %d,\n\
-        \  \"hit_rate\": %.4f,\n\
-        \  \"p50_ms\": %.4f,\n\
-        \  \"p95_ms\": %.4f,\n\
-        \  \"p99_ms\": %.4f,\n\
-        \  \"wall_s\": %.3f,\n\
-        \  \"heap_words\": %d,\n\
-        \  \"cache\": { \"hits\": %d, \"misses\": %d, \"joins\": %d, \"remaps\": %d, \
-         \"evictions\": %d, \"entries\": %d }\n\
-         }\n"
-        Stagg_report.Experiments.schema_version jobs
-        (2 * List.length benches)
-        solved (List.length benches) hit_rate p50 p95 p99 wall_s heap_words
-        s2.Stagg_serve.Cache.hits s2.Stagg_serve.Cache.misses s2.Stagg_serve.Cache.joins
-        s2.Stagg_serve.Cache.remaps s2.Stagg_serve.Cache.evictions s2.Stagg_serve.Cache.entries;
-      close_out oc;
-      Printf.eprintf "[bench] wrote %s\n%!" file);
-  if !failures > 0 then begin
-    Printf.eprintf "[bench] FAIL: %d serve-load check(s) failed\n%!" !failures;
-    exit 1
-  end
-
-let usage () =
-  prerr_endline
-    "usage: main.exe [--smoke] [--serve-smoke] [--serve-load] [--skip-ablations] \
-     [--skip-bechamel] [--no-analysis] \
-     [--prune-mode off|replay|admission] [--batched-validate off|on] \
-     [--oracle llm|trace|trace+llm] [--heap-ceiling WORDS] \
-     [--jobs N | -j N] [--json FILE]";
-  exit 2
-
-let () =
-  (* The campaign's hot loops (A* frontier, validation memo) allocate
-     heavily against a large live heap; the default space_overhead of 120
-     spends ~20% of search wall time in major-GC marking. Trading memory
-     for time is the right call on a benchmark harness. *)
-  Gc.set { (Gc.get ()) with Gc.space_overhead = 480 };
-  let args = List.tl (Array.to_list Sys.argv) in
-  let skip_ablations = ref false
-  and skip_bechamel = ref false
-  and smoke = ref false
-  and serve_smoke = ref false
-  and serve_load = ref false
-  and analysis = ref true
-  and prune_mode = ref Stagg_search.Astar.Prune_admission
-  and batched_validate = ref true
-  and oracle = ref Stagg.Method_.Oracle_llm
-  and heap_ceiling = ref None
-  and jobs = ref (Stagg_util.Pool.default_jobs ())
-  and json_file = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-        smoke := true;
-        parse rest
-    | "--serve-smoke" :: rest ->
-        serve_smoke := true;
-        parse rest
-    | "--serve-load" :: rest ->
-        serve_load := true;
-        parse rest
-    | "--skip-ablations" :: rest ->
-        skip_ablations := true;
-        parse rest
-    | "--skip-bechamel" :: rest ->
-        skip_bechamel := true;
-        parse rest
-    | "--no-analysis" :: rest ->
-        analysis := false;
-        parse rest
-    | "--prune-mode" :: mode :: rest ->
-        (* [off] = the --no-analysis differential baseline; [replay] keeps
-           doomed children on the frontier as tree-less replay items;
-           [admission] (default) never enqueues them *)
-        (match mode with
-        | "off" -> analysis := false
-        | "replay" -> prune_mode := Stagg_search.Astar.Prune_replay
-        | "admission" -> prune_mode := Stagg_search.Astar.Prune_admission
-        | m ->
-            Printf.eprintf "--prune-mode expects off|replay|admission, got %s\n" m;
-            usage ());
-        parse rest
-    | "--batched-validate" :: mode :: rest ->
-        (* [off] = per-candidate instantiate+compile (the differential
-           baseline); results are byte-identical either way, only
-           validate-phase time moves *)
-        (match mode with
-        | "on" -> batched_validate := true
-        | "off" -> batched_validate := false
-        | m ->
-            Printf.eprintf "--batched-validate expects off|on, got %s\n" m;
-            usage ());
-        parse rest
-    | "--oracle" :: name :: rest ->
-        (* candidate source for the smoke methods: [llm] (default — a run
-           with an explicit [--oracle llm] is byte-identical to one
-           without the flag), [trace] (no LLM in the loop; the third
-           @smoke leg diffs it against smoke_expected_trace.json), or
-           [trace+llm]. The full campaign always carries its own
-           Trace/Trace+LLM rows, so the flag only steers --smoke. *)
-        (match Stagg.Method_.oracle_of_string name with
-        | Some o -> oracle := o
-        | None ->
-            Printf.eprintf "--oracle expects llm|trace|trace+llm, got %s\n" name;
-            usage ());
-        parse rest
-    | "--heap-ceiling" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            heap_ceiling := Some n;
-            parse rest
-        | _ ->
-            Printf.eprintf "--heap-ceiling expects a positive word count, got %s\n" n;
-            usage ())
-    | ("--jobs" | "-j") :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            jobs := n;
-            parse rest
-        | _ ->
-            Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
-            usage ())
-    | "--json" :: file :: rest ->
-        json_file := Some file;
-        parse rest
-    | [ (("--jobs" | "-j" | "--json" | "--prune-mode" | "--batched-validate"
-         | "--oracle" | "--heap-ceiling")
-        as flag) ] ->
-        Printf.eprintf "%s expects a value\n" flag;
-        usage ()
-    | arg :: _ ->
-        Printf.eprintf "unknown argument %s\n" arg;
-        usage ()
-  in
-  parse args;
-  if !serve_smoke then begin
-    run_serve_smoke ~jobs:!jobs ~json_file:!json_file ();
-    exit 0
-  end;
-  if !serve_load then begin
-    run_serve_load ~jobs:!jobs ~json_file:!json_file ();
-    exit 0
-  end;
-  if !smoke then begin
-    let analysis = !analysis
-    and prune_mode = !prune_mode
-    and batched = !batched_validate
-    and oracle = !oracle in
-    let tune (m : Stagg.Method_.t) =
-      Stagg.Method_.with_oracle
-        (Stagg.Method_.with_batched_validate
-           (Stagg.Method_.with_prune_mode { m with analysis } prune_mode)
-           batched)
-        oracle
-    in
-    run_smoke ~json_file:!json_file ~heap_ceiling:!heap_ceiling ~tune ();
-    exit 0
-  end;
-  let skip_ablations = !skip_ablations
-  and skip_bechamel = !skip_bechamel
-  and analysis = !analysis
-  and prune_mode = !prune_mode
-  and batched_validate = !batched_validate
-  and jobs = !jobs in
+let run_campaign ~skip_ablations ~skip_bechamel ~analysis ~jobs ~json_file () =
   let progress msg = Printf.eprintf "[bench] %s\n%!" msg in
   let t0 = Unix.gettimeofday () in
   let runs =
-    if skip_ablations then
-      Experiments.run_core ~progress ~jobs ~analysis ~prune_mode ~batched_validate ()
-    else Experiments.run_all ~progress ~jobs ~analysis ~prune_mode ~batched_validate ()
+    if skip_ablations then Experiments.run_core ~progress ~jobs ~analysis ()
+    else Experiments.run_all ~progress ~jobs ~analysis ()
   in
   Printf.printf "Guided Tensor Lifting — experiment harness (suite of %d queries, seed %d%s)\n\n"
     (List.length Stagg_benchsuite.Suite.all)
@@ -650,7 +365,7 @@ let () =
   print_string (Experiments.summary runs);
   let wall_s = Unix.gettimeofday () -. t0 in
   Printf.printf "\ntotal harness time: %.1fs\n" wall_s;
-  (match !json_file with
+  (match json_file with
   | None -> ()
   | Some file ->
       let oc = open_out file in
@@ -658,3 +373,45 @@ let () =
       close_out oc;
       Printf.eprintf "[bench] wrote %s\n%!" file);
   if not skip_bechamel then run_bechamel ~jobs ()
+
+let main smoke serve_smoke skip_ablations skip_bechamel no_analysis oracle heap_ceiling jobs
+    json_file =
+  if serve_smoke then run_serve_smoke ~jobs ~json_file ()
+  else if smoke then
+    run_smoke ~json_file ~heap_ceiling
+      ~tune:(fun m -> Cli_flags.with_oracle oracle (Cli_flags.with_analysis no_analysis m))
+      ()
+  else
+    run_campaign ~skip_ablations ~skip_bechamel ~analysis:(not no_analysis) ~jobs ~json_file ()
+
+let () =
+  (* The campaign's hot loops (A* frontier, validation memo) allocate
+     heavily against a large live heap; the default space_overhead of 120
+     spends ~20% of search wall time in major-GC marking. Trading memory
+     for time is the right call on a benchmark harness. *)
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 480 };
+  let open Cmdliner in
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let heap_ceiling =
+    Arg.(
+      value
+      & opt (some Cli_flags.positive_int) None
+      & info [ "heap-ceiling" ] ~docv:"WORDS"
+          ~doc:"With $(b,--smoke): fail when the peak major heap exceeds $(docv) words.")
+  in
+  let json_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the machine-readable summary to $(docv).")
+  in
+  let term =
+    Term.(
+      const main
+      $ flag "smoke" "Run the <60s artificial-suite CI sweep."
+      $ flag "serve-smoke" "Replay the deterministic serve request mix, cold then warm."
+      $ flag "skip-ablations" "Only Table 1 and Figures 9–10."
+      $ flag "skip-bechamel" "Skip the micro-benchmark pass."
+      $ Cli_flags.no_analysis $ Cli_flags.oracle $ heap_ceiling $ Cli_flags.jobs $ json_file)
+  in
+  exit (Cmd.eval (Cmd.v (Cmd.info "main.exe" ~doc:"The paper's evaluation harness (§8).") term))

@@ -63,86 +63,12 @@ let method_arg =
           "Search method: td, bu, td-equal, td-llm-grammar, td-full-grammar, bu-equal, ..., \
            trace, trace+llm")
 
-let no_analysis_arg =
-  Arg.(
-    value & flag
-    & info [ "no-analysis" ]
-        ~doc:
-          "Disable the static liftability analysis (fail-fast and search pruning). \
-           Solved/attempt outcomes are byte-identical either way; this is the \
-           differential-testing baseline.")
-
-let with_analysis no_analysis m = if no_analysis then Stagg.Method_.without_analysis m else m
-
-let prune_mode_arg =
-  Arg.(
-    value
-    & opt string "admission"
-    & info [ "prune-mode" ] ~docv:"MODE"
-        ~doc:
-          "How the analysis prune absorbs provably-doomed templates: $(b,admission) (default) \
-           never enqueues them, $(b,replay) keeps them on the frontier as tree-less replay \
-           items, $(b,off) disables the analysis entirely (alias of $(b,--no-analysis)). \
-           Solved/attempt outcomes are byte-identical across all three.")
-
-let with_prune_mode mode m =
-  match mode with
-  | "admission" -> Stagg.Method_.with_prune_mode m Stagg_search.Astar.Prune_admission
-  | "replay" -> Stagg.Method_.with_prune_mode m Stagg_search.Astar.Prune_replay
-  | "off" -> Stagg.Method_.without_analysis m
-  | s ->
-      Printf.eprintf "unknown prune mode %s (expected off|replay|admission)\n" s;
-      exit 2
-
-let batched_validate_arg =
-  Arg.(
-    value
-    & opt string "on"
-    & info [ "batched-validate" ] ~docv:"MODE"
-        ~doc:
-          "Template-level compilation in the validator: $(b,on) (default) compiles each \
-           template once and rebinds per substitution, $(b,off) falls back to per-candidate \
-           instantiate+compile. Solutions and instantiation counts are byte-identical either \
-           way; $(b,off) is the differential baseline.")
-
-let with_batched_validate mode m =
-  match mode with
-  | "on" -> m
-  | "off" -> Stagg.Method_.with_batched_validate m false
-  | s ->
-      Printf.eprintf "unknown batched-validate mode %s (expected off|on)\n" s;
-      exit 2
-
-let oracle_arg =
-  Arg.(
-    value
-    & opt string "default"
-    & info [ "oracle" ] ~docv:"ORACLE"
-        ~doc:
-          "Candidate source: $(b,llm) (the paper's pipeline), $(b,trace) (templates extracted \
-           from the kernel's own execution trace — no LLM in the loop), or $(b,trace+llm) \
-           (union). $(b,default) keeps the method's own oracle (the $(b,trace)/$(b,trace+llm) \
-           methods carry theirs; everything else is $(b,llm)). A run with an explicit \
-           $(b,--oracle llm) is byte-identical to one without the flag.")
-
-let with_oracle name m =
-  match name with
-  | "default" -> m
-  | _ -> (
-      match Stagg.Method_.oracle_of_string name with
-      | Some o -> Stagg.Method_.with_oracle m o
-      | None ->
-          Printf.eprintf "unknown oracle %s (expected llm|trace|trace+llm)\n" name;
-          exit 2)
-
 let lift_cmd =
-  let run name meth no_analysis prune_mode batched_validate oracle =
+  let run name meth no_analysis oracle =
     let b = find_bench_exn name in
     let r =
       Stagg.Pipeline.run
-        (with_oracle oracle
-           (with_batched_validate batched_validate
-              (with_prune_mode prune_mode (with_analysis no_analysis (method_of_string meth)))))
+        (Cli_flags.with_oracle oracle (Cli_flags.with_analysis no_analysis (method_of_string meth)))
         b
     in
     Format.printf "%a@." Stagg.Result_.pp r;
@@ -155,9 +81,7 @@ let lift_cmd =
   in
   Cmd.v
     (Cmd.info "lift" ~doc:"Lift one benchmark to TACO and print the verified solution.")
-    Term.(
-      const run $ name_arg $ method_arg $ no_analysis_arg $ prune_mode_arg
-      $ batched_validate_arg $ oracle_arg)
+    Term.(const run $ name_arg $ method_arg $ Cli_flags.no_analysis $ Cli_flags.oracle)
 
 (* ---- show ---- *)
 
@@ -241,42 +165,21 @@ let kernel_cmd =
 
 (* ---- suite ---- *)
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt int (Stagg_util.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Run on a pool of $(docv) domains. Results are deterministic and identical for any \
-           $(docv) (modulo per-query times); 1 runs sequentially on the calling domain.")
-
 let suite_cmd =
-  let run meth jobs no_analysis prune_mode batched_validate oracle =
-    let batched =
-      match batched_validate with
-      | "on" -> true
-      | "off" -> false
-      | s ->
-          Printf.eprintf "unknown batched-validate mode %s (expected off|on)\n" s;
-          exit 2
-    in
+  let run meth jobs no_analysis oracle =
     let results =
       match meth with
       | "llm" ->
-          Stagg_baselines.Llm_only.run_suite ~jobs ~batched_validate:batched ~seed:20250604
-            Suite.all
+          Stagg_baselines.Llm_only.run_suite ~jobs ~seed:20250604 Suite.all
       | "c2taco" ->
           Stagg_baselines.C2taco.run_suite ~jobs ~seed:20250604 ~heuristics:true Suite.all
       | "c2taco-noh" ->
           Stagg_baselines.C2taco.run_suite ~jobs ~seed:20250604 ~heuristics:false Suite.all
       | "tenspiler" ->
-          Stagg_baselines.Tenspiler.run_suite ~jobs ~batched_validate:batched ~seed:20250604
-            Suite.real_world
+          Stagg_baselines.Tenspiler.run_suite ~jobs ~seed:20250604 Suite.real_world
       | m ->
           Stagg.Pipeline.run_suite ~jobs
-            (with_oracle oracle
-               (with_batched_validate batched_validate
-                  (with_prune_mode prune_mode (with_analysis no_analysis (method_of_string m)))))
+            (Cli_flags.with_oracle oracle (Cli_flags.with_analysis no_analysis (method_of_string m)))
             Suite.all
     in
     List.iter (fun r -> Format.printf "%a@." Stagg.Result_.pp r) results;
@@ -285,9 +188,7 @@ let suite_cmd =
   in
   Cmd.v
     (Cmd.info "suite" ~doc:"Run one method over the whole suite and print per-query results.")
-    Term.(
-      const run $ method_arg $ jobs_arg $ no_analysis_arg $ prune_mode_arg
-      $ batched_validate_arg $ oracle_arg)
+    Term.(const run $ method_arg $ Cli_flags.jobs $ Cli_flags.no_analysis $ Cli_flags.oracle)
 
 (* ---- lift-file: arbitrary C + signature spec + recorded LLM transcript ---- *)
 
@@ -424,7 +325,7 @@ let experiments_cmd =
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures (§8).")
-    Term.(const run $ core_flag $ jobs_arg)
+    Term.(const run $ core_flag $ Cli_flags.jobs)
 
 (* ---- serve ---- *)
 

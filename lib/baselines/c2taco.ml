@@ -51,7 +51,6 @@ let run ~seed ~heuristics (b : Bench.t) : Stagg.Result_.t =
       time_s = Unix.gettimeofday () -. started;
       attempts = !attempts;
       expansions = !attempts;
-      pruned = 0;
       suppressed = 0;
       pruned_rules = 0;
       n_candidates = 0;

@@ -5,7 +5,7 @@ module Examples = Stagg_validate.Examples
 
 let label = "LLM"
 
-let run ?(batched_validate = true) ~seed (b : Bench.t) : Stagg.Result_.t =
+let run ~seed (b : Bench.t) : Stagg.Result_.t =
   let started = Unix.gettimeofday () in
   let validate_s = ref 0. and verify_s = ref 0. and instantiations = ref 0 in
   let finish ~solved ~solution ~attempts ~n_candidates ~failure =
@@ -17,7 +17,6 @@ let run ?(batched_validate = true) ~seed (b : Bench.t) : Stagg.Result_.t =
       time_s = Unix.gettimeofday () -. started;
       attempts;
       expansions = 0;
-      pruned = 0;
       suppressed = 0;
       pruned_rules = 0;
       n_candidates;
@@ -76,7 +75,7 @@ let run ?(batched_validate = true) ~seed (b : Bench.t) : Stagg.Result_.t =
                 let t0 = Unix.gettimeofday () in
                 let sol, n =
                   Validator.validate_counted ~signature:b.signature ~checker ~consts ~verify
-                    ~memo_key ~batched:batched_validate template
+                    ~memo_key template
                 in
                 validate_s := !validate_s +. (Unix.gettimeofday () -. t0);
                 instantiations := !instantiations + n;
@@ -92,5 +91,4 @@ let run ?(batched_validate = true) ~seed (b : Bench.t) : Stagg.Result_.t =
             ~n_candidates:(List.length candidates)
             ~failure:(Some "no candidate passed validation"))
 
-let run_suite ?jobs ?batched_validate ~seed benches =
-  Pool.map ?jobs (run ?batched_validate ~seed) benches
+let run_suite ?jobs ~seed benches = Pool.map ?jobs (run ~seed) benches

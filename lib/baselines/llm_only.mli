@@ -6,15 +6,12 @@
 
 val label : string
 
-(** [batched_validate] (default [true]) selects template-level compilation
-    in the validator; results are observably identical either way. *)
-val run : ?batched_validate:bool -> seed:int -> Stagg_benchsuite.Bench.t -> Stagg.Result_.t
+val run : seed:int -> Stagg_benchsuite.Bench.t -> Stagg.Result_.t
 
 (** [jobs] defaults to {!Stagg_util.Pool.default_jobs}; output order and
     content are independent of it (modulo [time_s]). *)
 val run_suite :
   ?jobs:int ->
-  ?batched_validate:bool ->
   seed:int ->
   Stagg_benchsuite.Bench.t list ->
   Stagg.Result_.t list

@@ -34,7 +34,10 @@ type t = {
   penalties : Penalty.criterion list;
   budget : Astar.budget;
   max_depth : int;  (** top-down depth limit (§5.1) *)
-  dedup : Astar.dedup;  (** frontier/seen dedup scheme (fingerprints by default) *)
+  dedup : Astar.dedup;
+      (** frontier/seen dedup scheme: [Fingerprint] everywhere except the
+          tests, which set the [Pretty_key] reference; the lifting
+          benchmark passes it on *)
   verify : bool;  (** bounded verification of validated candidates (§7) *)
   analysis : bool;
       (** static liftability analysis: fail fast on unliftable kernels and
@@ -43,17 +46,13 @@ type t = {
           drop); [false] reproduces the pre-analysis behaviour for
           differential testing. *)
   prune_mode : Astar.prune_mode;
-      (** how the analysis prune absorbs doomed children when [analysis]
-          is on: [Prune_replay] enqueues tree-less replay items,
-          [Prune_admission] (default) never enqueues them and charges
-          their budget ticks through the admission ledger. Irrelevant
-          when [analysis = false]. *)
+      (** always [Prune_admission]. Kept only because the lifting
+          benchmark passes it on as [Astar.search_*]'s [?prune_mode]. *)
   batched_validate : bool;
       (** template-level compilation in the validator: compile each popped
-          template once and [rebind] per substitution (default). Solutions,
-          counts and memo keys are byte-identical either way; [false] forces
-          the per-candidate instantiate + compile path for the on/off
-          differential. *)
+          template once and [rebind] per substitution. [true] everywhere
+          except the tests, which set [false] to check the per-candidate
+          reference path; the lifting benchmark reads the field. *)
   search_domains : int;
       (** always [1]: the searches run on the calling domain. Kept only
           because the lifting benchmark passes it on as
@@ -92,15 +91,6 @@ let base search grammar penalties label =
     differential mode); the label is unchanged so sweep outputs diff
     cleanly against analysis-on runs. *)
 let without_analysis m = { m with analysis = false }
-
-(** The same method with the given doomed-child absorption mode; label
-    unchanged so sweep outputs diff cleanly across modes. *)
-let with_prune_mode m prune_mode = { m with prune_mode }
-
-(** The same method with batched (template-level) validation forced on or
-    off; label unchanged so the [--batched-validate off] differential
-    diffs cleanly against default runs. *)
-let with_batched_validate m batched_validate = { m with batched_validate }
 
 (** The same method drawing candidates from the given oracle; label
     unchanged, for differential runs ([--oracle llm] must diff cleanly

@@ -252,7 +252,7 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
     | Ok p -> (p.pf_traced, p.pf_trace_templates, p.pf_trace_warning)
     | Error _ -> (false, 0, None)
   in
-  let finish ?(pruned = 0) ?(suppressed = 0) ?(pruned_rules = 0) ?(warnings = []) ~solved
+  let finish ?(suppressed = 0) ?(pruned_rules = 0) ?(warnings = []) ~solved
       ~solution ~attempts ~expansions ~n_candidates ~failure () =
     {
       Result_.bench = q.qname;
@@ -262,7 +262,6 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
       time_s = Unix.gettimeofday () -. started;
       attempts;
       expansions;
-      pruned;
       suppressed;
       pruned_rules;
       n_candidates;
@@ -359,7 +358,7 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
           in
           let stats = Astar.stats_of outcome in
           let finish =
-            finish ~pruned:stats.pruned ~suppressed:stats.suppressed ~pruned_rules ~warnings
+            finish ~suppressed:stats.suppressed ~pruned_rules ~warnings
               ~n_candidates
           in
           match outcome with

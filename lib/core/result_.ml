@@ -8,9 +8,8 @@ type t = {
   solution : Stagg_validate.Validator.solution option;
   time_s : float;
   attempts : int;  (** templates sent to validation (Table 1/3 "attempts") *)
-  expansions : int;  (** queue pops doing real work (excludes [pruned]) *)
-  pruned : int;  (** pops skipped as provably-doomed by the static analysis (replay mode) *)
-  suppressed : int;  (** doomed expansions never enqueued (admission mode) *)
+  expansions : int;  (** queue pops doing real work (excludes [suppressed]) *)
+  suppressed : int;  (** doomed expansions the static analysis kept off the queue *)
   pruned_rules : int;  (** grammar rules the analysis marked doomed up front *)
   n_candidates : int;  (** syntactically valid LLM candidates parsed *)
   validate_s : float;  (** wall time inside the validator, incl. [verify_s] *)

@@ -96,22 +96,15 @@ let sweep_timed ?log ~progress label f =
        dt);
   r
 
-let run_core_cached ?jobs ?(analysis = true)
-    ?(prune_mode = Stagg_search.Astar.Prune_admission) ?(batched_validate = true)
-    ~seed ~progress (cache : prep) =
+let run_core_cached ?jobs ?(analysis = true) ~seed ~progress (cache : prep) =
   let all = Suite.all and rw = Suite.real_world in
   let sweep_log = ref [] in
   let sweep = sweep_timed ~log:sweep_log ~progress in
-  let with_seed m =
-    { m with Method_.seed; analysis; prune_mode; batched_validate }
-  in
+  let with_seed m = { m with Method_.seed; analysis } in
   let sweep_m m = sweep m.Method_.label (fun () -> sweep_prepared ?jobs (with_seed m) cache) in
   let td = sweep_m Method_.stagg_td in
   let bu = sweep_m Method_.stagg_bu in
-  let llm =
-    sweep "LLM" (fun () ->
-        Stagg_baselines.Llm_only.run_suite ?jobs ~batched_validate ~seed all)
-  in
+  let llm = sweep "LLM" (fun () -> Stagg_baselines.Llm_only.run_suite ?jobs ~seed all) in
   let c2taco =
     sweep "C2TACO" (fun () -> Stagg_baselines.C2taco.run_suite ?jobs ~seed ~heuristics:true all)
   in
@@ -119,10 +112,7 @@ let run_core_cached ?jobs ?(analysis = true)
     sweep "C2TACO.NoHeuristics" (fun () ->
         Stagg_baselines.C2taco.run_suite ?jobs ~seed ~heuristics:false all)
   in
-  let tenspiler =
-    sweep "Tenspiler" (fun () ->
-        Stagg_baselines.Tenspiler.run_suite ?jobs ~batched_validate ~seed rw)
-  in
+  let tenspiler = sweep "Tenspiler" (fun () -> Stagg_baselines.Tenspiler.run_suite ?jobs ~seed rw) in
   {
     seed;
     td;
@@ -152,12 +142,8 @@ let run_core_cached ?jobs ?(analysis = true)
    silently shift the instantiation counts of the pre-existing rows —
    the byte-identity contract is that those rows do not move when the
    trace oracle is off. *)
-let run_trace_sweeps ?jobs ?(analysis = true)
-    ?(prune_mode = Stagg_search.Astar.Prune_admission) ?(batched_validate = true)
-    ~seed ~progress ~sweep_log () =
-  let with_seed m =
-    { m with Method_.seed; analysis; prune_mode; batched_validate }
-  in
+let run_trace_sweeps ?jobs ?(analysis = true) ~seed ~progress ~sweep_log () =
+  let with_seed m = { m with Method_.seed; analysis } in
   let sweep m ~oracle =
     sweep_timed ~log:sweep_log ~progress m.Method_.label (fun () ->
         sweep_prepared ?jobs (with_seed m)
@@ -167,31 +153,16 @@ let run_trace_sweeps ?jobs ?(analysis = true)
   let trace_llm = sweep Method_.td_trace_llm ~oracle:Method_.Oracle_trace_llm in
   (trace, trace_llm)
 
-let run_core ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?analysis ?prune_mode
-    ?batched_validate () =
-  let core =
-    run_core_cached ?jobs ?analysis ?prune_mode ?batched_validate ~seed
-      ~progress
-      (prepare_suite ?jobs ~seed Suite.all)
-  in
+let run_core ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?analysis () =
+  let core = run_core_cached ?jobs ?analysis ~seed ~progress (prepare_suite ?jobs ~seed Suite.all) in
   let sweep_log = ref [] in
-  let trace, trace_llm =
-    run_trace_sweeps ?jobs ?analysis ?prune_mode ?batched_validate ~seed
-      ~progress ~sweep_log ()
-  in
+  let trace, trace_llm = run_trace_sweeps ?jobs ?analysis ~seed ~progress ~sweep_log () in
   { core with trace; trace_llm; sweeps = core.sweeps @ List.rev !sweep_log }
 
-let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = true)
-    ?(prune_mode = Stagg_search.Astar.Prune_admission) ?(batched_validate = true)
-    () =
+let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = true) () =
   let cache = prepare_suite ?jobs ~seed Suite.all in
-  let core =
-    run_core_cached ?jobs ~analysis ~prune_mode ~batched_validate ~seed
-      ~progress cache
-  in
-  let with_seed m =
-    { m with Method_.seed; analysis; prune_mode; batched_validate }
-  in
+  let core = run_core_cached ?jobs ~analysis ~seed ~progress cache in
+  let with_seed m = { m with Method_.seed; analysis } in
   let sweep_log = ref [] in
   let sweep m =
     sweep_timed ~log:sweep_log ~progress m.Method_.label (fun () ->
@@ -211,10 +182,7 @@ let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = 
   let bu_llm_grammar = sweep Method_.bu_llm_grammar in
   let bu_full_grammar = sweep Method_.bu_full_grammar in
   (* trace sweeps last — see [run_trace_sweeps] on why the order matters *)
-  let trace, trace_llm =
-    run_trace_sweeps ?jobs ~analysis ~prune_mode ~batched_validate ~seed
-      ~progress ~sweep_log ()
-  in
+  let trace, trace_llm = run_trace_sweeps ?jobs ~analysis ~seed ~progress ~sweep_log () in
   {
     core with
     td_drop_all;
@@ -470,7 +438,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let schema_version = 2
+let schema_version = 3
 
 let json_summary ?(jobs = 1) ~wall_s runs =
   let buf = Buffer.create 1024 in
@@ -486,13 +454,12 @@ let json_summary ?(jobs = 1) ~wall_s runs =
       Printf.bprintf buf
         "    {\"method\": \"%s\", \"solved\": %d, \"total\": %d, \"avg_time_s\": %.6f, \
          \"avg_attempts\": %.2f, \"total_attempts\": %d, \"total_expansions\": %d, \
-         \"total_pruned\": %d, \"total_suppressed\": %d, \"pruned_rules\": %d, \
+         \"total_suppressed\": %d, \"pruned_rules\": %d, \
          \"search_s\": %.3f, \"validate_s\": %.3f, \"verify_s\": %.3f, \
          \"instantiations\": %d}%s\n"
         (json_escape label) (n_solved rs) (List.length rs) (avg_time rs) (avg_attempts rs)
         (List.fold_left (fun a (r : Result_.t) -> a + r.attempts) 0 rs)
         (List.fold_left (fun a (r : Result_.t) -> a + r.expansions) 0 rs)
-        (List.fold_left (fun a (r : Result_.t) -> a + r.pruned) 0 rs)
         (List.fold_left (fun a (r : Result_.t) -> a + r.suppressed) 0 rs)
         (List.fold_left (fun a (r : Result_.t) -> a + r.pruned_rules) 0 rs)
         (sum Result_.search_s rs)

@@ -59,20 +59,12 @@ type runs = {
     pruning) on the STAGG methods; solved/attempt outcomes are
     byte-identical either way — only expansions and time drop — so
     [~analysis:false] is the differential baseline behind the bench
-    driver's [--no-analysis] flag. [prune_mode] (default
-    [Prune_admission]) picks how the prune absorbs doomed children
-    ({!Stagg_search.Astar.prune_mode}); it too leaves solved/attempt
-    outcomes byte-identical. [batched_validate] (default [true]) selects
-    template-level compilation in the validator — a third knob with the
-    same contract: solved/attempt/instantiation outcomes are
-    byte-identical on and off (the [@smoke] differential enforces it). *)
+    driver's [--no-analysis] flag. *)
 val run_all :
   ?seed:int ->
   ?progress:(string -> unit) ->
   ?jobs:int ->
   ?analysis:bool ->
-  ?prune_mode:Stagg_search.Astar.prune_mode ->
-  ?batched_validate:bool ->
   unit ->
   runs
 
@@ -82,8 +74,6 @@ val run_core :
   ?progress:(string -> unit) ->
   ?jobs:int ->
   ?analysis:bool ->
-  ?prune_mode:Stagg_search.Astar.prune_mode ->
-  ?batched_validate:bool ->
   unit ->
   runs
 
@@ -110,7 +100,7 @@ val schema_version : int
 
 (** [json_summary ~jobs ~wall_s runs] — the {!summary} data as a JSON
     document (per method: solved count, suite size, avg time and
-    attempts over solved queries, total attempts/expansions/pruned/
+    attempts over solved queries, total attempts/expansions/
     suppressed), the per-sweep wall/heap/instantiations-per-second log
     ([sweeps]), the cumulative validator counters
     ({!Stagg_validate.Validator.stats}: memo hits/misses/evictions,

@@ -9,7 +9,6 @@ let default_budget = { max_attempts = 2_000; max_expansions = 200_000; timeout_s
 type stats = {
   attempts : int;
   expansions : int;
-  pruned : int;
   suppressed : int;
   elapsed_s : float;
 }
@@ -31,11 +30,7 @@ let stats_of = function Solved (_, s) | Exhausted s | Budget_exceeded (_, s) -> 
 
 type dedup = Fingerprint | Pretty_key
 
-type prune_mode = Prune_replay | Prune_admission
-
-let prune_mode_to_string = function
-  | Prune_replay -> "replay"
-  | Prune_admission -> "admission"
+type prune_mode = Prune_admission
 
 (* ---- the admission ledger ----
 
@@ -176,20 +171,8 @@ type entry = {
 (* [Ghost] replays the pop of a complete duplicate of an
    already-validated template without carrying (or ever building) the
    tree: its pop only counts an expansion, exactly what the popped
-   duplicate would have done.
-
-   [Pruned] replays the pop of a complete template the analysis proved
-   doomed — [Subst.enumerate] returns zero substitutions for it — also
-   without carrying the tree. Its pop re-enacts the baseline pop
-   byte-for-byte (the first-seen one marks the fingerprint and counts the
-   attempt; validation itself was a structural no-op) but is tallied
-   separately, so reported expansions count only real work. [Pruned]
-   items exist only in [Prune_replay] mode; [Prune_admission] keeps the
-   same doomed completes out of the queue entirely (see {!Ledger}). *)
-type item =
-  | Entry of entry
-  | Ghost
-  | Pruned of { p_fp : int; p_depth : int; p_n_tensors : int }
+   duplicate would have done. *)
+type item = Entry of entry | Ghost
 
 let materialize = function Built x -> x | Expand (p, r) -> Node.expand1 p r
 
@@ -200,7 +183,6 @@ type 'sol engine = {
   validate : Stagg_taco.Ast.program -> 'sol option;
   frontier : item Pqueue.t;  (** priority f(x) *)
   sup : Ledger.t;  (** admission-suppressed (f, seq, fp, guards) keys *)
-  mode : prune_mode;  (** how doomed complete children are absorbed *)
   dedup : dedup;
   seen_fp : (int, unit) Hashtbl.t;  (** validated templates, fingerprints *)
   seen_str : (string, unit) Hashtbl.t;  (** validated templates, printed form (legacy mode) *)
@@ -210,14 +192,12 @@ type 'sol engine = {
   fps : Node.fingerprints;
   rule_cost : float array;  (** [Pcfg.cost] per rule, precomputed *)
   h_memo : (string, float) Hashtbl.t;  (** [Pcfg.h_cost] per nonterminal, precomputed *)
-  inc_safe : bool;  (** grammar admits incremental metrics *)
   prune : Prune.t option;  (** analysis-guided pruning (Fingerprint mode only) *)
   started : float;
   mutable eseq : int;  (** push sequence shared by [frontier] and [sup] *)
   mutable attempts : int;
   mutable expansions : int;
-  mutable pruned : int;  (** pops of [Pruned] items (replay mode) *)
-  mutable suppressed : int;  (** ledger drains (admission mode) *)
+  mutable suppressed : int;  (** ledger drains *)
   mutable timed_out : bool;  (** latched by the periodic clock check *)
   mutable stop : stop_reason;  (** which limit fired, for [Budget_exceeded] *)
 }
@@ -231,8 +211,13 @@ let take_seq e =
 
 let qpush e f item = Pqueue.push_seq e.frontier f (take_seq e) item
 
-let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~mode =
+(* Both searches extend child metrics incrementally ({!Node.expand_metrics})
+   and never rescan a tree, so a grammar outside that contract is a caller
+   error, not a slow path. Every grammar the pipeline builds satisfies it. *)
+let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
   let g = Pcfg.cfg pcfg in
+  if not (Node.incremental_safe g) then
+    invalid_arg "Astar: grammar is not incremental-safe (a tensor right of a nonterminal)";
   let x0 = Node.initial g in
   let rule_cost = Array.init (Cfg.size g) (fun id -> Pcfg.cost pcfg (Cfg.rule g id)) in
   let h_memo = Hashtbl.create 16 in
@@ -245,7 +230,6 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~mode =
       validate;
       frontier = Pqueue.create ~dummy:Ghost;
       sup = Ledger.create ();
-      mode;
       dedup;
       seen_fp = Hashtbl.create 64;
       seen_str = Hashtbl.create 64;
@@ -253,7 +237,6 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~mode =
       fps;
       rule_cost;
       h_memo;
-      inc_safe = Node.incremental_safe g;
       (* the duplicate/doomed replay protocol marks [seen_fp], so pruning
          only composes with fingerprint dedup *)
       prune = (if dedup = Fingerprint then prune else None);
@@ -261,7 +244,6 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~mode =
       eseq = 0;
       attempts = 0;
       expansions = 0;
-      pruned = 0;
       suppressed = 0;
       timed_out = false;
       stop = Expansions;
@@ -277,7 +259,6 @@ let stats e =
   {
     attempts = e.attempts;
     expansions = e.expansions;
-    pruned = e.pruned;
     suppressed = e.suppressed;
     elapsed_s = elapsed e;
   }
@@ -296,15 +277,14 @@ let max_frontier = 1_500_000
    [gettimeofday] syscall is polled every 64 pops and latched, keeping it
    out of the hot loop. *)
 (* Budget accounting runs on TOTAL baseline pops — real expansions plus
-   pruned replays plus admission-suppressed ledger drains — so enabling
-   the analysis prune in either mode moves no stop point: the tick
-   sequence, and hence where a cap or the 64-pop clock poll lands, is
-   position-for-position the baseline's. Only the REPORTED expansion
+   admission-suppressed ledger drains — so enabling the analysis prune
+   moves no stop point: the tick sequence, and hence where a cap or the
+   64-pop clock poll lands, is position-for-position the baseline's. Only the REPORTED expansion
    count shrinks. The frontier cap likewise counts ledger residents: the
    baseline holds every suppressed child in its queue, so the cap must
    see the same population. *)
 let over_budget e =
-  let pops = e.expansions + e.pruned + e.suppressed in
+  let pops = e.expansions + e.suppressed in
   if e.attempts >= e.budget.max_attempts then begin
     e.stop <- Attempts;
     true
@@ -389,9 +369,8 @@ let push_expansions e (g : Cfg.t) (parent : entry) (px : Node.t) =
           let rc = e.rule_cost.(r.id) in
           if rc < infinity then begin
             let c' = parent.c +. rc in
-            let inc_ann =
-              if e.inc_safe then Some (Node.expand_metrics e.fps parent.ann r) else None
-            in
+            let ann = Node.expand_metrics e.fps parent.ann r in
+            let complete = ann.Node.metrics.complete in
             let ghosted =
               (* pre-probe duplicate suppressor: a complete child whose
                  fingerprint has already been validated will be a dead pop,
@@ -400,82 +379,51 @@ let push_expansions e (g : Cfg.t) (parent : entry) (px : Node.t) =
                  its first twin was pushed with (equal template ⇒ equal
                  metrics and AST ⇒ equal penalty), making the ghost's f
                  bit-identical to the suppressed entry's. *)
-              match inc_ann with
-              | Some ann
-                when e.dedup = Fingerprint
-                     && ann.Node.metrics.complete
-                     && Hashtbl.mem e.seen_fp ann.Node.fp -> (
-                  match Hashtbl.find_opt e.pen_memo ann.Node.fp with
-                  | Some pen ->
-                      qpush e (c' +. 0. +. pen) Ghost;
-                      true
-                  | None -> false)
-              | _ -> false
+              e.dedup = Fingerprint && complete && Hashtbl.mem e.seen_fp ann.Node.fp
+              &&
+              match Hashtbl.find_opt e.pen_memo ann.Node.fp with
+              | Some pen ->
+                  qpush e (c' +. 0. +. pen) Ghost;
+                  true
+              | None -> false
             in
             if not ghosted then begin
               let pst' =
                 match e.prune with None -> Prune.root | Some pr -> Prune.step pr parent.pst r.id
               in
-              let pruned_away =
+              if Option.is_some e.prune && complete && Prune.is_doomed pst' then begin
                 (* a DOOMED complete child — the analysis proved its
-                   validation enumerates zero substitutions — never
-                   becomes a real entry. The penalty is rescored the
-                   baseline way (rebuilding the program only if a
-                   criterion reads it) because f must be bit-identical,
-                   and [pen_memo] is still fed so later twins ghost
-                   exactly as before. In [Prune_replay] mode a tree-less
-                   [Pruned] item takes the entry's place on the frontier;
-                   in [Prune_admission] mode nothing is enqueued at all —
-                   the (f, seq) key goes to the ledger, which replays the
-                   pop's observable effects at its baseline position.
-                   Incomplete doomed children stay ordinary entries:
-                   their pops never validate anyway, and their children
-                   inherit the doomed state through [pst]. *)
-                match (e.prune, inc_ann) with
-                | Some _, Some ann when ann.Node.metrics.complete && Prune.is_doomed pst' ->
-                    let program =
-                      if Penalty.needs_program e.penalty then Node.to_program g (Node.expand1 px r)
-                      else None
-                    in
-                    let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
-                    if pen < infinity then begin
-                      Hashtbl.replace e.pen_memo ann.Node.fp pen;
-                      let f = c' +. 0. +. pen in
-                      match e.mode with
-                      | Prune_replay ->
-                          qpush e f
-                            (Pruned
-                               {
-                                 p_fp = ann.Node.fp;
-                                 p_depth = ann.Node.depth;
-                                 p_n_tensors = ann.Node.metrics.n_tensors;
-                               })
-                      | Prune_admission ->
-                          Ledger.push e.sup ~prio:f ~seq:(take_seq e) ~fp:ann.Node.fp
-                            ~depth:ann.Node.depth ~nt:ann.Node.metrics.n_tensors
-                    end;
-                    true
-                | _ -> false
-              in
-              if not pruned_away then begin
-                let tree, ann, program =
-                  match inc_ann with
-                  | Some ann ->
-                      if ann.Node.metrics.complete then
-                        let x' = Node.expand1 px r in
-                        (Built x', ann, Node.to_program g x')
-                      else (Expand (px, r), ann, None)
-                  | None ->
-                      let x' = Node.expand1 px r in
-                      let ann = Node.annotate g e.fps x' in
-                      let program =
-                        if ann.Node.metrics.complete then Node.to_program g x' else None
-                      in
-                      (Built x', ann, program)
+                   validation enumerates zero substitutions — is never
+                   enqueued: its (f, seq) key goes to the admission ledger,
+                   which replays the pop's observable effects at its
+                   baseline position. The penalty is rescored the baseline
+                   way (rebuilding the program only if a criterion reads
+                   it) because f must be bit-identical, and [pen_memo] is
+                   still fed so later twins ghost exactly as before.
+                   Incomplete doomed children stay ordinary entries: their
+                   pops never validate anyway, and their children inherit
+                   the doomed state through [pst]. *)
+                let program =
+                  if Penalty.needs_program e.penalty then Node.to_program g (Node.expand1 px r)
+                  else None
                 in
                 let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
                 if pen < infinity then begin
-                  if e.dedup = Fingerprint && ann.Node.metrics.complete then
+                  Hashtbl.replace e.pen_memo ann.Node.fp pen;
+                  Ledger.push e.sup ~prio:(c' +. 0. +. pen) ~seq:(take_seq e) ~fp:ann.Node.fp
+                    ~depth:ann.Node.depth ~nt:ann.Node.metrics.n_tensors
+                end
+              end
+              else begin
+                let tree, program =
+                  if complete then
+                    let x' = Node.expand1 px r in
+                    (Built x', Node.to_program g x')
+                  else (Expand (px, r), None)
+                in
+                let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
+                if pen < infinity then begin
+                  if e.dedup = Fingerprint && complete then
                     Hashtbl.replace e.pen_memo ann.Node.fp pen;
                   let f = c' +. g_of ann.Node.opens +. pen in
                   qpush e f (Entry { c = c'; tree; ann; program; pst = pst' })
@@ -485,12 +433,12 @@ let push_expansions e (g : Cfg.t) (parent : entry) (px : Node.t) =
           end)
         (Cfg.rules_for g nt)
 
-(* A [Pruned] pop — or an admission-ledger drain — replays what the
-   baseline pop of the suppressed entry would have observably done:
-   count the attempt and mark the template seen the first time it
-   survives the same guards (the TD depth prune / the BU tensor-count
-   gate) — validating it was a structural no-op. *)
-let replay_pruned e ~fp = if not (check_add e.seen_fp fp) then e.attempts <- e.attempts + 1
+(* An admission-ledger drain replays what the baseline pop of the
+   suppressed entry would have observably done: count the attempt and
+   mark the template seen the first time it survives the same guards
+   (the TD depth prune / the BU tensor-count gate) — validating it was a
+   structural no-op. *)
+let replay_suppressed e ~fp = if not (check_add e.seen_fp fp) then e.attempts <- e.attempts + 1
 
 (* The searches run on the calling domain; [?domains] accepts only 1
    (see the mli). *)
@@ -500,7 +448,7 @@ let check_domains d =
 (* The search loop shared by both enumerators. Each step either drains
    one admission-ledger key (when the baseline's next pop is a
    suppressed child) or pops one frontier item, after the same budget
-   check. [on_ledger] replays a suppressed or [Pruned] pop from its
+   check. [on_ledger] replays a suppressed pop from its
    (fp, depth, n_tensors); [on_item] handles an entry and returns the
    outcome that ends the search, if any. *)
 let rec run e ~on_ledger ~on_item =
@@ -521,34 +469,24 @@ let rec run e ~on_ledger ~on_item =
            validates a duplicate (a no-op) and expands nothing *)
         e.expansions <- e.expansions + 1;
         run e ~on_ledger ~on_item
-    | Some (_, Pruned p) ->
-        e.pruned <- e.pruned + 1;
-        on_ledger ~fp:p.p_fp ~depth:p.p_depth ~nt:p.p_n_tensors;
-        run e ~on_ledger ~on_item
     | Some (_, Entry en) -> (
         e.expansions <- e.expansions + 1;
         match on_item en with Some outcome -> outcome | None -> run e ~on_ledger ~on_item)
 
 let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?prune
-    ?(prune_mode = Prune_admission) ?(domains = 1) ~budget ~validate () =
+    ?prune_mode:(_ = Prune_admission) ?(domains = 1) ~budget ~validate () =
   check_domains domains;
   let g = Pcfg.cfg pcfg in
   let fps = Node.fingerprints g in
-  (* with static depth tables the prune reads the annotation, so depth-dead
-     pops never materialize (or walk) their tree at all; the Pruned replay
-     needs the annotation's depth to equal the walked depth, so analysis
-     pruning rides on the same static tables *)
-  let inc_depth = Node.depth_static fps in
-  let prune = if inc_depth then prune else None in
-  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~mode:prune_mode in
-  let too_deep (en : entry) =
-    if inc_depth then en.ann.Node.depth > max_depth
-    else Node.depth g (materialize en.tree) > max_depth
-  in
+  (* the depth prune reads the annotation's incrementally-carried depth,
+     so depth-dead pops never materialize (or walk) their tree *)
+  if not (Node.depth_static fps) then
+    invalid_arg "Astar: grammar is not depth-static";
+  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune in
   run e
-    ~on_ledger:(fun ~fp ~depth ~nt:_ -> if depth <= max_depth then replay_pruned e ~fp)
+    ~on_ledger:(fun ~fp ~depth ~nt:_ -> if depth <= max_depth then replay_suppressed e ~fp)
     ~on_item:(fun en ->
-      if too_deep en then None
+      if en.ann.Node.depth > max_depth then None
       else if en.ann.Node.metrics.complete then
         Option.map (fun sol -> Solved (sol, stats e)) (try_validate e ~fp:en.ann.Node.fp en.program)
       else begin
@@ -557,18 +495,18 @@ let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?p
       end)
 
 let search_bottomup ~pcfg ~penalty_ctx ~dim_list ?(dedup = Fingerprint) ?prune
-    ?(prune_mode = Prune_admission) ?(domains = 1) ~budget ~validate () =
+    ?prune_mode:(_ = Prune_admission) ?(domains = 1) ~budget ~validate () =
   check_domains domains;
   let g = Pcfg.cfg pcfg in
   let fps = Node.fingerprints g in
-  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~mode:prune_mode in
+  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune in
   let n_predicted = List.length dim_list in
   run e
     ~on_ledger:(fun ~fp ~depth:_ ~nt ->
       (* the baseline pop validates (a no-op here) only when the complete
          tree carries exactly the predicted tensor count, and expands
          nothing *)
-      if nt = n_predicted then replay_pruned e ~fp)
+      if nt = n_predicted then replay_suppressed e ~fp)
     ~on_item:(fun en ->
       let x = materialize en.tree in
       let solved =

@@ -16,20 +16,13 @@ val default_budget : budget
 
 type stats = {
   attempts : int;
-  expansions : int;
-      (** pops doing real work (entries and ghosts); excludes [pruned]
-          and [suppressed] *)
-  pruned : int;
-      (** pops of analysis-pruned complete templates ([Prune_replay]
-          mode) — provably zero-substitution validations skipped *)
+  expansions : int;  (** pops doing real work (entries and ghosts); excludes [suppressed] *)
   suppressed : int;
-      (** admission-suppressed expansions ([Prune_admission] mode):
-          doomed complete children never enqueued, charged to the budget
-          at their baseline pop position via the admission ledger. Budget
-          caps and the timeout poll tick on
-          [expansions + pruned + suppressed] (total baseline pops), so
-          enabling pruning in either mode moves no stop point; see
-          {!search_topdown}. *)
+      (** admission-suppressed expansions: doomed complete children never
+          enqueued, charged to the budget at their baseline pop position
+          via the admission ledger. Budget caps and the timeout poll tick
+          on [expansions + suppressed] (total baseline pops), so enabling
+          pruning moves no stop point; see {!search_topdown}. *)
   elapsed_s : float;
 }
 
@@ -58,25 +51,14 @@ val stats_of : 'sol outcome -> stats
     probe keys on the printed template — kept for differential testing. *)
 type dedup = Fingerprint | Pretty_key
 
-(** How analysis-pruned (doomed) complete children are absorbed.
-
-    [Prune_replay]: each doomed child is pushed as a tree-less pruned
-    item at bit-identical f; its pop replays the baseline's observable
-    effects and ticks [pruned].
-
-    [Prune_admission] (the default): the doomed child is never enqueued
-    at all — no entry allocation, no frontier traffic, no ghost replay.
-    Its (f, tie-break sequence) key goes to a scalar side ledger, which
-    the search drains in lockstep with the frontier so the suppressed
-    pop's budget tick and observable dedup/attempt effects land at
-    exactly the position the baseline pop would have — caps and the
-    64-pop clock poll bind on the same template either way. Both modes
-    produce byte-identical solved/attempt/first-solution outcomes to
-    pruning off; admission additionally keeps doomed subtrees out of the
-    frontier ([suppressed] replaces [pruned] in the stats). *)
-type prune_mode = Prune_replay | Prune_admission
-
-val prune_mode_to_string : prune_mode -> string
+(** How analysis-pruned (doomed) complete children are absorbed. There
+    is one mode: a doomed child is never enqueued; its (f, tie-break
+    sequence) key goes to a scalar side ledger, which the search drains
+    in lockstep with the frontier so the suppressed pop's budget tick and
+    observable dedup/attempt effects land at exactly the position the
+    baseline pop would have. The type, and the searches' [?prune_mode],
+    are kept only because the lifting benchmark's replay passes them. *)
+type prune_mode = Prune_admission
 
 (** Top-down search (Algorithm 1): validates templates when a complete
     tree is dequeued; trees deeper than [max_depth] (default 6, §5.1) are
@@ -85,13 +67,16 @@ val prune_mode_to_string : prune_mode -> string
 
     [?prune] enables analysis-guided pruning ({!Stagg_grammar.Prune}):
     complete children whose template is provably a zero-substitution
-    validation are absorbed per [?prune_mode] (replayed or
-    admission-suppressed) with the baseline's observable effects
-    (attempt counts, dedup marks, budget ticks) reproduced exactly, so
-    solved/attempt outcomes are byte-identical with pruning on or off —
-    only reported [expansions] (and time) drop. Requires [Fingerprint]
-    dedup (and, top-down, static depth tables); silently off
-    otherwise.
+    validation are admission-suppressed with the baseline's observable
+    effects (attempt counts, dedup marks, budget ticks) reproduced
+    exactly, so solved/attempt outcomes are byte-identical with pruning
+    on or off — only reported [expansions] (and time) drop. Requires
+    [Fingerprint] dedup; silently off otherwise.
+
+    Raises [Invalid_argument] unless the grammar is
+    {!Node.incremental_safe} and {!Node.depth_static}: child metrics and
+    the depth prune are carried incrementally, never rescanned. Every
+    grammar the pipeline builds satisfies both.
 
     [?domains] must be [1] (the default) and raises [Invalid_argument]
     otherwise: the search always runs on the calling domain. The
@@ -115,7 +100,9 @@ val search_topdown :
     (RemoveTail) and the completed template is validated; expansion then
     continues regardless. [?prune] / [?prune_mode] / [?domains] as in
     {!search_topdown}; the bottom-up penalties never read the rebuilt
-    AST, so pruned completions skip materialization entirely. *)
+    AST, so pruned completions skip materialization entirely. Raises
+    [Invalid_argument] unless the grammar is {!Node.incremental_safe}
+    (it need not be depth-static: this search never prunes on depth). *)
 val search_bottomup :
   pcfg:Stagg_grammar.Pcfg.t ->
   penalty_ctx:Penalty.ctx ->

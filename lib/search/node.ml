@@ -168,7 +168,7 @@ let fingerprints g =
        invariant is checked below). Everything the count treats as 0 must
        provably stay 0 (operator subtrees) or never occur where it matters
        (tail/program nonterminals under an expression lhs) — otherwise the
-       grammar is flagged non-static and searches fall back to [depth]. *)
+       grammar is flagged non-static and the top-down search rejects it. *)
     let lhs_cat = Cfg.category g r.lhs in
     let deep = ref 0 in
     List.iter
@@ -305,8 +305,8 @@ let metrics _g x =
    so every tensor leaf of a reachable tree lies left of its leftmost
    [Open], and a child's [tensor_leaves] is exactly the parent's with the
    applied rule's tensor terminals appended. [expand_metrics] exploits
-   that; [incremental_safe] checks the grammar-level precondition once so
-   exotic grammars fall back to the full scan. *)
+   that; [incremental_safe] checks the grammar-level precondition, and
+   the searches reject grammars that fail it. *)
 
 type annotated = {
   metrics : metrics;

@@ -123,21 +123,21 @@ type annotated = {
   fp : int;
 }
 
-(** Full-scan annotation (the initial node, and the fallback). *)
+(** Full-scan annotation (the searches' initial node). *)
 val annotate : Cfg.t -> fingerprints -> t -> annotated
 
 (** Does every rule keep tensor/constant terminals left of any
     nonterminal in its rhs? True for all grammars this project generates;
-    precondition for the incremental path of [expand_metrics]. Check once
-    per search. *)
+    precondition of [expand_metrics]; the searches reject grammars that
+    fail it. *)
 val incremental_safe : Cfg.t -> bool
 
 (** [expand_metrics fps parent r] — the annotation of the tree obtained
     from [parent]'s tree by applying rule [r] at the leftmost open leaf,
     computed from [parent]'s annotation and [r]'s rhs alone — O(|rhs| +
     tensor leaves), no child tree needed, so pushes don't materialize
-    trees at all. Requires an {!incremental_safe} grammar; the searches
-    fall back to [annotate] on the materialized child otherwise. Equal
+    trees at all. Requires an {!incremental_safe} grammar, which the
+    searches check on entry. Equal
     to [annotate] on that child except that [distinct_ops] may list the
     same ops in a different first-appearance order (the penalties use
     only membership/length). *)

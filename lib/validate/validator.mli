@@ -61,8 +61,10 @@ val prepare :
 
     [batched] (default [true]) selects template-level compilation +
     rebind; [false] forces the per-candidate instantiate + compile path.
-    The two are observably identical — the flag exists for the on/off
-    differential and ablation. *)
+    The two are observably identical. Production callers keep the
+    default; [false] is the reference the tests compare against (the
+    per-candidate arm is also the batched path's rank-overflow
+    fallback). *)
 val validate :
   signature:Stagg_minic.Signature.t ->
   examples:Examples.example list ->

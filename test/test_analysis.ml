@@ -10,7 +10,7 @@
    - pipeline fail-fast end-to-end on the diagnostics kernels;
    - the analysis-on/off differential: solved sets, attempt counts and
      first solutions must be byte-identical, with
-     [expansions_on + pruned_on = expansions_off]. *)
+     [expansions_on + suppressed_on = expansions_off]. *)
 
 open Stagg_minic
 module Suite = Stagg_benchsuite.Suite
@@ -368,114 +368,69 @@ let test_no_analysis_searches () =
       | None -> Alcotest.failf "%s has no failure message" b.name)
     Suite.diagnostics
 
-(* ---- the three-way prune-mode differential ---- *)
+(* ---- the analysis off/on differential ---- *)
 
 let first_solution (r : Stagg.Result_.t) =
   match r.solution with
   | Some sol -> Stagg_taco.Pretty.program_to_string sol.concrete
   | None -> "<none>"
 
-let rec iter3 f a b c =
-  match (a, b, c) with
-  | [], [], [] -> ()
-  | x :: a, y :: b, z :: c ->
-      f x y z;
-      iter3 f a b c
-  | _ -> invalid_arg "iter3"
+(* Analysis off vs admission pruning must be OBSERVABLY the same search:
+   identical solved sets, attempt counts and first solutions. The
+   accounting identity pins down how admission partitions the baseline
+   pop sequence:
+     off.expansions = admission.expansions + admission.suppressed.
 
-(* Analysis off vs prune-replay vs prune-admission must be OBSERVABLY the
-   same search: identical solved sets, attempt counts and first
-   solutions. The accounting identities pin down how the three modes
-   partition the same baseline pop sequence:
-     off.expansions = replay.expansions + replay.pruned
-                    = admission.expansions + admission.suppressed,
-   with replay and admission doing identical real work
-   (replay.expansions = admission.expansions) and absorbing the same
-   doomed set (replay.pruned = admission.suppressed).
-
-   The identities only hold when every stop is deterministic (attempt /
+   The identity only holds when every stop is deterministic (attempt /
    expansion / frontier caps). The wall-clock backstop would cut a run
    at whatever pop the 64-pop poll lands on, which depends on machine
    load — the heaviest artificial searches sit near the 10 s default
    under a loaded domain pool — so the differential runs with the
-   timeout disabled. *)
+   timeout disabled. (The test keeps its name from when a third,
+   replaying prune mode was compared too.) *)
 let test_differential () =
   let benches = Suite.artificial in
-  let total_pruned = ref 0 and total_suppressed = ref 0 in
+  let total_suppressed = ref 0 in
   List.iter
     (fun (m : Stagg.Method_.t) ->
       let m =
         { m with budget = { m.budget with Stagg_search.Astar.timeout_s = Float.infinity } }
       in
       let off = Stagg.Pipeline.run_suite (Stagg.Method_.without_analysis m) benches in
-      let rep =
-        Stagg.Pipeline.run_suite
-          (Stagg.Method_.with_prune_mode m Stagg_search.Astar.Prune_replay)
-          benches
-      in
-      let adm =
-        Stagg.Pipeline.run_suite
-          (Stagg.Method_.with_prune_mode m Stagg_search.Astar.Prune_admission)
-          benches
-      in
-      iter3
-        (fun (b : Stagg.Result_.t) (r : Stagg.Result_.t) (a : Stagg.Result_.t) ->
+      let adm = Stagg.Pipeline.run_suite m benches in
+      List.iter2
+        (fun (b : Stagg.Result_.t) (a : Stagg.Result_.t) ->
           let lbl = m.label ^ "/" ^ b.bench in
-          check_bool (lbl ^ " replay solved") b.solved r.solved;
           check_bool (lbl ^ " admission solved") b.solved a.solved;
-          check_int (lbl ^ " replay attempts") b.attempts r.attempts;
           check_int (lbl ^ " admission attempts") b.attempts a.attempts;
-          check_string (lbl ^ " replay first solution") (first_solution b) (first_solution r);
           check_string (lbl ^ " admission first solution") (first_solution b)
             (first_solution a);
-          (* each mode uses only its own absorption channel *)
-          check_int (lbl ^ " off prunes nothing") 0 b.pruned;
           check_int (lbl ^ " off suppresses nothing") 0 b.suppressed;
-          check_int (lbl ^ " replay suppresses nothing") 0 r.suppressed;
-          check_int (lbl ^ " admission prunes nothing") 0 a.pruned;
-          (* the three modes partition the same pop sequence *)
-          check_int (lbl ^ " replay pops partitioned") b.expansions (r.expansions + r.pruned);
           check_int (lbl ^ " admission pops partitioned") b.expansions
             (a.expansions + a.suppressed);
-          check_int (lbl ^ " identical real work") r.expansions a.expansions;
-          check_int (lbl ^ " identical doomed set") r.pruned a.suppressed;
-          total_pruned := !total_pruned + r.pruned;
           total_suppressed := !total_suppressed + a.suppressed)
-        off rep adm)
+        off adm)
     [
       Stagg.Method_.stagg_td;
       Stagg.Method_.stagg_bu;
       Stagg.Method_.td_full_grammar;
       Stagg.Method_.bu_full_grammar;
     ];
-  check_bool "replay pruned something" true (!total_pruned > 0);
   check_bool "admission suppressed something" true (!total_suppressed > 0)
 
 (* The diagnostics kernels exercise the fail-fast path: with the analysis
-   on, both prune modes must reject before any search, byte-identically. *)
+   on, the pipeline must reject before any search. (Named, like the test
+   above, from when two prune modes were compared.) *)
 let test_differential_diagnostics () =
   List.iter
     (fun (m : Stagg.Method_.t) ->
-      let rep =
-        Stagg.Pipeline.run_suite
-          (Stagg.Method_.with_prune_mode m Stagg_search.Astar.Prune_replay)
-          Suite.diagnostics
-      in
-      let adm =
-        Stagg.Pipeline.run_suite
-          (Stagg.Method_.with_prune_mode m Stagg_search.Astar.Prune_admission)
-          Suite.diagnostics
-      in
-      List.iter2
-        (fun (r : Stagg.Result_.t) (a : Stagg.Result_.t) ->
-          let lbl = m.label ^ "/" ^ r.bench in
-          check_bool (lbl ^ " both unsolved") r.solved a.solved;
-          check_int (lbl ^ " zero attempts") r.attempts a.attempts;
-          check_bool (lbl ^ " same failure") true (r.failure = a.failure);
-          check_int (lbl ^ " replay does no search") 0 (r.expansions + r.pruned + r.suppressed);
-          check_int (lbl ^ " admission does no search") 0
-            (a.expansions + a.pruned + a.suppressed))
-        rep adm)
+      List.iter
+        (fun (a : Stagg.Result_.t) ->
+          let lbl = m.label ^ "/" ^ a.bench in
+          check_bool (lbl ^ " unsolved") false a.solved;
+          check_int (lbl ^ " zero attempts") 0 a.attempts;
+          check_int (lbl ^ " admission does no search") 0 (a.expansions + a.suppressed))
+        (Stagg.Pipeline.run_suite m Suite.diagnostics))
     [ Stagg.Method_.stagg_td; Stagg.Method_.stagg_bu ]
 
 let () =

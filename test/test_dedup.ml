@@ -183,11 +183,12 @@ let test_differential () =
           let lbl = m.label ^ "/" ^ a.bench in
           check_bool (lbl ^ " solved") b.solved a.solved;
           check_int (lbl ^ " attempts") b.attempts a.attempts;
-          (* the legacy dedup cannot replay pruned pops, so the analysis
-             pruning is off there: its expansions count every pop, the
-             fingerprint side splits the same pops into real + pruned *)
-          check_int (lbl ^ " legacy prunes nothing") 0 b.pruned;
-          check_int (lbl ^ " expansions") b.expansions (a.expansions + a.pruned);
+          (* the legacy dedup cannot replay suppressed pops, so the
+             analysis pruning is off there: its expansions count every
+             pop, the fingerprint side splits the same pops into real +
+             suppressed *)
+          check_int (lbl ^ " legacy suppresses nothing") 0 b.suppressed;
+          check_int (lbl ^ " expansions") b.expansions (a.expansions + a.suppressed);
           check_string (lbl ^ " first solution") (first_solution b) (first_solution a))
         fingerprint legacy)
     [ Stagg.Method_.stagg_td; Stagg.Method_.stagg_bu ]
@@ -207,7 +208,7 @@ let test_pipeline_timeout () =
   let r = Stagg.Pipeline.run m (Option.get (Suite.find "art_gemv")) in
   check_bool "unsolved" false r.Stagg.Result_.solved;
   Alcotest.(check (option string)) "failure" (Some "timeout") r.failure;
-  check_int "stopped on a poll boundary" 0 ((r.expansions + r.pruned) mod 64)
+  check_int "stopped on a poll boundary" 0 ((r.expansions + r.suppressed) mod 64)
 
 let () =
   Alcotest.run "stagg_dedup"

@@ -150,6 +150,77 @@ let test_no_verify_mode () =
   let r = Stagg.Pipeline.run m (bench "art_dot") in
   check_bool "validation-only mode solves" true r.Stagg.Result_.solved
 
+(* The per-candidate validator path is the reference for the batched
+   one: over the smoke methods and the artificial suite, both must agree
+   per kernel on every count and on the first solution. The memo is
+   cleared before each run, or the second run would only replay the
+   first's verdicts; the wall-clock backstop is off so that only the
+   deterministic caps can stop a search. *)
+let test_batched_matches_per_candidate () =
+  let run (m : Stagg.Method_.t) batched_validate =
+    Stagg_validate.Validator.clear_memo ();
+    Stagg.Pipeline.run_suite
+      {
+        m with
+        batched_validate;
+        budget = { m.budget with Stagg_search.Astar.timeout_s = Float.infinity };
+      }
+      Suite.artificial
+  in
+  let first (r : Stagg.Result_.t) =
+    Option.map (fun s -> Stagg_taco.Pretty.program_to_string s.Stagg_validate.Validator.concrete)
+      r.solution
+  in
+  List.iter
+    (fun (m : Stagg.Method_.t) ->
+      List.iter2
+        (fun (b : Stagg.Result_.t) (p : Stagg.Result_.t) ->
+          let lbl = m.label ^ "/" ^ b.bench in
+          let check_int what f = Alcotest.(check int) (lbl ^ " " ^ what) (f b) (f p) in
+          check_bool (lbl ^ " solved") b.solved p.solved;
+          check_int "attempts" (fun r -> r.attempts);
+          check_int "instantiations" (fun r -> r.instantiations);
+          check_int "expansions" (fun r -> r.expansions);
+          check_int "suppressed" (fun r -> r.suppressed);
+          Alcotest.(check (option string)) (lbl ^ " first solution") (first b) (first p))
+        (run m true) (run m false))
+    Stagg.Method_.[ stagg_td; stagg_bu; td_full_grammar; bu_full_grammar ]
+
+(* The A* searches accept only grammars whose child metrics extend
+   incrementally, and top-down also needs static depth tables. Every
+   grammar a method row builds on the suite must meet that contract. *)
+let test_grammars_fit_search_contract () =
+  let audited = ref 0 in
+  List.iter
+    (fun (m : Stagg.Method_.t) ->
+      List.iter
+        (fun (b : Bench.t) ->
+          match Stagg.Pipeline.prepare m b with
+          | Error _ -> ()
+          | Ok prep ->
+              incr audited;
+              let lbl = m.label ^ "/" ^ b.name in
+              let g = Stagg_grammar.Pcfg.cfg prep.pcfg in
+              check_bool (lbl ^ " incremental-safe") true (Stagg_search.Node.incremental_safe g);
+              if m.search = Stagg.Method_.Top_down then
+                check_bool (lbl ^ " depth-static") true
+                  (Stagg_search.Node.depth_static (Stagg_search.Node.fingerprints g)))
+        Suite.all)
+    Stagg.Method_.
+      [
+        stagg_td;
+        stagg_bu;
+        td_trace;
+        td_trace_llm;
+        td_equal_probability;
+        td_llm_grammar;
+        td_full_grammar;
+        bu_equal_probability;
+        bu_llm_grammar;
+        bu_full_grammar;
+      ];
+  Alcotest.(check int) "grammars audited" 760 !audited
+
 let () =
   Alcotest.run "stagg_pipeline"
     [
@@ -167,5 +238,9 @@ let () =
           Alcotest.test_case "substitutions bind parameters" `Slow test_solution_substitution_sound;
           Alcotest.test_case "ablation configurations" `Slow test_ablation_configs_run;
           Alcotest.test_case "validation-only mode" `Quick test_no_verify_mode;
+          Alcotest.test_case "batched validation matches per-candidate" `Slow
+            test_batched_matches_per_candidate;
+          Alcotest.test_case "grammars fit the search contract" `Quick
+            test_grammars_fit_search_contract;
         ] );
     ]

@@ -39,7 +39,6 @@ let fake name solved time =
     time_s = time;
     attempts = 1;
     expansions = 1;
-    pruned = 0;
     suppressed = 0;
     pruned_rules = 0;
     n_candidates = 0;

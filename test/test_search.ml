@@ -438,6 +438,56 @@ let test_domains_only_one () =
   | Astar.Exhausted _ | Astar.Budget_exceeded _ -> ()
   | Astar.Solved _ -> Alcotest.fail "nothing validates"
 
+(* The searches extend child metrics incrementally and never rescan a
+   tree, so they reject grammars outside that contract up front: a
+   tensor terminal right of a nonterminal (not incremental-safe), and,
+   top-down, an expression rule whose depth is not a per-rule constant
+   (not depth-static). *)
+let test_search_contract () =
+  let tensor name idx = Cfg.T (Cfg.Tok_tensor (name, idx)) in
+  let grammar program_rhs expr_rules =
+    Pcfg.uniform
+      (Cfg.make ~start:"PROGRAM"
+         ~categories:[ ("PROGRAM", Cfg.Cat_program); ("EXPR", Cfg.Cat_expr); ("TAIL", Cfg.Cat_tail) ]
+         ((("PROGRAM", program_rhs) :: expr_rules) @ [ ("TAIL", []) ]))
+  in
+  let assign = [ tensor "a" [ "i" ]; Cfg.T Cfg.Tok_assign ] in
+  (* a(i) = EXPR * c(i): c(i) sits right of EXPR *)
+  let unsafe =
+    grammar
+      (assign @ [ Cfg.NT "EXPR"; Cfg.T (Cfg.Tok_op Ast.Mul); tensor "c" [ "i" ] ])
+      [ ("EXPR", [ tensor "b" [ "i" ] ]) ]
+  in
+  (* EXPR -> b(i) TAIL: a tail under an expression makes depth
+     depend on where the tail closes *)
+  let not_static =
+    grammar (assign @ [ Cfg.NT "EXPR" ]) [ ("EXPR", [ tensor "b" [ "i" ]; Cfg.NT "TAIL" ]) ]
+  in
+  check_bool "unsafe grammar detected" false (Node.incremental_safe (Pcfg.cfg unsafe));
+  check_bool "non-static grammar is incremental-safe" true
+    (Node.incremental_safe (Pcfg.cfg not_static));
+  check_bool "non-static grammar detected" false
+    (Node.depth_static (Node.fingerprints (Pcfg.cfg not_static)));
+  let penalty_ctx = ctx ~enabled:[] ~dims:[ 1; 1 ] () in
+  let validate _ = None in
+  let td pcfg () = ignore (Astar.search_topdown ~pcfg ~penalty_ctx ~budget ~validate ()) in
+  let bu pcfg () =
+    ignore (Astar.search_bottomup ~pcfg ~penalty_ctx ~dim_list:[ 1; 1 ] ~budget ~validate ())
+  in
+  let not_safe =
+    Invalid_argument "Astar: grammar is not incremental-safe (a tensor right of a nonterminal)"
+  in
+  Alcotest.check_raises "top-down rejects unsafe" not_safe (td unsafe);
+  Alcotest.check_raises "bottom-up rejects unsafe" not_safe (bu unsafe);
+  Alcotest.check_raises "top-down rejects non-static"
+    (Invalid_argument "Astar: grammar is not depth-static") (td not_static);
+  (* bottom-up never prunes on depth, so it runs the non-static grammar *)
+  match
+    Astar.search_bottomup ~pcfg:not_static ~penalty_ctx ~dim_list:[ 1; 1 ] ~budget ~validate ()
+  with
+  | Astar.Exhausted _ -> ()
+  | Astar.Solved _ | Astar.Budget_exceeded _ -> Alcotest.fail "expected an exhausted search"
+
 let () =
   Alcotest.run "stagg_search"
     [
@@ -470,5 +520,6 @@ let () =
           Alcotest.test_case "duplicate templates validated once" `Quick test_search_dedup;
           Alcotest.test_case "timeout fires on a 64-pop poll boundary" `Quick test_timeout_poll;
           Alcotest.test_case "domains other than 1 rejected" `Quick test_domains_only_one;
+          Alcotest.test_case "grammars outside the contract rejected" `Quick test_search_contract;
         ] );
     ]

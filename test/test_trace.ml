@@ -236,7 +236,6 @@ let test_oracle_llm_identity () =
       check_int (name ^ " attempts identical") r1.attempts r2.attempts;
       check_int (name ^ " expansions identical") r1.expansions r2.expansions;
       check_int (name ^ " candidates identical") r1.n_candidates r2.n_candidates;
-      check_int (name ^ " pruned identical") r1.pruned r2.pruned;
       check_int (name ^ " suppressed identical") r1.suppressed r2.suppressed;
       check_string (name ^ " solution identical") (sol r1) (sol r2);
       check_bool (name ^ " neither traced") false (r1.traced || r2.traced);
