@@ -189,14 +189,17 @@ let smoke_json rows =
     (fun i (label, rs) ->
       let solved = List.length (List.filter (fun (r : Stagg.Result_.t) -> r.solved) rs) in
       let sum f = List.fold_left (fun a (r : Stagg.Result_.t) -> a + f r) 0 rs in
+      let peak = List.fold_left (fun a (r : Stagg.Result_.t) -> max a r.peak_frontier) 0 rs in
       Printf.bprintf buf
         "    { \"method\": %S, \"solved\": %d, \"total\": %d, \"total_attempts\": %d, \
-         \"total_instantiations\": %d, \"total_expansions\": %d, \"total_suppressed\": %d }%s\n"
+         \"total_instantiations\": %d, \"total_expansions\": %d, \"total_suppressed\": %d, \
+         \"peak_frontier\": %d }%s\n"
         label solved (List.length rs)
         (sum (fun r -> r.attempts))
         (sum (fun r -> r.instantiations))
         (sum (fun r -> r.expansions))
         (sum (fun r -> r.suppressed))
+        peak
         (if i = n - 1 then "" else ","))
     rows;
   Buffer.add_string buf "  ]\n}\n";

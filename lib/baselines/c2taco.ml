@@ -52,6 +52,7 @@ let run ~seed ~heuristics (b : Bench.t) : Stagg.Result_.t =
       attempts = !attempts;
       expansions = !attempts;
       suppressed = 0;
+      peak_frontier = 0;
       pruned_rules = 0;
       n_candidates = 0;
       validate_s = !validate_s;

@@ -18,6 +18,7 @@ let run ~seed (b : Bench.t) : Stagg.Result_.t =
       attempts;
       expansions = 0;
       suppressed = 0;
+      peak_frontier = 0;
       pruned_rules = 0;
       n_candidates;
       validate_s = !validate_s;

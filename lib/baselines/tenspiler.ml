@@ -92,6 +92,7 @@ let run ~seed (b : Bench.t) : Stagg.Result_.t =
       attempts;
       expansions = attempts;
       suppressed = 0;
+      peak_frontier = 0;
       pruned_rules = 0;
       n_candidates = 0;
       validate_s = !validate_s;

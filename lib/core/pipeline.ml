@@ -252,7 +252,7 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
     | Ok p -> (p.pf_traced, p.pf_trace_templates, p.pf_trace_warning)
     | Error _ -> (false, 0, None)
   in
-  let finish ?(suppressed = 0) ?(pruned_rules = 0) ?(warnings = []) ~solved
+  let finish ?(suppressed = 0) ?(peak_frontier = 0) ?(pruned_rules = 0) ?(warnings = []) ~solved
       ~solution ~attempts ~expansions ~n_candidates ~failure () =
     {
       Result_.bench = q.qname;
@@ -263,6 +263,7 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
       attempts;
       expansions;
       suppressed;
+      peak_frontier;
       pruned_rules;
       n_candidates;
       validate_s = !validate_s;
@@ -358,8 +359,8 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
           in
           let stats = Astar.stats_of outcome in
           let finish =
-            finish ~suppressed:stats.suppressed ~pruned_rules ~warnings
-              ~n_candidates
+            finish ~suppressed:stats.suppressed ~peak_frontier:stats.peak_frontier ~pruned_rules
+              ~warnings ~n_candidates
           in
           match outcome with
           | Astar.Solved (sol, _) ->

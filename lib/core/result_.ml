@@ -10,6 +10,7 @@ type t = {
   attempts : int;  (** templates sent to validation (Table 1/3 "attempts") *)
   expansions : int;  (** queue pops doing real work (excludes [suppressed]) *)
   suppressed : int;  (** doomed expansions the static analysis kept off the queue *)
+  peak_frontier : int;  (** largest A* frontier length, ledger excluded *)
   pruned_rules : int;  (** grammar rules the analysis marked doomed up front *)
   n_candidates : int;  (** syntactically valid LLM candidates parsed *)
   validate_s : float;  (** wall time inside the validator, incl. [verify_s] *)

@@ -438,7 +438,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let schema_version = 3
+let schema_version = 4
 
 let json_summary ?(jobs = 1) ~wall_s runs =
   let buf = Buffer.create 1024 in

@@ -10,6 +10,7 @@ type stats = {
   attempts : int;
   expansions : int;
   suppressed : int;
+  peak_frontier : int;
   elapsed_s : float;
 }
 
@@ -148,23 +149,18 @@ module Ledger = struct
     (fp, depth, nt)
 end
 
-(* A frontier element carries everything the pop side needs — path cost,
-   metrics, and (for complete trees) the rebuilt program. Incomplete
-   trees are NOT materialized at push time: the annotation is extended
-   from the parent's without the child tree, so the frontier stores
-   (parent tree, rule) and only the pop side — reached for a small
-   fraction of pushed entries — builds the tree. Siblings share the
-   parent pointer, so a frontier of a million entries holds thousands of
-   trees, not a million. *)
-type tree_src =
-  | Built of Node.t  (** the initial node, and complete trees (the program rebuild needs them) *)
-  | Expand of Node.t * Cfg.rule  (** parent tree + rule to apply at its leftmost open leaf *)
-
+(* A frontier element is a partial leftmost derivation: the applied
+   rule ids, most recent first, consed onto the parent's list, so a push
+   costs one cons cell and siblings share their parent's tail. Everything
+   the push and pop sides read besides a tree — path cost, metrics, open
+   leaves, depth, fingerprint — is extended incrementally in [ann]. A
+   tree or program is decoded ({!Node.of_derivation}) only where one is
+   read: a penalty that inspects the AST at push, and a template that
+   reaches validation (or is printed as a [Pretty_key]) at pop. *)
 type entry = {
   c : float;  (** path cost c(x) *)
-  tree : tree_src;
+  deriv : int list;  (** applied rule ids, most recent first *)
   ann : Node.annotated;
-  program : Stagg_taco.Ast.program option;  (** Some iff complete *)
   pst : Prune.state;  (** analysis-prune state of the applied-rule multiset *)
 }
 
@@ -173,8 +169,6 @@ type entry = {
    tree: its pop only counts an expansion, exactly what the popped
    duplicate would have done. *)
 type item = Entry of entry | Ghost
-
-let materialize = function Built x -> x | Expand (p, r) -> Node.expand1 p r
 
 type 'sol engine = {
   pcfg : Pcfg.t;
@@ -198,6 +192,7 @@ type 'sol engine = {
   mutable attempts : int;
   mutable expansions : int;
   mutable suppressed : int;  (** ledger drains *)
+  mutable peak_frontier : int;  (** largest [frontier] length seen by [run] *)
   mutable timed_out : bool;  (** latched by the periodic clock check *)
   mutable stop : stop_reason;  (** which limit fired, for [Budget_exceeded] *)
 }
@@ -245,12 +240,12 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
       attempts = 0;
       expansions = 0;
       suppressed = 0;
+      peak_frontier = 0;
       timed_out = false;
       stop = Expansions;
     }
   in
-  qpush e 0.
-    (Entry { c = 0.; tree = Built x0; ann = Node.annotate g fps x0; program = None; pst = Prune.root });
+  qpush e 0. (Entry { c = 0.; deriv = []; ann = Node.annotate g fps x0; pst = Prune.root });
   e
 
 let elapsed e = Unix.gettimeofday () -. e.started
@@ -260,6 +255,7 @@ let stats e =
     attempts = e.attempts;
     expansions = e.expansions;
     suppressed = e.suppressed;
+    peak_frontier = e.peak_frontier;
     elapsed_s = elapsed e;
   }
 
@@ -320,32 +316,42 @@ let check_add tbl key =
   (Hashtbl.add tbl key ();
    false)
 
-(* Validate an already-rebuilt program. Duplicate templates — the EXPR OP
-   EXPR rule makes the grammar ambiguous, and associative duplicates print
-   identically — are validated once. The probe keys on the tree's
-   fingerprint (O(1), no printing); [Pretty_key] mode keeps the printed
-   form as the key for differential testing against the legacy scheme. *)
-let try_validate e ~fp (program : Stagg_taco.Ast.program option) : 'sol option =
-  match program with
-  | None -> None
-  | Some p ->
-      let dup =
-        match e.dedup with
-        | Fingerprint -> check_add e.seen_fp fp
-        | Pretty_key -> check_add e.seen_str (Pretty.program_to_string p)
-      in
-      if dup then None
-      else begin
-        e.attempts <- e.attempts + 1;
-        e.validate p
-      end
+(* Validate the complete template derived by [deriv]. Duplicate
+   templates — the EXPR OP EXPR rule makes the grammar ambiguous, and
+   associative duplicates print identically — are validated once. The
+   probe keys on the derivation's fingerprint (O(1), no printing), so a
+   duplicate is never decoded; [Pretty_key] mode decodes every template
+   to print its key, for differential testing against the legacy scheme.
+   A template without a program (an unrecognized rule shape) is neither
+   counted nor marked seen. *)
+let try_validate e g ~fp deriv : 'sol option =
+  if e.dedup = Fingerprint && Hashtbl.mem e.seen_fp fp then None
+  else
+    match Node.to_program g (Node.of_derivation g deriv) with
+    | None -> None
+    | Some p ->
+        let dup =
+          match e.dedup with
+          | Fingerprint -> check_add e.seen_fp fp
+          | Pretty_key -> check_add e.seen_str (Pretty.program_to_string p)
+        in
+        if dup then None
+        else begin
+          e.attempts <- e.attempts + 1;
+          e.validate p
+        end
 
-(* Push every legal one-step expansion of [parent] (whose tree [px] the
-   pop side has just materialized). Metrics are extended incrementally
-   from the parent's annotation without building the child tree; only
-   complete children are materialized here, to rebuild their program
-   once and carry it to the pop. *)
-let push_expansions e (g : Cfg.t) (parent : entry) (px : Node.t) =
+(* The program a complete child's penalty reads: decoded only when a
+   criterion reads it (a4), and dropped once the child is scored. *)
+let scoring_program e g deriv =
+  if Penalty.needs_program e.penalty then Node.to_program g (Node.of_derivation g deriv)
+  else None
+
+(* Push every legal one-step expansion of [parent]. Metrics are extended
+   incrementally from the parent's annotation and the child's derivation
+   is one cons onto the parent's, so a child tree is decoded only for a
+   penalty that reads it. *)
+let push_expansions e (g : Cfg.t) (parent : entry) =
   match parent.ann.Node.opens with
   | [] -> ()
   | nt :: _ ->
@@ -396,17 +402,13 @@ let push_expansions e (g : Cfg.t) (parent : entry) (px : Node.t) =
                    validation enumerates zero substitutions — is never
                    enqueued: its (f, seq) key goes to the admission ledger,
                    which replays the pop's observable effects at its
-                   baseline position. The penalty is rescored the baseline
-                   way (rebuilding the program only if a criterion reads
-                   it) because f must be bit-identical, and [pen_memo] is
+                   baseline position. The penalty is scored the baseline
+                   way because f must be bit-identical, and [pen_memo] is
                    still fed so later twins ghost exactly as before.
                    Incomplete doomed children stay ordinary entries: their
                    pops never validate anyway, and their children inherit
                    the doomed state through [pst]. *)
-                let program =
-                  if Penalty.needs_program e.penalty then Node.to_program g (Node.expand1 px r)
-                  else None
-                in
+                let program = scoring_program e g (r.id :: parent.deriv) in
                 let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
                 if pen < infinity then begin
                   Hashtbl.replace e.pen_memo ann.Node.fp pen;
@@ -415,18 +417,14 @@ let push_expansions e (g : Cfg.t) (parent : entry) (px : Node.t) =
                 end
               end
               else begin
-                let tree, program =
-                  if complete then
-                    let x' = Node.expand1 px r in
-                    (Built x', Node.to_program g x')
-                  else (Expand (px, r), None)
-                in
+                let deriv = r.id :: parent.deriv in
+                let program = if complete then scoring_program e g deriv else None in
                 let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
                 if pen < infinity then begin
                   if e.dedup = Fingerprint && complete then
                     Hashtbl.replace e.pen_memo ann.Node.fp pen;
                   let f = c' +. g_of ann.Node.opens +. pen in
-                  qpush e f (Entry { c = c'; tree; ann; program; pst = pst' })
+                  qpush e f (Entry { c = c'; deriv; ann; pst = pst' })
                 end
               end
             end
@@ -452,6 +450,8 @@ let check_domains d =
    (fp, depth, n_tensors); [on_item] handles an entry and returns the
    outcome that ends the search, if any. *)
 let rec run e ~on_ledger ~on_item =
+  let n = Pqueue.length e.frontier in
+  if n > e.peak_frontier then e.peak_frontier <- n;
   if baseline_pops_suppressed e then
     if over_budget e then Budget_exceeded (e.stop, stats e)
     else begin
@@ -479,7 +479,7 @@ let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?p
   let g = Pcfg.cfg pcfg in
   let fps = Node.fingerprints g in
   (* the depth prune reads the annotation's incrementally-carried depth,
-     so depth-dead pops never materialize (or walk) their tree *)
+     so depth-dead pops never decode (or walk) their tree *)
   if not (Node.depth_static fps) then
     invalid_arg "Astar: grammar is not depth-static";
   let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune in
@@ -488,9 +488,9 @@ let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?p
     ~on_item:(fun en ->
       if en.ann.Node.depth > max_depth then None
       else if en.ann.Node.metrics.complete then
-        Option.map (fun sol -> Solved (sol, stats e)) (try_validate e ~fp:en.ann.Node.fp en.program)
+        Option.map (fun sol -> Solved (sol, stats e)) (try_validate e g ~fp:en.ann.Node.fp en.deriv)
       else begin
-        push_expansions e g en (materialize en.tree);
+        push_expansions e g en;
         None
       end)
 
@@ -508,18 +508,17 @@ let search_bottomup ~pcfg ~penalty_ctx ~dim_list ?(dedup = Fingerprint) ?prune
          nothing *)
       if nt = n_predicted then replay_suppressed e ~fp)
     ~on_item:(fun en ->
-      let x = materialize en.tree in
       let solved =
         if en.ann.Node.metrics.n_tensors = n_predicted then
-          match Node.remove_tail g x with
+          match Node.close_tails g en.ann.Node.opens en.deriv with
           (* closing ε tails adds empty rule contributions, so the
-             completed tree's fingerprint equals the popped entry's *)
-          | Some complete -> try_validate e ~fp:en.ann.Node.fp (Node.to_program g complete)
+             completed derivation's fingerprint equals the popped entry's *)
+          | Some complete -> try_validate e g ~fp:en.ann.Node.fp complete
           | None -> None
         else None
       in
       match solved with
       | Some sol -> Some (Solved (sol, stats e))
       | None ->
-          push_expansions e g en x;
+          push_expansions e g en;
           None)

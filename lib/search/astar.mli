@@ -1,8 +1,8 @@
 (** The two weighted-A* template enumerators (paper Algorithms 1 and 2).
 
-    Both maintain a priority queue of partial derivation trees ordered by
-    f(x) = c(x) + g(x) + X(x), expand the leftmost nonterminal of the
-    cheapest tree, and hand complete templates to a caller-supplied
+    Both maintain a priority queue of partial leftmost derivations
+    ordered by f(x) = c(x) + g(x) + X(x), expand the leftmost nonterminal
+    of the cheapest one, and hand complete templates to a caller-supplied
     validator. Rules with probability 0 (cost ∞) and expressions with
     infinite penalty are never enqueued. *)
 
@@ -23,6 +23,11 @@ type stats = {
           via the admission ledger. Budget caps and the timeout poll tick
           on [expansions + suppressed] (total baseline pops), so enabling
           pruning moves no stop point; see {!search_topdown}. *)
+  peak_frontier : int;
+      (** the largest frontier length the search reached (entries and
+          ghosts; the admission ledger is not counted). Deterministic,
+          so it pins the frontier's memory high-water mark: turning the
+          analysis prune off enqueues doomed children and raises it. *)
   elapsed_s : float;
 }
 
@@ -100,7 +105,7 @@ val search_topdown :
     (RemoveTail) and the completed template is validated; expansion then
     continues regardless. [?prune] / [?prune_mode] / [?domains] as in
     {!search_topdown}; the bottom-up penalties never read the rebuilt
-    AST, so pruned completions skip materialization entirely. Raises
+    AST, so no completion is decoded before its pop. Raises
     [Invalid_argument] unless the grammar is {!Node.incremental_safe}
     (it need not be depth-static: this search never prunes on depth). *)
 val search_bottomup :

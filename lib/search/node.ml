@@ -362,11 +362,6 @@ let rule_safe (r : Cfg.rule) =
 
 let incremental_safe g = Array.for_all rule_safe (Cfg.rules g)
 
-let expand1 x (r : Cfg.rule) =
-  let x', ok = subst_leftmost x (apply_rule r) in
-  assert ok;
-  x'
-
 let expand_metrics fps (parent : annotated) (r : Cfg.rule) : annotated =
   begin
     let pm = parent.metrics in
@@ -452,6 +447,47 @@ let expand_metrics fps (parent : annotated) (r : Cfg.rule) : annotated =
       fp = (parent.fp * fps.mult.(r.id)) + fps.addend.(r.id);
     }
   end
+
+(* ---- decoding a leftmost derivation ----
+
+   A leftmost derivation creates internal nodes exactly in preorder, so
+   one preorder pass over the applied rules' right-hand sides rebuilds the
+   tree: each nonterminal slot takes the next rule of the sequence, or
+   stays [Open] once the sequence runs out. *)
+
+let of_derivation g rev_ids =
+  let rest = ref (List.rev rev_ids) in
+  let rec build nt =
+    match !rest with
+    | [] -> Open nt
+    | id :: tl ->
+        rest := tl;
+        let r = Cfg.rule g id in
+        assert (String.equal r.lhs nt);
+        (* an explicit left-to-right loop: children are built in preorder *)
+        let rec children = function
+          | [] -> []
+          | Cfg.T t :: syms -> Leaf t :: children syms
+          | Cfg.NT n :: syms ->
+              let c = build n in
+              c :: children syms
+        in
+        Node (id, children r.rhs)
+  in
+  build (Cfg.start g)
+
+let close_tails g opens rev_ids =
+  List.fold_left
+    (fun acc nt ->
+      match acc with
+      | None -> None
+      | Some ids ->
+          if Cfg.category g nt = Cfg.Cat_tail then
+            List.find_map
+              (fun (r : Cfg.rule) -> if r.rhs = [] then Some (r.id :: ids) else None)
+              (Cfg.rules_for g nt)
+          else None)
+    (Some rev_ids) opens
 
 (* ---- rebuilding the template AST from a complete tree ---- *)
 

@@ -2,7 +2,10 @@
 
     A node is a parse tree whose frontier may contain unexpanded
     nonterminals ([Open]). Expansion rewrites the leftmost [Open] leaf by
-    one grammar rule, exactly as in Algorithms 1 and 2. *)
+    one grammar rule, exactly as in Algorithms 1 and 2. The searches hold
+    a state as its leftmost derivation (the applied rule ids) plus an
+    incrementally extended {!annotated}, and decode a tree
+    ({!of_derivation}) only where one is read. *)
 
 open Stagg_grammar
 
@@ -19,14 +22,27 @@ val leftmost_open : t -> string option
 val is_complete : t -> bool
 
 (** [expansions g x] — all single-step leftmost expansions, with the rule
-    applied. Empty when [x] is complete. *)
+    applied. Empty when [x] is complete. The searches never call it: they
+    carry derivations and decode them ({!of_derivation}). It is kept as
+    the tree-surgery reference the decoder is tested against. *)
 val expansions : Cfg.t -> t -> (Cfg.rule * t) list
 
-(** [expand1 x r] — the tree obtained by applying rule [r] at [x]'s
-    leftmost open leaf (which must exist). Lets the searches keep
-    (parent, rule) in the frontier and materialize child trees only when
-    an entry is actually popped. *)
-val expand1 : t -> Cfg.rule -> t
+(** [of_derivation g rd] — the partial tree of the leftmost derivation
+    from [g]'s start symbol whose applied rule ids, most recent first,
+    are [rd]; [Open] leaves stand for the nonterminals not yet expanded.
+    One preorder pass over the rules' right-hand sides. The A* frontier
+    stores [rd] (one cons per push, tail shared with the parent) and
+    decodes only where a tree or program is read. Equal to the tree the
+    {!expansions} chain builds by applying the same rules. *)
+val of_derivation : Cfg.t -> int list -> t
+
+(** [close_tails g opens rd] — Algorithm 2's RemoveTail on a derivation:
+    [opens] is the derivation's ordered open-leaf list ({!annotated}),
+    and each one, left to right, is closed by appending its ε rule to
+    [rd]. [None] unless every open is a [Cat_tail] nonterminal with an ε
+    rule. Decoding the result equals {!remove_tail} on the decoded
+    tree. *)
+val close_tails : Cfg.t -> string list -> int list -> int list option
 
 (** [g_cost p x] — the heuristic g(x): Σ over open leaves of −log₂ h(nt)
     (§5.1), accumulated left to right. 0 when complete. *)
@@ -149,5 +165,7 @@ val to_program : Cfg.t -> t -> Stagg_taco.Ast.program option
 
 (** [remove_tail g x] — Algorithm 2's RemoveTail: if every open leaf is a
     [Cat_tail] nonterminal with an ε rule, close them all and return the
-    completed tree. [None] otherwise. *)
+    completed tree. [None] otherwise. The bottom-up search uses
+    {!close_tails} on derivations instead; this tree version is kept as
+    the reference that one is tested against. *)
 val remove_tail : Cfg.t -> t -> t option

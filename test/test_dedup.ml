@@ -3,6 +3,10 @@
      derivation trees, two trees get the same fingerprint iff they print to
      the same canonical template string (the §4.4 equality the dedup must
      respect);
+   - a differential of derivation decoding against tree surgery: the A*
+     frontier carries rule-id derivations, and decoding one must rebuild
+     the tree, the tail-closed tree and the program the [Node.expansions]
+     chain and [Node.remove_tail] build;
    - a differential run of the pipeline with fingerprint vs legacy
      printed-string dedup: solved sets, first solutions, and search counts
      must be identical;
@@ -60,15 +64,18 @@ let next_int bound =
   seed := ((!seed * 0x2545F4914F6CDD1D) + 0x27D4EB2F165667C5) land max_int;
   !seed lsr 17 mod bound
 
-let rec walk g sizes x fuel =
+(* [visit] sees every tree of the walk with its derivation (applied rule
+   ids, most recent first), the initial tree included. *)
+let rec walk ?(visit = fun _ _ -> ()) g sizes x rd fuel =
+  visit x rd;
   if Node.is_complete x then Some x
   else
     match Node.expansions g x with
     | [] -> None
     | exps ->
         if fuel > 0 then
-          let _, x' = List.nth exps (next_int (List.length exps)) in
-          walk g sizes x' (fuel - 1)
+          let (r : Cfg.rule), x' = List.nth exps (next_int (List.length exps)) in
+          walk ~visit g sizes x' (r.id :: rd) (fuel - 1)
         else
           (* out of fuel: greedily close the tree along minimal rules *)
           let weight (r : Cfg.rule) =
@@ -92,14 +99,16 @@ let rec walk g sizes x fuel =
               None exps
           in
           (match best with
-          | Some (_, (_, x')) -> walk g sizes x' 0
+          | Some (_, ((r : Cfg.rule), x')) -> walk ~visit g sizes x' (r.id :: rd) 0
           | None -> None)
 
 (* Refined and full grammars, both search directions: the fingerprint must
    be collision-free within each grammar a search actually runs on. *)
+let grammar_case label g = (label, g, Node.fingerprints g, min_sizes g)
+
 let grammars =
   lazy
-    (let mk label g = (label, g, Node.fingerprints g, min_sizes g) in
+    (let mk = grammar_case in
      [
        mk "td gemv"
          (Gen_topdown.generate ~dim_list:[ 1; 2; 1 ]
@@ -120,7 +129,7 @@ let gen_case _st =
   let gs = Lazy.force grammars in
   let label, g, fps, sizes = List.nth gs (next_int (List.length gs)) in
   let rec fresh_tree () =
-    match walk g sizes (Node.initial g) (3 + next_int 24) with
+    match walk g sizes (Node.initial g) [] (3 + next_int 24) with
     | Some x -> x
     | None -> fresh_tree ()
   in
@@ -158,6 +167,59 @@ let fp_soundness =
       | None ->
           Hashtbl.add str_to_fp (label, s) fp;
           true)
+
+(* ---- derivation decoding vs the tree reference ---- *)
+
+(* Random leftmost walks over every grammar, checked at each step:
+   decoding the derivation gives the tree the [Node.expansions] chain
+   built; closing its open tails and decoding gives [Node.remove_tail] of
+   that tree (None included); and both rebuild the same program (None
+   included). Runs after the fingerprint audit, so that corpus is
+   unchanged. *)
+(* Two distinct tail nonterminals open side by side, so the order in
+   which tails are closed matters; no generated grammar has that. *)
+let two_tails =
+  let t name = Cfg.T (Cfg.Tok_tensor (name, [])) in
+  Cfg.make ~start:"P"
+    ~categories:
+      [ ("P", Cfg.Cat_program); ("E", Cfg.Cat_expr); ("T1", Cfg.Cat_tail); ("T2", Cfg.Cat_tail) ]
+    [
+      ("P", [ t "a"; Cfg.T Cfg.Tok_assign; Cfg.NT "E" ]);
+      ("E", [ t "b"; Cfg.NT "T1"; Cfg.NT "T2" ]);
+      ("T1", []);
+      ("T1", [ Cfg.T (Cfg.Tok_op Stagg_taco.Ast.Add); t "c"; Cfg.NT "T1" ]);
+      ("T2", []);
+      ("T2", [ Cfg.T (Cfg.Tok_op Stagg_taco.Ast.Mul); t "d"; Cfg.NT "T2" ]);
+    ]
+
+let test_decoding () =
+  let steps = ref 0 and closed_partials = ref 0 and programs = ref 0 in
+  List.iter
+    (fun (label, g, fps, sizes) ->
+      let visit x rd =
+        incr steps;
+        let decoded = Node.of_derivation g rd in
+        if decoded <> x then
+          Alcotest.failf "%s: decoded tree differs after %d rules" label (List.length rd);
+        let program = Node.to_program g x in
+        if Node.to_program g decoded <> program then Alcotest.failf "%s: to_program differs" label;
+        if Option.is_some program then incr programs;
+        let opens = (Node.annotate g fps x).Node.opens in
+        let closed = Option.map (Node.of_derivation g) (Node.close_tails g opens rd) in
+        let reference = Node.remove_tail g x in
+        if closed <> reference then Alcotest.failf "%s: close_tails differs from remove_tail" label;
+        if opens <> [] && Option.is_some reference then incr closed_partials;
+        let prog_of = Option.map (Node.to_program g) in
+        if prog_of closed <> prog_of reference then
+          Alcotest.failf "%s: tail-closed to_program differs" label
+      in
+      for _ = 1 to 300 do
+        ignore (walk ~visit g sizes (Node.initial g) [] (3 + next_int 24))
+      done)
+    (Lazy.force grammars @ [ grammar_case "two tails" two_tails ]);
+  Alcotest.(check bool) "walked" true (!steps > 10_000);
+  Alcotest.(check bool) "some partial trees closed by their tails" true (!closed_partials > 0);
+  Alcotest.(check bool) "some programs rebuilt" true (!programs > 0)
 
 (* ---- fingerprint vs legacy string dedup, end to end ---- *)
 
@@ -215,6 +277,10 @@ let () =
     [
       ( "fingerprint",
         [ QCheck_alcotest.to_alcotest fp_soundness ] );
+      ( "decoding",
+        [
+          Alcotest.test_case "derivations decode like tree surgery" `Quick test_decoding;
+        ] );
       ( "differential",
         [
           Alcotest.test_case "fingerprint dedup replicates legacy counts" `Slow

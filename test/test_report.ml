@@ -40,6 +40,7 @@ let fake name solved time =
     attempts = 1;
     expansions = 1;
     suppressed = 0;
+    peak_frontier = 0;
     pruned_rules = 0;
     n_candidates = 0;
     validate_s = 0.;
