@@ -98,6 +98,105 @@ let test_tenspiler_attempt_count () =
   check_bool "bounded by the library size" true
     (r.attempts <= List.length Stagg_baselines.Tenspiler.library)
 
+
+(* ---- suite pins ----
+
+   No other gate runs the baselines over a whole suite, so this one pins
+   every deterministic count they report: a refactor of the shared
+   acceptance path that moved any of them fails here. *)
+
+let summary results =
+  let module R = Stagg.Result_ in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 results in
+  Printf.sprintf "%d/%d solved, attempts %d, instantiations %d, expansions %d\nsolved: %s"
+    (List.length (R.solved_names results))
+    (List.length results)
+    (sum (fun r -> r.R.attempts))
+    (sum (fun r -> r.R.instantiations))
+    (sum (fun r -> r.R.expansions))
+    (String.concat " " (List.sort compare (R.solved_names results)))
+
+(* (label, counts, sorted solved kernels), recorded at -j 1 *)
+let pinned =
+  [
+    ( "LLM",
+      "34/77 solved, attempts 480, instantiations 2050, expansions 0",
+      [
+        "art_copy"; "art_dot"; "art_gemv"; "art_scal_const"; "art_vec_add"; "blas_saxpy";
+        "blas_scopy"; "blas_sdot"; "blas_sscal"; "dk_avgpool_sum"; "dk_shortcut";
+        "dk_sum_all"; "dsp_energy"; "dsp_mat_scale"; "dsp_vecmul"; "dsp_vecsub";
+        "dsp_vecsum"; "dsp_window"; "ll_matmul"; "ll_residual"; "ll_rmsnorm_ss";
+        "mf_mat_vec"; "mf_vec_add"; "mf_vec_dot"; "mf_vec_hadamard"; "mf_vec_offset";
+        "mf_vec_scale"; "mf_vec_sub"; "sa_add_one"; "sa_mul_sum"; "sa_quarter";
+        "sa_row_sums"; "sa_sum"; "sa_sum2d";
+      ] );
+    ( "C2TACO",
+      "67/77 solved, attempts 31461, instantiations 31461, expansions 31461",
+      [
+        "art_copy"; "art_dot"; "art_gemm"; "art_gemv"; "art_outer"; "art_scal_const";
+        "art_ttm"; "art_ttv"; "art_vec_add"; "blas_saxpy"; "blas_scopy"; "blas_sdot";
+        "blas_sgemm"; "blas_sgemv"; "blas_sgemv_acc"; "blas_sgemv_t"; "blas_sger";
+        "blas_sscal"; "blas_syrk_lt"; "blas_wdot"; "dk_avgpool_sum"; "dk_bias_add";
+        "dk_flatten_scale"; "dk_hadamard"; "dk_scale_bias"; "dk_scale_sum_all";
+        "dk_shortcut"; "dk_sum_all"; "dsp_diff_scale"; "dsp_energy"; "dsp_mat_add";
+        "dsp_mat_scale"; "dsp_matvec_ptr"; "dsp_mean8"; "dsp_vecdiv"; "dsp_vecmul";
+        "dsp_vecsub"; "dsp_vecsum"; "dsp_window"; "ll_att_scores"; "ll_logit_scale";
+        "ll_matmul"; "ll_residual"; "ll_rmsnorm_ss"; "ll_weighted_v"; "mf_mat_add";
+        "mf_mat_mul"; "mf_mat_scale"; "mf_mat_vec"; "mf_outer"; "mf_vec_add"; "mf_vec_dot";
+        "mf_vec_hadamard"; "mf_vec_offset"; "mf_vec_scale"; "mf_vec_sub"; "sa_add_one";
+        "sa_col_sums"; "sa_const_sub"; "sa_fma_const"; "sa_mul_sum"; "sa_quarter";
+        "sa_row_sums"; "sa_scaled_total"; "sa_sum"; "sa_sum2d"; "sa_triple_prod";
+      ] );
+    ( "C2TACO.NoHeuristics",
+      "68/77 solved, attempts 581533, instantiations 581533, expansions 581533",
+      [
+        "art_copy"; "art_dot"; "art_gemm"; "art_gemv"; "art_outer"; "art_scal_const";
+        "art_ttm"; "art_ttv"; "art_vec_add"; "blas_saxpy"; "blas_scopy"; "blas_sdot";
+        "blas_sgemm"; "blas_sgemv"; "blas_sgemv_acc"; "blas_sgemv_t"; "blas_sger";
+        "blas_sscal"; "blas_syrk_lt"; "blas_wdot"; "dk_avgpool_sum"; "dk_bias_add";
+        "dk_flatten_scale"; "dk_hadamard"; "dk_normalize"; "dk_scale_bias";
+        "dk_scale_sum_all"; "dk_shortcut"; "dk_sum_all"; "dsp_diff_scale"; "dsp_energy";
+        "dsp_mat_add"; "dsp_mat_scale"; "dsp_matvec_ptr"; "dsp_mean8"; "dsp_vecdiv";
+        "dsp_vecmul"; "dsp_vecsub"; "dsp_vecsum"; "dsp_window"; "ll_att_scores";
+        "ll_logit_scale"; "ll_matmul"; "ll_residual"; "ll_rmsnorm_ss"; "ll_weighted_v";
+        "mf_mat_add"; "mf_mat_mul"; "mf_mat_scale"; "mf_mat_vec"; "mf_outer"; "mf_vec_add";
+        "mf_vec_dot"; "mf_vec_hadamard"; "mf_vec_offset"; "mf_vec_scale"; "mf_vec_sub";
+        "sa_add_one"; "sa_col_sums"; "sa_const_sub"; "sa_fma_const"; "sa_mul_sum";
+        "sa_quarter"; "sa_row_sums"; "sa_scaled_total"; "sa_sum"; "sa_sum2d";
+        "sa_triple_prod";
+      ] );
+    ( "Tenspiler",
+      "52/67 solved, attempts 1620, instantiations 2823, expansions 1620",
+      [
+        "blas_saxpy"; "blas_scopy"; "blas_sdot"; "blas_sgemm"; "blas_sgemv";
+        "blas_sgemv_acc"; "blas_sgemv_t"; "blas_sger"; "blas_sscal"; "blas_syrk_lt";
+        "blas_wdot"; "dk_avgpool_sum"; "dk_bias_add"; "dk_flatten_scale"; "dk_hadamard";
+        "dk_normalize"; "dk_scale_bias"; "dk_scale_sum_all"; "dk_shortcut"; "dk_sum_all";
+        "dsp_energy"; "dsp_mat_add"; "dsp_matvec_ptr"; "dsp_vecdiv"; "dsp_vecmul";
+        "dsp_vecsub"; "dsp_vecsum"; "dsp_window"; "ll_att_scores"; "ll_logit_scale";
+        "ll_matmul"; "ll_residual"; "ll_rmsnorm_ss"; "ll_weighted_v"; "mf_mat_add";
+        "mf_mat_mul"; "mf_mat_scale"; "mf_mat_vec"; "mf_outer"; "mf_vec_add"; "mf_vec_dot";
+        "mf_vec_hadamard"; "mf_vec_lerp"; "mf_vec_offset"; "mf_vec_scale"; "mf_vec_sub";
+        "sa_col_sums"; "sa_mul_sum"; "sa_row_sums"; "sa_sum"; "sa_sum2d"; "sa_triple_prod";
+      ] );
+  ]
+
+let test_suite_pins () =
+  let run label =
+    match label with
+    | "LLM" -> Stagg_baselines.Llm_only.run_suite ~jobs:1 ~seed Suite.all
+    | "C2TACO" -> Stagg_baselines.C2taco.run_suite ~jobs:1 ~seed ~heuristics:true Suite.all
+    | "C2TACO.NoHeuristics" ->
+        Stagg_baselines.C2taco.run_suite ~jobs:1 ~seed ~heuristics:false Suite.all
+    | _ -> Stagg_baselines.Tenspiler.run_suite ~jobs:1 ~seed Suite.real_world
+  in
+  List.iter
+    (fun (label, counts, kernels) ->
+      Alcotest.(check string) (label ^ " pin")
+        (counts ^ "\nsolved: " ^ String.concat " " kernels)
+        (summary (run label)))
+    pinned
+
 let () =
   Alcotest.run "stagg_baselines"
     [
@@ -122,4 +221,5 @@ let () =
           Alcotest.test_case "misses constants" `Quick test_tenspiler_misses_constants;
           Alcotest.test_case "attempts bounded" `Quick test_tenspiler_attempt_count;
         ] );
+      ("pins", [ Alcotest.test_case "suite counts and solved kernels" `Quick test_suite_pins ]);
     ]
