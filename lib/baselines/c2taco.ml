@@ -3,7 +3,7 @@ open Stagg_taco
 module Bench = Stagg_benchsuite.Bench
 module Sig = Stagg_minic.Signature
 module Validator = Stagg_validate.Validator
-module Examples = Stagg_validate.Examples
+module Accept = Stagg.Accept
 
 let label ~heuristics = if heuristics then "C2TACO" else "C2TACO.NoHeuristics"
 
@@ -39,36 +39,14 @@ let atom_to_expr = function
   | Const_atom c -> Ast.Const c
 
 let run ~seed ~heuristics (b : Bench.t) : Stagg.Result_.t =
-  let started = Unix.gettimeofday () in
-  let validate_s = ref 0. in
+  let acc = Accept.start ~bench:b.name ~method_label:(label ~heuristics) in
   let attempts = ref 0 in
-  let finish ~solved ~solution ~failure =
-    {
-      Stagg.Result_.bench = b.name;
-      method_label = label ~heuristics;
-      solved;
-      solution;
-      time_s = Unix.gettimeofday () -. started;
-      attempts = !attempts;
-      expansions = !attempts;
-      suppressed = 0;
-      peak_frontier = 0;
-      pruned_rules = 0;
-      n_candidates = 0;
-      validate_s = !validate_s;
-      verify_s = 0.;
-      instantiations = !attempts;
-      traced = false;
-      trace_templates = 0;
-      warnings = [];
-      failure;
-    }
-  in
+  (* no verifier by design: a candidate counts once it passes the examples *)
+  let finish outcome = Accept.finish acc ~expansions:!attempts ~attempts:!attempts outcome in
   let func = Bench.func b in
-  let eprng = Prng.create ~seed:(seed lxor Hashtbl.hash (b.name, "examples")) in
-  match Examples.generate ~func ~signature:b.signature ~prng:eprng () with
-  | Error msg -> finish ~solved:false ~solution:None ~failure:(Some msg)
-  | Ok examples -> (
+  match Accept.checker ~seed ~qname:b.name ~func ~signature:b.signature with
+  | Error msg -> finish (Error msg)
+  | Ok checker -> (
       let out = b.signature.out in
       (* C2TACO's own static analysis: output dimensionality and per-input
          dimensionalities *)
@@ -114,25 +92,18 @@ let run ~seed ~heuristics (b : Bench.t) : Stagg.Result_.t =
           param_ranks
         @ List.map (fun c -> Const_atom c) (Stagg_minic.Ast.constants func)
       in
-      if atoms = [] then
-        finish ~solved:false ~solution:None ~failure:(Some "no atoms to enumerate")
+      if atoms = [] then finish (Error "no atoms to enumerate")
       else begin
-        (* the example environments are program-independent: prepare them
-           once for the whole enumeration *)
-        let checker = Validator.prepare ~signature:b.signature ~examples in
         let found = ref None in
         let over_budget () =
-          !attempts >= max_attempts ~heuristics || Unix.gettimeofday () -. started > timeout_s
+          !attempts >= max_attempts ~heuristics || Accept.elapsed acc > timeout_s
         in
         (* shortest-first: all programs with [len] atoms, left-leaning chains
            (C2TACO builds expressions by extension, like our bottom-up) *)
         let try_program rhs =
           incr attempts;
           let p = { Ast.lhs; rhs } in
-          let t0 = Unix.gettimeofday () in
-          let ok = Validator.check checker p in
-          validate_s := !validate_s +. (Unix.gettimeofday () -. t0);
-          if ok then found := Some p
+          if Accept.check acc checker p then found := Some p
         in
         let rec extend rhs len =
           if !found <> None || over_budget () then ()
@@ -161,19 +132,15 @@ let run ~seed ~heuristics (b : Bench.t) : Stagg.Result_.t =
         lengths 1;
         match !found with
         | Some p ->
-            finish ~solved:true
-              ~solution:
-                (Some
-                   {
-                     Validator.template = p;
-                     subst = { Stagg_template.Subst.tensor_binding = []; const_binding = None };
-                     concrete = p;
-                   })
-              ~failure:None
+            finish
+              (Ok
+                 {
+                   Validator.template = p;
+                   subst = { Stagg_template.Subst.tensor_binding = []; const_binding = None };
+                   concrete = p;
+                 })
         | None ->
-            finish ~solved:false ~solution:None
-              ~failure:
-                (Some (if over_budget () then "budget exceeded" else "search space exhausted"))
+            finish (Error (if over_budget () then "budget exceeded" else "search space exhausted"))
       end)
 
 let run_suite ?jobs ~seed ~heuristics benches = Pool.map ?jobs (run ~seed ~heuristics) benches

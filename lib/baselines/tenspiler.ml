@@ -1,7 +1,6 @@
 open Stagg_util
 module Bench = Stagg_benchsuite.Bench
-module Validator = Stagg_validate.Validator
-module Examples = Stagg_validate.Examples
+module Accept = Stagg.Accept
 
 let label = "Tenspiler"
 
@@ -80,72 +79,25 @@ let parsed_library =
   lazy (List.map Stagg_taco.Parser.parse_program_exn library)
 
 let run ~seed (b : Bench.t) : Stagg.Result_.t =
-  let started = Unix.gettimeofday () in
-  let validate_s = ref 0. and verify_s = ref 0. and instantiations = ref 0 in
-  let finish ~solved ~solution ~attempts ~failure =
-    {
-      Stagg.Result_.bench = b.name;
-      method_label = label;
-      solved;
-      solution;
-      time_s = Unix.gettimeofday () -. started;
-      attempts;
-      expansions = attempts;
-      suppressed = 0;
-      peak_frontier = 0;
-      pruned_rules = 0;
-      n_candidates = 0;
-      validate_s = !validate_s;
-      verify_s = !verify_s;
-      instantiations = !instantiations;
-      traced = false;
-      trace_templates = 0;
-      warnings = [];
-      failure;
-    }
-  in
-  let func = Bench.func b in
-  let eprng = Prng.create ~seed:(seed lxor Hashtbl.hash (b.name, "examples")) in
-  match Examples.generate ~func ~signature:b.signature ~prng:eprng () with
-  | Error msg -> finish ~solved:false ~solution:None ~attempts:0 ~failure:(Some msg)
-  | Ok examples -> (
-      let verify concrete =
-        let t0 = Unix.gettimeofday () in
-        let ok =
-          match Stagg_verify.Bmc.check ~func ~signature:b.signature ~candidate:concrete () with
-          | Stagg_verify.Bmc.Equivalent -> true
-          | _ -> false
-        in
-        verify_s := !verify_s +. (Unix.gettimeofday () -. t0);
-        ok
-      in
-      let memo_key = Printf.sprintf "%s#%d" b.name (seed lxor Hashtbl.hash (b.name, "examples")) in
-      (* the checker depends only on (signature, examples): prepare once
-         per benchmark, not once per library template *)
-      let checker = Validator.prepare ~signature:b.signature ~examples in
+  let acc = Accept.start ~bench:b.name ~method_label:label in
+  (* templates in the library carry no constants, so the constant pool is
+     irrelevant *)
+  match
+    Accept.validator acc ~seed ~func:(Bench.func b) ~signature:b.signature ~consts:[]
+      ~verify:true ()
+  with
+  | Error msg -> Accept.finish acc ~attempts:0 (Error msg)
+  | Ok validate ->
       let attempts = ref 0 in
       let solution =
         List.find_map
           (fun template ->
             incr attempts;
-            (* templates in the library carry no constants, so the constant
-               pool is irrelevant *)
-            let t0 = Unix.gettimeofday () in
-            let sol, n =
-              Validator.validate_counted ~signature:b.signature ~checker ~consts:[] ~verify
-                ~memo_key template
-            in
-            validate_s := !validate_s +. (Unix.gettimeofday () -. t0);
-            instantiations := !instantiations + n;
-            sol)
+            validate template)
           (Lazy.force parsed_library)
       in
-      match solution with
-      | Some sol ->
-          finish ~solved:true ~solution:(Some sol) ~attempts:!attempts ~failure:None
-      | None ->
-          finish ~solved:false ~solution:None ~attempts:!attempts
-            ~failure:(Some "no library template matches"))
+      Accept.finish acc ~expansions:!attempts ~attempts:!attempts
+        (Option.to_result ~none:"no library template matches" solution)
 
 let run_suite ?jobs ~seed benches =
   (* force the template library before fanning out: concurrent first

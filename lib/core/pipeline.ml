@@ -3,9 +3,6 @@ open Stagg_grammar
 open Stagg_search
 open Stagg_template
 module Bench = Stagg_benchsuite.Bench
-module Validator = Stagg_validate.Validator
-module Examples = Stagg_validate.Examples
-module Bmc = Stagg_verify.Bmc
 
 type prepared = {
   candidates : Stagg_taco.Ast.program list;
@@ -240,59 +237,35 @@ let prune_of (m : Method_.t) (q : query) ~(consts : 'a list) (prep : prepared) :
            lhs_name = Genlib.tensor_name 0;
          })
 
-let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
-    (prefix_r : (prefix, string) result) : Result_.t =
-  let started = Unix.gettimeofday () in
-  (* per-phase accumulators; the search and the validator both run on
-     the calling domain *)
-  let validate_s = ref 0. and verify_s = ref 0. and instantiations = ref 0 in
+let lift_prefixed ?memo_scope (m : Method_.t) (q : query) (prefix_r : (prefix, string) result) :
+    Result_.t =
+  let acc = Accept.start ~bench:q.qname ~method_label:m.label in
   let facts = if m.analysis then Some (Stagg_minic.Facts.analyze q.func) else None in
   let traced, trace_templates, trace_warning =
     match prefix_r with
     | Ok p -> (p.pf_traced, p.pf_trace_templates, p.pf_trace_warning)
     | Error _ -> (false, 0, None)
   in
-  let finish ?(suppressed = 0) ?(peak_frontier = 0) ?(pruned_rules = 0) ?(warnings = []) ~solved
-      ~solution ~attempts ~expansions ~n_candidates ~failure () =
-    {
-      Result_.bench = q.qname;
-      method_label = m.label;
-      solved;
-      solution;
-      time_s = Unix.gettimeofday () -. started;
-      attempts;
-      expansions;
-      suppressed;
-      peak_frontier;
-      pruned_rules;
-      n_candidates;
-      validate_s = !validate_s;
-      verify_s = !verify_s;
-      instantiations = !instantiations;
-      traced;
-      trace_templates;
-      (* a trace refusal is a warning, not a failure: the search still
-         runs on whatever candidates remain (none, under Oracle_trace) *)
-      warnings = warnings @ Option.to_list trace_warning;
-      failure;
-    }
+  let finish ?expansions ?suppressed ?peak_frontier ?pruned_rules ?n_candidates ?(warnings = [])
+      ?(attempts = 0) outcome =
+    (* a trace refusal is a warning, not a failure: the search still
+       runs on whatever candidates remain (none, under Oracle_trace) *)
+    Accept.finish acc ?expansions ?suppressed ?peak_frontier ?pruned_rules ?n_candidates ~traced
+      ~trace_templates
+      ~warnings:(warnings @ Option.to_list trace_warning)
+      ~attempts outcome
   in
   match facts with
-  | Some f when Result.is_error f.ft_verdict ->
+  | Some ({ ft_verdict = Error diag; _ } as f) ->
       (* fail fast: no grammar, no search — the diagnostic is the result *)
-      let diag = match f.ft_verdict with Error d -> d | Ok () -> assert false in
-      finish ~solved:false ~solution:None ~attempts:0 ~expansions:0 ~n_candidates:0
-        ~warnings:(facts_warnings q f ~dim_list:None)
-        ~failure:(Some ("not liftable: " ^ diag))
-        ()
+      finish ~warnings:(facts_warnings q f ~dim_list:None) (Error ("not liftable: " ^ diag))
   | _ -> (
   match Result.map (prepared_of_prefix m) prefix_r with
   | Error reason ->
       let warnings =
         match facts with None -> [] | Some f -> facts_warnings q f ~dim_list:None
       in
-      finish ~solved:false ~solution:None ~attempts:0 ~expansions:0 ~n_candidates:0 ~warnings
-        ~failure:(Some reason) ()
+      finish ~warnings (Error reason)
   | Ok prep -> (
       let n_candidates = List.length prep.candidates in
       let func = q.func in
@@ -301,47 +274,13 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
         | None -> []
         | Some f -> facts_warnings q f ~dim_list:(Some prep.dim_list)
       in
-      let example_seed = m.seed lxor Hashtbl.hash (q.qname, "examples") in
-      let prng = Prng.create ~seed:example_seed in
-      match Examples.generate ~func ~signature:q.signature ~prng () with
-      | Error msg ->
-          finish ~solved:false ~solution:None ~attempts:0 ~expansions:0 ~n_candidates ~warnings
-            ~failure:(Some msg) ()
-      | Ok examples -> (
-          let verify concrete =
-            if not m.verify then true
-            else begin
-              let t0 = Unix.gettimeofday () in
-              let ok =
-                match Bmc.check ~func ~signature:q.signature ~candidate:concrete () with
-                | Bmc.Equivalent -> true
-                | Bmc.Not_equivalent _ | Bmc.Inconclusive _ -> false
-              in
-              verify_s := !verify_s +. (Unix.gettimeofday () -. t0);
-              ok
-            end
-          in
-          let consts = Stagg_minic.Ast.constants func in
-          (* the examples are a function of (benchmark, example_seed), so
-             this key scopes the cross-sweep validation memo correctly.
-             [memo_scope] prefixes the key WITHOUT entering the example
-             seed: a serve epoch isolates its verdicts from other epochs
-             while drawing examples identical to the direct pipeline's,
-             so lifted outputs stay byte-identical across both paths. *)
-          let memo_key = Printf.sprintf "%s%s#%d" memo_scope q.qname example_seed in
-          (* prepared once per query: the checker depends only on
-             (signature, examples), not on the template under test *)
-          let checker = Validator.prepare ~signature:q.signature ~examples in
-          let validate template =
-            let t0 = Unix.gettimeofday () in
-            let sol, n =
-              Validator.validate_counted ~signature:q.signature ~checker ~consts ~verify
-                ~memo_key ~batched:m.batched_validate template
-            in
-            validate_s := !validate_s +. (Unix.gettimeofday () -. t0);
-            instantiations := !instantiations + n;
-            sol
-          in
+      let consts = Stagg_minic.Ast.constants func in
+      match
+        Accept.validator acc ?memo_scope ~seed:m.seed ~func ~signature:q.signature ~consts
+          ~verify:m.verify ~batched:m.batched_validate ()
+      with
+      | Error msg -> finish ~n_candidates ~warnings (Error msg)
+      | Ok validate -> (
           let prune = prune_of m q ~consts prep in
           let pruned_rules =
             match prune with Some pr -> Prune.n_doomed pr | None -> 0
@@ -358,23 +297,14 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
                   ~budget:m.budget ~validate ()
           in
           let stats = Astar.stats_of outcome in
-          let finish =
-            finish ~suppressed:stats.suppressed ~peak_frontier:stats.peak_frontier ~pruned_rules
-              ~warnings ~n_candidates
-          in
-          match outcome with
-          | Astar.Solved (sol, _) ->
-              finish ~solved:true ~solution:(Some sol) ~attempts:stats.attempts
-                ~expansions:stats.expansions ~failure:None ()
-          | Astar.Exhausted _ ->
-              finish ~solved:false ~solution:None ~attempts:stats.attempts
-                ~expansions:stats.expansions ~failure:(Some "search space exhausted") ()
-          | Astar.Budget_exceeded (Astar.Timeout, _) ->
-              finish ~solved:false ~solution:None ~attempts:stats.attempts
-                ~expansions:stats.expansions ~failure:(Some "timeout") ()
-          | Astar.Budget_exceeded (_, _) ->
-              finish ~solved:false ~solution:None ~attempts:stats.attempts
-                ~expansions:stats.expansions ~failure:(Some "budget exceeded") ())))
+          finish ~expansions:stats.expansions ~suppressed:stats.suppressed
+            ~peak_frontier:stats.peak_frontier ~pruned_rules ~n_candidates ~warnings
+            ~attempts:stats.attempts
+            (match outcome with
+            | Astar.Solved (sol, _) -> Ok sol
+            | Astar.Exhausted _ -> Error "search space exhausted"
+            | Astar.Budget_exceeded (Astar.Timeout, _) -> Error "timeout"
+            | Astar.Budget_exceeded (_, _) -> Error "budget exceeded"))))
 
 let lift ?memo_scope (m : Method_.t) (q : query) : Result_.t =
   lift_prefixed ?memo_scope m q (prefix_of_query q)

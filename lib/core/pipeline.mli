@@ -82,15 +82,13 @@ val prune_of :
 
 (** [lift m q] — the whole pipeline on an arbitrary query; never raises.
 
-    [memo_scope] (default [""]) prefixes the cross-sweep validation-memo
-    key. It does NOT enter the example seed: a scoped lift draws the
-    same examples (and hence produces byte-identical results) as an
-    unscoped one, but shares no memoized verdicts with other scopes —
-    the serve path stamps each server epoch's scope here so a long-lived
-    process cannot bleed verdicts between epochs. Pick scopes ending in
-    a delimiter that cannot occur in a [qname] (the server uses
-    ["epoch<n>|"]) so distinct (scope, qname) pairs never concatenate to
-    the same key. *)
+    Candidates are accepted through {!Accept.validator}; [memo_scope] is
+    its validation-memo key prefix (default [""]), which does not enter
+    the example seed. The serve path stamps each server epoch's scope
+    here so a long-lived process cannot bleed verdicts between epochs.
+    Pick scopes ending in a delimiter that cannot occur in a [qname]
+    (the server uses ["epoch<n>|"]) so distinct (scope, qname) pairs
+    never concatenate to the same key. *)
 val lift : ?memo_scope:string -> Method_.t -> query -> Result_.t
 
 (** [lift_prefixed m q prefix] — stages ③–④ on a precomputed prefix

@@ -84,6 +84,9 @@ let nondet_fns =
     [ "Unix"; "localtime" ];
     [ "Unix"; "gmtime" ];
     [ "Sys"; "time" ];
+    (* the library's one clock, and the monotonic source behind it *)
+    [ "Clock"; "now" ];
+    [ "Monotonic_clock"; "now" ];
   ]
 
 (* operations that must not run while a lock is held: potentially

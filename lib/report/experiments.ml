@@ -1,5 +1,6 @@
 open Stagg
 module Pool = Stagg_util.Pool
+module Clock = Stagg_util.Clock
 module Penalty = Stagg_search.Penalty
 module Suite = Stagg_benchsuite.Suite
 
@@ -72,9 +73,9 @@ let sweep_timed ?log ~progress label f =
      marking for the previous sweep's garbage (frontiers run to ~10⁶ live
      entries), and the per-sweep times depend on sweep order *)
   Gc.compact ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Clock.now () -. t0 in
   (* heap size BEFORE the next sweep's compaction: with a compacted
      start, this is the sweep's own high-water footprint *)
   (match log with

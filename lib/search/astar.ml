@@ -11,7 +11,6 @@ type stats = {
   expansions : int;
   suppressed : int;
   peak_frontier : int;
-  elapsed_s : float;
 }
 
 type stop_reason = Attempts | Expansions | Frontier | Timeout
@@ -235,7 +234,7 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
       (* the duplicate/doomed replay protocol marks [seen_fp], so pruning
          only composes with fingerprint dedup *)
       prune = (if dedup = Fingerprint then prune else None);
-      started = Unix.gettimeofday ();
+      started = Clock.now ();
       eseq = 0;
       attempts = 0;
       expansions = 0;
@@ -248,7 +247,7 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
   qpush e 0. (Entry { c = 0.; deriv = []; ann = Node.annotate g fps x0; pst = Prune.root });
   e
 
-let elapsed e = Unix.gettimeofday () -. e.started
+let elapsed e = Clock.now () -. e.started
 
 let stats e =
   {
@@ -256,7 +255,6 @@ let stats e =
     expansions = e.expansions;
     suppressed = e.suppressed;
     peak_frontier = e.peak_frontier;
-    elapsed_s = elapsed e;
   }
 
 (* Same per-nonterminal values and the same left-to-right summation as
@@ -269,9 +267,8 @@ let g_opens e opens =
 let max_frontier = 1_500_000
 
 (* The attempt/expansion/frontier checks are exact (they bound the
-   deterministic outcome); the wall clock is only a backstop, so the
-   [gettimeofday] syscall is polled every 64 pops and latched, keeping it
-   out of the hot loop. *)
+   deterministic outcome); the clock is only a backstop, so it is polled
+   every 64 pops and latched, keeping it out of the hot loop. *)
 (* Budget accounting runs on TOTAL baseline pops — real expansions plus
    admission-suppressed ledger drains — so enabling the analysis prune
    moves no stop point: the tick sequence, and hence where a cap or the

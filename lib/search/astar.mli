@@ -28,7 +28,6 @@ type stats = {
           ghosts; the admission ledger is not counted). Deterministic,
           so it pins the frontier's memory high-water mark: turning the
           analysis prune off enqueues doomed children and raises it. *)
-  elapsed_s : float;
 }
 
 (** Which limit ended an unsuccessful search: the deterministic caps

@@ -2,9 +2,8 @@ open Stagg_util
 module Sig = Stagg_minic.Signature
 module Method_ = Stagg.Method_
 module Pipeline = Stagg.Pipeline
+module Accept = Stagg.Accept
 module Validator = Stagg_validate.Validator
-module Examples = Stagg_validate.Examples
-module Bmc = Stagg_verify.Bmc
 module Subst = Stagg_template.Subst
 module Pretty = Stagg_taco.Pretty
 
@@ -227,18 +226,12 @@ let try_remap ~(m : Method_.t) ~qname ~func ~signature ~consts (dl : Cache.lifte
     else
       let subst = { Subst.tensor_binding; const_binding } in
       let concrete = Subst.instantiate dl.template subst in
-      let example_seed = m.Method_.seed lxor Hashtbl.hash (qname, "examples") in
-      let prng = Prng.create ~seed:example_seed in
-      match Examples.generate ~func ~signature ~prng () with
+      match Accept.checker ~seed:m.Method_.seed ~qname ~func ~signature with
       | Error _ -> None
-      | Ok examples ->
+      | Ok checker ->
           let passes =
-            Validator.check_concrete ~signature ~examples concrete
-            && (not m.Method_.verify
-               ||
-               match Bmc.check ~func ~signature ~candidate:concrete () with
-               | Bmc.Equivalent -> true
-               | Bmc.Not_equivalent _ | Bmc.Inconclusive _ -> false)
+            Validator.check checker concrete
+            && ((not m.Method_.verify) || Accept.equivalent ~func ~signature concrete)
           in
           if not passes then None
           else
@@ -325,13 +318,13 @@ let handle_lift t ~seq ~(req : request) ~raw_id =
               ~params:(List.map (fun (p : Stagg_minic.Ast.param) -> p.pname) func.params)
               ~mdig:req.mdig
           in
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.now () in
           let vs0 = Validator.stats () in
           let respond cache_path o =
             let vs1 = Validator.stats () in
             lift_response t ~id:qname ~seq ~kernel:func.Stagg_minic.Ast.fname ~fp ~cache_path
               ~vs0 ~vs1
-              ~time_s:(Unix.gettimeofday () -. t0)
+              ~time_s:(Clock.now () -. t0)
               o
           in
           match Cache.acquire t.cache ~key ~fp with

@@ -254,14 +254,8 @@ let compiled_template_for template : Tcompile.t option =
           | None -> ());
           Some ct)
 
-(* Instantiation observability: the count is accumulated per call (no
-   shared counter on the hot path — the old global [ref] raced under the
-   domain pool) and the last count is published to an atomic for the
-   sequential [last_instantiations] API. *)
-
-let last_count = Atomic.make 0
-let last_instantiations () = Atomic.get last_count
-
+(* The instantiation count is accumulated per call and returned, so no
+   shared counter sits on the hot path. *)
 let validate_counted ~signature ~(checker : checker) ~consts ?(verify = fun _ -> true)
     ?memo_key ?(batched = true) template =
   let args =
@@ -340,8 +334,4 @@ let validate_counted ~signature ~(checker : checker) ~consts ?(verify = fun _ ->
 
 let validate ~signature ~examples ~consts ?verify ?memo_key ?batched template =
   let checker = prepare ~signature ~examples in
-  let solution, count =
-    validate_counted ~signature ~checker ~consts ?verify ?memo_key ?batched template
-  in
-  Atomic.set last_count count;
-  solution
+  fst (validate_counted ~signature ~checker ~consts ?verify ?memo_key ?batched template)

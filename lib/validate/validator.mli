@@ -30,11 +30,6 @@ type solution = {
 
 val pp_solution : Format.formatter -> solution -> unit
 
-(** Number of instantiations executed by the last [validate] call on any
-    domain (observability for sequential callers and tests; under a domain
-    pool use {!validate_counted} for a race-free per-call count). *)
-val last_instantiations : unit -> int
-
 (** A prepared example set — per-example tensor environments (assoc list
     and slot-resolved table), expected outputs and cheapest-first ordering
     — computed once per (signature, examples) and reused across every
@@ -76,8 +71,7 @@ val validate :
   solution option
 
 (** As {!validate}, over a prepared [checker], and also returns how many
-    instantiations this call executed (race-free under the domain pool,
-    unlike {!last_instantiations}). *)
+    instantiations this call executed. *)
 val validate_counted :
   signature:Stagg_minic.Signature.t ->
   checker:checker ->

@@ -66,7 +66,8 @@ let test_racy_blocking () =
 let test_racy_nondet () =
   let v = racy () in
   Alcotest.(check (list string))
-    "gettimeofday and self_init flagged" [ "reseed"; "stamp" ]
+    "gettimeofday, both clock reads and self_init flagged"
+    [ "raw_tick"; "reseed"; "stamp"; "tick" ]
     (contexts R.Nondet "Fr_nondet" v.R.violations)
 
 (* ---- the clean twins stay silent ---- *)

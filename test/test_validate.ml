@@ -90,8 +90,13 @@ let test_validator_rejects_wrong_structure () =
   check_bool "wrong arity LHS" true (validate "a(i,j) = b(i,j)" = None)
 
 let test_validator_counts_instantiations () =
-  ignore (validate "a(i) = b(i,j) * c(j)");
-  check_bool "tried at least one instantiation" true (Validator.last_instantiations () >= 1)
+  let checker = Validator.prepare ~signature:gemv_sig ~examples:(gen_examples ()) in
+  let sol, n =
+    Validator.validate_counted ~signature:gemv_sig ~checker ~consts:[]
+      (parse_t "a(i) = b(i,j) * c(j)")
+  in
+  check_bool "solved" true (sol <> None);
+  check_bool "tried at least one instantiation" true (n >= 1)
 
 let test_validator_verify_hook () =
   (* a verify hook that rejects everything forces exhaustion *)
