@@ -6,15 +6,9 @@ let label = "LLM"
 
 let run ~seed (b : Bench.t) : Stagg.Result_.t =
   let acc = Accept.start ~bench:b.name ~method_label:label in
-  let prng = Prng.create ~seed:(seed lxor Hashtbl.hash b.name) in
   let responses =
-    match Bench.truth b with
-    | Some ground_truth ->
-        let (module Llm) =
-          Stagg_oracle.Mock_llm.client ~prng ~ground_truth ~quality:b.llm_quality
-        in
-        Llm.query ~prompt:(Stagg_oracle.Prompt.build ~c_source:b.c_source)
-    | None -> []
+    let (module Llm) = Stagg.Pipeline.llm_client ~seed b in
+    Llm.query ~prompt:(Stagg_oracle.Prompt.build ~c_source:b.c_source)
   in
   let candidates = Stagg_oracle.Response.parse_all responses in
   let n_candidates = List.length candidates in

@@ -21,20 +21,20 @@ type query = {
   oracle : Method_.oracle;
 }
 
-let query_of_bench (m : Method_.t) (b : Bench.t) : query =
+let llm_client ~seed (b : Bench.t) : (module Stagg_oracle.Llm_client.S) =
   (* one deterministic mock-LLM stream per (seed, benchmark) *)
-  let prng = Prng.create ~seed:(m.seed lxor Hashtbl.hash b.name) in
-  let client =
-    match Bench.truth b with
-    | Some ground_truth -> Stagg_oracle.Mock_llm.client ~prng ~ground_truth ~quality:b.llm_quality
-    | None -> Stagg_oracle.Replay.of_lines []
-  in
+  let prng = Prng.create ~seed:(seed lxor Hashtbl.hash b.name) in
+  match Bench.truth b with
+  | Some ground_truth -> Stagg_oracle.Mock_llm.client ~prng ~ground_truth ~quality:b.llm_quality
+  | None -> Stagg_oracle.Replay.of_lines []
+
+let query_of_bench (m : Method_.t) (b : Bench.t) : query =
   {
     qname = b.name;
     func = Bench.func b;
     signature = b.signature;
     c_source = b.c_source;
-    client;
+    client = llm_client ~seed:m.seed b;
     oracle = m.oracle;
   }
 

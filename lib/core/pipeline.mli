@@ -36,9 +36,14 @@ type query = {
           repeat it. *)
 }
 
-(** [query_of_bench m b] packages a suite benchmark with its mock LLM.
-    Only [m.seed] matters here: the mock-LLM stream is one per
-    (seed, benchmark), shared by every method of a campaign. *)
+(** [llm_client ~seed b] — a suite benchmark's mock LLM: one
+    deterministic response stream per (seed, benchmark), shared by every
+    method of a campaign and by the LLM-only baseline. A benchmark
+    without a ground truth gets a client that answers nothing. *)
+val llm_client : seed:int -> Stagg_benchsuite.Bench.t -> (module Stagg_oracle.Llm_client.S)
+
+(** [query_of_bench m b] packages a suite benchmark with its mock LLM
+    ({!llm_client} at [m.seed]). *)
 val query_of_bench : Method_.t -> Stagg_benchsuite.Bench.t -> query
 
 (** The method-independent prefix of preparation: parsed LLM candidates,

@@ -11,6 +11,8 @@ type stats = {
   expansions : int;
   suppressed : int;
   peak_frontier : int;
+  push_decodes : int;
+  a4_rejections : int;
 }
 
 type stop_reason = Attempts | Expansions | Frontier | Timeout
@@ -35,9 +37,9 @@ type prune_mode = Prune_admission
 (* ---- the admission ledger ----
 
    Admission control at push time: a doomed complete child is never
-   enqueued — no entry record, no annotation kept alive, no frontier
-   traffic — but the pop the baseline would have spent on it must still
-   tick the budget and the 64-pop clock poll AT ITS BASELINE POSITION,
+   enqueued — no frontier item, no heap traffic — but the pop the
+   baseline would have spent on it must still tick the budget and the
+   64-pop clock poll AT ITS BASELINE POSITION,
    or the attempt/expansion caps would land on different templates (the
    suppressed child is pushed long before the baseline pops it, so
    counting it at push time front-loads the budget and stops the search
@@ -148,14 +150,13 @@ module Ledger = struct
     (fp, depth, nt)
 end
 
-(* A frontier element is a partial leftmost derivation: the applied
-   rule ids, most recent first, consed onto the parent's list, so a push
-   costs one cons cell and siblings share their parent's tail. Everything
-   the push and pop sides read besides a tree — path cost, metrics, open
-   leaves, depth, fingerprint — is extended incrementally in [ann]. A
-   tree or program is decoded ({!Node.of_derivation}) only where one is
-   read: a penalty that inspects the AST at push, and a template that
-   reaches validation (or is printed as a [Pretty_key]) at pop. *)
+(* A popped search state: a partial leftmost derivation, as the applied
+   rule ids, most recent first, with everything the pop and its pushes
+   read besides a tree — path cost, metrics, open leaves, depth,
+   fingerprint — extended incrementally in [ann]. A tree or program is
+   decoded ({!Node.of_derivation}) only where one is read: an a4
+   candidate at push, and a template that reaches validation (or is
+   printed as a [Pretty_key]) at pop. *)
 type entry = {
   c : float;  (** path cost c(x) *)
   deriv : int list;  (** applied rule ids, most recent first *)
@@ -163,23 +164,27 @@ type entry = {
   pst : Prune.state;  (** analysis-prune state of the applied-rule multiset *)
 }
 
-(* [Ghost] replays the pop of a complete duplicate of an
-   already-validated template without carrying (or ever building) the
-   tree: its pop only counts an expansion, exactly what the popped
-   duplicate would have done. *)
-type item = Entry of entry | Ghost
+(* A frontier item holds no annotation. A pushed child is its expanded
+   parent and the rule applied to it, rebuilt into an [entry] only when
+   popped ({!rebuild}); the annotation its push computed for f dies
+   young, and siblings share the parent. [Ghost] replays the pop of a
+   complete duplicate of an already-validated template: its pop only
+   counts an expansion, exactly what the popped duplicate would have
+   done. *)
+type item = Root of entry | Child of { parent : entry; rid : int; pst : Prune.state } | Ghost
 
 type 'sol engine = {
   pcfg : Pcfg.t;
   penalty : Penalty.compiled;
   budget : budget;
+  a4 : Penalty.a4_scan;
   validate : Stagg_taco.Ast.program -> 'sol option;
   frontier : item Pqueue.t;  (** priority f(x) *)
   sup : Ledger.t;  (** admission-suppressed (f, seq, fp, guards) keys *)
   dedup : dedup;
-  seen_fp : (int, unit) Hashtbl.t;  (** validated templates, fingerprints *)
+  seen_fp : Inttbl.t;  (** validated templates, fingerprints *)
   seen_str : (string, unit) Hashtbl.t;  (** validated templates, printed form (legacy mode) *)
-  pen_memo : (int, float) Hashtbl.t;
+  pen_memo : Inttbl.t;
       (** fingerprint → penalty a complete template was pushed with; lets a
           duplicate's ghost reconstruct the same f without rescoring *)
   fps : Node.fingerprints;
@@ -192,6 +197,8 @@ type 'sol engine = {
   mutable expansions : int;
   mutable suppressed : int;  (** ledger drains *)
   mutable peak_frontier : int;  (** largest [frontier] length seen by [run] *)
+  mutable push_decodes : int;  (** a4 candidates decoded at push *)
+  mutable a4_rejections : int;  (** complete children a4 kept off the frontier *)
   mutable timed_out : bool;  (** latched by the periodic clock check *)
   mutable stop : stop_reason;  (** which limit fired, for [Budget_exceeded] *)
 }
@@ -220,14 +227,15 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
     {
       pcfg;
       penalty = Penalty.compile penalty_ctx;
+      a4 = Penalty.a4_scan g;
       budget;
       validate;
       frontier = Pqueue.create ~dummy:Ghost;
       sup = Ledger.create ();
       dedup;
-      seen_fp = Hashtbl.create 64;
+      seen_fp = Inttbl.create ();
       seen_str = Hashtbl.create 64;
-      pen_memo = Hashtbl.create 64;
+      pen_memo = Inttbl.create ();
       fps;
       rule_cost;
       h_memo;
@@ -240,11 +248,13 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
       expansions = 0;
       suppressed = 0;
       peak_frontier = 0;
+      push_decodes = 0;
+      a4_rejections = 0;
       timed_out = false;
       stop = Expansions;
     }
   in
-  qpush e 0. (Entry { c = 0.; deriv = []; ann = Node.annotate g fps x0; pst = Prune.root });
+  qpush e 0. (Root { c = 0.; deriv = []; ann = Node.annotate g fps x0; pst = Prune.root });
   e
 
 let elapsed e = Clock.now () -. e.started
@@ -255,6 +265,8 @@ let stats e =
     expansions = e.expansions;
     suppressed = e.suppressed;
     peak_frontier = e.peak_frontier;
+    push_decodes = e.push_decodes;
+    a4_rejections = e.a4_rejections;
   }
 
 (* Same per-nonterminal values and the same left-to-right summation as
@@ -322,14 +334,14 @@ let check_add tbl key =
    A template without a program (an unrecognized rule shape) is neither
    counted nor marked seen. *)
 let try_validate e g ~fp deriv : 'sol option =
-  if e.dedup = Fingerprint && Hashtbl.mem e.seen_fp fp then None
+  if e.dedup = Fingerprint && Inttbl.mem e.seen_fp fp then None
   else
     match Node.to_program g (Node.of_derivation g deriv) with
     | None -> None
     | Some p ->
         let dup =
           match e.dedup with
-          | Fingerprint -> check_add e.seen_fp fp
+          | Fingerprint -> Inttbl.check_add e.seen_fp fp
           | Pretty_key -> check_add e.seen_str (Pretty.program_to_string p)
         in
         if dup then None
@@ -338,16 +350,29 @@ let try_validate e g ~fp deriv : 'sol option =
           e.validate p
         end
 
-(* The program a complete child's penalty reads: decoded only when a
-   criterion reads it (a4), and dropped once the child is scored. *)
-let scoring_program e g deriv =
-  if Penalty.needs_program e.penalty then Node.to_program g (Node.of_derivation g deriv)
-  else None
+(* X(x) of the child [rid :: rd] with metrics [m]. a4 is decided on
+   the derivation: the scan clears most complete children without a
+   tree, and only a candidate is decoded and checked exactly. *)
+let penalty e g (m : Node.metrics) rid rd =
+  let pen = Penalty.score_compiled e.penalty m in
+  if
+    pen < infinity
+    && Penalty.checks_a4 e.penalty m
+    && Penalty.a4_candidate e.a4 rid rd
+    &&
+    (e.push_decodes <- e.push_decodes + 1;
+     match Node.to_program g (Node.of_derivation g (rid :: rd)) with
+     | Some p -> Penalty.same_operand_addsubdiv p.Stagg_taco.Ast.rhs
+     | None -> false)
+  then begin
+    e.a4_rejections <- e.a4_rejections + 1;
+    infinity
+  end
+  else pen
 
-(* Push every legal one-step expansion of [parent]. Metrics are extended
-   incrementally from the parent's annotation and the child's derivation
-   is one cons onto the parent's, so a child tree is decoded only for a
-   penalty that reads it. *)
+(* Push every legal one-step expansion of [parent]. Each child's
+   annotation is extended from the parent's to score it, then dropped:
+   the frontier keeps only (parent, rule). *)
 let push_expansions e (g : Cfg.t) (parent : entry) =
   match parent.ann.Node.opens with
   | [] -> ()
@@ -382,58 +407,63 @@ let push_expansions e (g : Cfg.t) (parent : entry) =
                  its first twin was pushed with (equal template ⇒ equal
                  metrics and AST ⇒ equal penalty), making the ghost's f
                  bit-identical to the suppressed entry's. *)
-              e.dedup = Fingerprint && complete && Hashtbl.mem e.seen_fp ann.Node.fp
+              e.dedup = Fingerprint && complete && Inttbl.mem e.seen_fp ann.Node.fp
               &&
-              match Hashtbl.find_opt e.pen_memo ann.Node.fp with
-              | Some pen ->
-                  qpush e (c' +. 0. +. pen) Ghost;
-                  true
-              | None -> false
+              (* only finite penalties are memoized *)
+              let pen = Inttbl.find e.pen_memo ann.Node.fp ~default:infinity in
+              pen < infinity
+              &&
+              (qpush e (c' +. 0. +. pen) Ghost;
+               true)
             in
             if not ghosted then begin
               let pst' =
                 match e.prune with None -> Prune.root | Some pr -> Prune.step pr parent.pst r.id
               in
-              if Option.is_some e.prune && complete && Prune.is_doomed pst' then begin
-                (* a DOOMED complete child — the analysis proved its
-                   validation enumerates zero substitutions — is never
-                   enqueued: its (f, seq) key goes to the admission ledger,
-                   which replays the pop's observable effects at its
-                   baseline position. The penalty is scored the baseline
-                   way because f must be bit-identical, and [pen_memo] is
-                   still fed so later twins ghost exactly as before.
-                   Incomplete doomed children stay ordinary entries: their
-                   pops never validate anyway, and their children inherit
-                   the doomed state through [pst]. *)
-                let program = scoring_program e g (r.id :: parent.deriv) in
-                let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
-                if pen < infinity then begin
-                  Hashtbl.replace e.pen_memo ann.Node.fp pen;
+              let pen = penalty e g ann.Node.metrics r.id parent.deriv in
+              if pen < infinity then begin
+                if e.dedup = Fingerprint && complete then Inttbl.replace e.pen_memo ann.Node.fp pen;
+                if Option.is_some e.prune && complete && Prune.is_doomed pst' then
+                  (* a DOOMED complete child — the analysis proved its
+                     validation enumerates zero substitutions — is never
+                     enqueued: its (f, seq) key goes to the admission
+                     ledger, which replays the pop's observable effects at
+                     its baseline position. The penalty is scored the
+                     baseline way because f must be bit-identical, and
+                     [pen_memo] is still fed so later twins ghost exactly
+                     as before. Incomplete doomed children stay ordinary
+                     entries: their pops never validate anyway, and their
+                     children inherit the doomed state through [pst]. *)
                   Ledger.push e.sup ~prio:(c' +. 0. +. pen) ~seq:(take_seq e) ~fp:ann.Node.fp
                     ~depth:ann.Node.depth ~nt:ann.Node.metrics.n_tensors
-                end
-              end
-              else begin
-                let deriv = r.id :: parent.deriv in
-                let program = if complete then scoring_program e g deriv else None in
-                let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
-                if pen < infinity then begin
-                  if e.dedup = Fingerprint && complete then
-                    Hashtbl.replace e.pen_memo ann.Node.fp pen;
+                else
                   let f = c' +. g_of ann.Node.opens +. pen in
-                  qpush e f (Entry { c = c'; deriv; ann; pst = pst' })
-                end
+                  qpush e f (Child { parent; rid = r.id; pst = pst' })
               end
             end
           end)
         (Cfg.rules_for g nt)
+
+(* The entry a frontier item stands for. A child's path cost is the
+   same float sum its push computed f from, and its annotation is the
+   one its push computed and dropped. *)
+let rebuild e g = function
+  | Root en -> en
+  | Child { parent; rid; pst } ->
+      {
+        c = parent.c +. e.rule_cost.(rid);
+        deriv = rid :: parent.deriv;
+        ann = Node.expand_metrics e.fps parent.ann (Cfg.rule g rid);
+        pst;
+      }
+  | Ghost -> invalid_arg "Astar.rebuild: a ghost stands for no entry"
 
 (* An admission-ledger drain replays what the baseline pop of the
    suppressed entry would have observably done: count the attempt and
    mark the template seen the first time it survives the same guards
    (the TD depth prune / the BU tensor-count gate) — validating it was a
    structural no-op. *)
-let replay_suppressed e ~fp = if not (check_add e.seen_fp fp) then e.attempts <- e.attempts + 1
+let replay_suppressed e ~fp = if not (Inttbl.check_add e.seen_fp fp) then e.attempts <- e.attempts + 1
 
 (* The searches run on the calling domain; [?domains] accepts only 1
    (see the mli). *)
@@ -466,9 +496,11 @@ let rec run e ~on_ledger ~on_item =
            validates a duplicate (a no-op) and expands nothing *)
         e.expansions <- e.expansions + 1;
         run e ~on_ledger ~on_item
-    | Some (_, Entry en) -> (
+    | Some (_, item) -> (
         e.expansions <- e.expansions + 1;
-        match on_item en with Some outcome -> outcome | None -> run e ~on_ledger ~on_item)
+        match on_item (rebuild e (Pcfg.cfg e.pcfg) item) with
+        | Some outcome -> outcome
+        | None -> run e ~on_ledger ~on_item)
 
 let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?prune
     ?prune_mode:(_ = Prune_admission) ?(domains = 1) ~budget ~validate () =

@@ -28,6 +28,12 @@ type stats = {
           ghosts; the admission ledger is not counted). Deterministic,
           so it pins the frontier's memory high-water mark: turning the
           analysis prune off enqueues doomed children and raises it. *)
+  push_decodes : int;
+      (** complete children decoded at push to decide a4: the derivation
+          scan ({!Penalty.a4_candidate}) found an operator with
+          equal-hash operands. Only children every other criterion
+          left finite are scanned. *)
+  a4_rejections : int;  (** children a4 kept off the frontier *)
 }
 
 (** Which limit ended an unsuccessful search: the deterministic caps

@@ -110,9 +110,26 @@ type fingerprints = {
   d_branch : bool array;
   d_gain : bool array;
   depth_static : bool;
+  (* per-rule facts [expand_metrics] reads instead of walking the rhs:
+     its nonterminals in order, their count, the operator bits its
+     terminals add, and whether it has tensor/const terminals *)
+  r_nts : string list array;
+  r_n_nts : int array;
+  r_ops : int array;
+  r_leaves : bool array;
 }
 
 let depth_static fps = fps.depth_static
+
+(* One bit per operator; prefix minus counts as [Sub]. *)
+let op_bit = function Ast.Add -> 1 | Ast.Sub -> 2 | Ast.Mul -> 4 | Ast.Div -> 8
+
+let term_ops = function
+  | Cfg.Tok_op op -> op_bit op
+  | Cfg.Tok_neg -> op_bit Ast.Sub
+  | Cfg.Tok_tensor _ | Cfg.Tok_const | Cfg.Tok_assign | Cfg.Tok_lparen | Cfg.Tok_rparen -> 0
+
+let is_leaf = function Cfg.Tok_tensor _ | Cfg.Tok_const -> true | _ -> false
 
 (* All constants fit OCaml's 63-bit native int. *)
 let fp_k = 0x2545f4914f6cdd1d
@@ -201,7 +218,32 @@ let fingerprints g =
         then static := false
     | Cfg.Cat_program | Cfg.Cat_tail -> ())
   done;
-  { mult; addend; d_branch; d_gain; depth_static = !static }
+  let rules = Cfg.rules g in
+  let r_nts =
+    Array.map
+      (fun (r : Cfg.rule) -> List.filter_map (function Cfg.NT n -> Some n | Cfg.T _ -> None) r.rhs)
+      rules
+  in
+  {
+    mult;
+    addend;
+    d_branch;
+    d_gain;
+    depth_static = !static;
+    r_nts;
+    r_n_nts = Array.map List.length r_nts;
+    r_ops =
+      Array.map
+        (fun (r : Cfg.rule) ->
+          List.fold_left
+            (fun acc s -> match s with Cfg.T t -> acc lor term_ops t | Cfg.NT _ -> acc)
+            0 r.rhs)
+        rules;
+    r_leaves =
+      Array.map
+        (fun (r : Cfg.rule) -> List.exists (function Cfg.T t -> is_leaf t | Cfg.NT _ -> false) r.rhs)
+        rules;
+  }
 
 let rec fp_scan fps acc = function
   | Leaf _ | Open _ -> acc
@@ -210,21 +252,22 @@ let rec fp_scan fps acc = function
 let fingerprint fps x = fp_scan fps fp_seed x
 
 type metrics = {
-  tensor_leaves : (string * string list) list;
   n_tensors : int;
   n_unique : int;
   firsts_rev : string list;
   sorted_firsts : bool;
   n_index_i : int;
   has_const_leaf : bool;
-  distinct_ops : Ast.op list;
+  ops : int;
   complete : bool;
 }
+
+let n_distinct_ops m =
+  (m.ops land 1) + ((m.ops lsr 1) land 1) + ((m.ops lsr 2) land 1) + ((m.ops lsr 3) land 1)
 
 (* Shared accumulator for the full scan and the incremental extension, so
    the two agree field for field. Leaves must be fed left to right. *)
 type macc = {
-  mutable m_tensors : (string * string list) list;  (** reversed *)
   mutable m_n_tensors : int;
   mutable m_firsts : string list;  (** reversed *)
   mutable m_sorted : bool;
@@ -235,7 +278,6 @@ type macc = {
 }
 
 let macc_add_leaf a n idxs =
-  a.m_tensors <- (n, idxs) :: a.m_tensors;
   a.m_n_tensors <- a.m_n_tensors + 1;
   if List.mem "i" idxs then a.m_n_index_i <- a.m_n_index_i + 1;
   if String.equal n "Const" then begin
@@ -255,11 +297,30 @@ let macc_add_leaf a n idxs =
     a.m_n_unique <- a.m_n_unique + 1
   end
 
+(* feed one terminal to the accumulator; non-leaf terminals are skipped *)
+let macc_add_term a = function
+  | Cfg.Tok_tensor (n, idxs) -> macc_add_leaf a n idxs
+  | Cfg.Tok_const ->
+      macc_add_leaf a "Const" [];
+      a.m_has_const <- true
+  | Cfg.Tok_op _ | Cfg.Tok_neg | Cfg.Tok_assign | Cfg.Tok_rparen | Cfg.Tok_lparen -> ()
+
+let metrics_of_macc a ~ops ~complete =
+  {
+    n_tensors = a.m_n_tensors;
+    n_unique = a.m_n_unique;
+    firsts_rev = a.m_firsts;
+    sorted_firsts = a.m_sorted;
+    n_index_i = a.m_n_index_i;
+    has_const_leaf = a.m_has_const;
+    ops;
+    complete;
+  }
+
 let metrics _g x =
   (* single left-to-right scan over the frontier *)
   let a =
     {
-      m_tensors = [];
       m_n_tensors = 0;
       m_firsts = [];
       m_sorted = true;
@@ -269,31 +330,17 @@ let metrics _g x =
       m_n_unique = 0;
     }
   in
-  let ops = ref [] in
+  let ops = ref 0 in
   let complete = ref true in
   let rec scan = function
     | Open _ -> complete := false
-    | Leaf (Cfg.Tok_tensor (n, idxs)) -> macc_add_leaf a n idxs
-    | Leaf Cfg.Tok_const ->
-        macc_add_leaf a "Const" [];
-        a.m_has_const <- true
-    | Leaf (Cfg.Tok_op op) -> if not (List.mem op !ops) then ops := op :: !ops
-    | Leaf Cfg.Tok_neg -> if not (List.mem Ast.Sub !ops) then ops := Ast.Sub :: !ops
-    | Leaf (Cfg.Tok_assign | Cfg.Tok_rparen | Cfg.Tok_lparen) -> ()
+    | Leaf t ->
+        macc_add_term a t;
+        ops := !ops lor term_ops t
     | Node (_, ch) -> List.iter scan ch
   in
   scan x;
-  {
-    tensor_leaves = List.rev a.m_tensors;
-    n_tensors = a.m_n_tensors;
-    n_unique = a.m_n_unique;
-    firsts_rev = a.m_firsts;
-    sorted_firsts = a.m_sorted;
-    n_index_i = a.m_n_index_i;
-    has_const_leaf = a.m_has_const;
-    distinct_ops = List.rev !ops;
-    complete = !complete;
-  }
+  metrics_of_macc a ~ops:!ops ~complete:!complete
 
 (* ---- incrementally-maintained metrics ----
 
@@ -303,7 +350,7 @@ let metrics _g x =
    leaf, and in every grammar this project generates no tensor/constant
    terminal appears to the right of a nonterminal within one rule's rhs —
    so every tensor leaf of a reachable tree lies left of its leftmost
-   [Open], and a child's [tensor_leaves] is exactly the parent's with the
+   [Open], and a child's leaf sequence is exactly the parent's with the
    applied rule's tensor terminals appended. [expand_metrics] exploits
    that; [incremental_safe] checks the grammar-level precondition, and
    the searches reject grammars that fail it. *)
@@ -362,91 +409,62 @@ let rule_safe (r : Cfg.rule) =
 
 let incremental_safe g = Array.for_all rule_safe (Cfg.rules g)
 
+let rec macc_add_rhs a = function
+  | [] -> ()
+  | Cfg.T t :: rest ->
+      macc_add_term a t;
+      macc_add_rhs a rest
+  | Cfg.NT _ :: rest -> macc_add_rhs a rest
+
+let rec add_paths n p acc = if n = 0 then acc else add_paths (n - 1) p (p :: acc)
+
 let expand_metrics fps (parent : annotated) (r : Cfg.rule) : annotated =
-  begin
-    let pm = parent.metrics in
-    (* the accumulator resumes from the parent's per-leaf facts;
-       [m_tensors] starts empty so it collects just the rule's new leaves
-       (reversed), keeping the [tensor_leaves] append below cheap *)
-    let a =
-      {
-        m_tensors = [];
-        m_n_tensors = pm.n_tensors;
-        m_firsts = pm.firsts_rev;
-        m_sorted = pm.sorted_firsts;
-        m_n_index_i = pm.n_index_i;
-        m_has_const = pm.has_const_leaf;
-        m_const_sym = pm.n_unique > List.length pm.firsts_rev;
-        m_n_unique = pm.n_unique;
-      }
-    in
-    let new_ops = ref [] in
-    let new_nts = ref [] in
-    let n_open = ref (parent.n_open - 1) in
-    (* path count of the node the rule creates (it replaces the head open) *)
-    let p' =
-      match parent.open_paths with
-      | [] -> assert false
-      | p :: _ -> if fps.d_branch.(r.id) then p + 1 else p
-    in
-    List.iter
-      (function
-        | Cfg.NT n ->
-            incr n_open;
-            new_nts := n :: !new_nts
-        | Cfg.T (Cfg.Tok_tensor (n, idxs)) -> macc_add_leaf a n idxs
-        | Cfg.T Cfg.Tok_const ->
-            macc_add_leaf a "Const" [];
-            a.m_has_const <- true
-        | Cfg.T (Cfg.Tok_op op) -> if not (List.mem op !new_ops) then new_ops := op :: !new_ops
-        | Cfg.T Cfg.Tok_neg ->
-            if not (List.mem Ast.Sub !new_ops) then new_ops := Ast.Sub :: !new_ops
-        | Cfg.T (Cfg.Tok_assign | Cfg.Tok_lparen | Cfg.Tok_rparen) -> ())
-      r.rhs;
-    let tensor_leaves =
-      match a.m_tensors with [] -> pm.tensor_leaves | l -> pm.tensor_leaves @ List.rev l
-    in
-    (* first-appearance order may differ from a fresh scan when an op
-       terminal sits right of a nonterminal (EXPR -> EXPR op EXPR); the
-       penalties only use membership and length, which agree *)
-    let distinct_ops =
-      List.fold_left
-        (fun acc op -> if List.mem op acc then acc else acc @ [ op ])
-        pm.distinct_ops (List.rev !new_ops)
-    in
-    {
-      metrics =
+  let id = r.id in
+  let pm = parent.metrics in
+  let n_open = parent.n_open - 1 + fps.r_n_nts.(id) in
+  let complete = n_open = 0 in
+  let ops = pm.ops lor fps.r_ops.(id) in
+  (* a rule without tensor/const terminals changes at most the op bits
+     and the complete flag, and most change neither: those share the
+     parent's record *)
+  let metrics =
+    if fps.r_leaves.(id) then begin
+      (* the accumulator resumes from the parent's per-leaf facts *)
+      let a =
         {
-          tensor_leaves;
-          n_tensors = a.m_n_tensors;
-          n_unique = a.m_n_unique;
-          firsts_rev = a.m_firsts;
-          sorted_firsts = a.m_sorted;
-          n_index_i = a.m_n_index_i;
-          has_const_leaf = a.m_has_const;
-          distinct_ops;
-          complete = !n_open = 0;
-        };
-      n_open = !n_open;
-      (* expansion rewrites the leftmost open leaf — the head of
-         [parent.opens] — so the child's ordered open list is the rule's
-         nonterminals followed by the parent's remaining opens *)
-      opens =
-        (match parent.opens with
-        | [] -> assert false
-        | _ :: rest -> List.rev !new_nts @ rest);
-      open_paths =
-        (match parent.open_paths with
-        | [] -> assert false
-        | _ :: rest ->
-            let rec add n acc = if n = 0 then acc else add (n - 1) (p' :: acc) in
-            add (List.length !new_nts) rest);
-      (* only depth-1 items can raise the max: a weight-0 candidate sits at
-         p' ≤ parent.depth (the expanded open's own candidate bounded it) *)
-      depth = (if fps.d_gain.(r.id) && p' + 1 > parent.depth then p' + 1 else parent.depth);
-      fp = (parent.fp * fps.mult.(r.id)) + fps.addend.(r.id);
-    }
-  end
+          m_n_tensors = pm.n_tensors;
+          m_firsts = pm.firsts_rev;
+          m_sorted = pm.sorted_firsts;
+          m_n_index_i = pm.n_index_i;
+          m_has_const = pm.has_const_leaf;
+          m_const_sym = pm.n_unique > List.length pm.firsts_rev;
+          m_n_unique = pm.n_unique;
+        }
+      in
+      macc_add_rhs a r.rhs;
+      metrics_of_macc a ~ops ~complete
+    end
+    else if ops = pm.ops && complete = pm.complete then pm
+    else { pm with ops; complete }
+  in
+  match (parent.opens, parent.open_paths) with
+  | _ :: rest, p :: paths ->
+      (* path count of the node the rule creates (it replaces the head open) *)
+      let p' = if fps.d_branch.(id) then p + 1 else p in
+      {
+        metrics;
+        n_open;
+        (* expansion rewrites the leftmost open leaf — the head of
+           [parent.opens] — so the child's ordered open list is the rule's
+           nonterminals followed by the parent's remaining opens *)
+        opens = fps.r_nts.(id) @ rest;
+        open_paths = add_paths fps.r_n_nts.(id) p' paths;
+        (* only depth-1 items can raise the max: a weight-0 candidate sits at
+           p' ≤ parent.depth (the expanded open's own candidate bounded it) *)
+        depth = (if fps.d_gain.(id) && p' + 1 > parent.depth then p' + 1 else parent.depth);
+        fp = (parent.fp * fps.mult.(id)) + fps.addend.(id);
+      }
+  | _ -> invalid_arg "Node.expand_metrics: the parent is complete"
 
 (* ---- decoding a leftmost derivation ----
 

@@ -30,10 +30,10 @@ val expansions : Cfg.t -> t -> (Cfg.rule * t) list
 (** [of_derivation g rd] — the partial tree of the leftmost derivation
     from [g]'s start symbol whose applied rule ids, most recent first,
     are [rd]; [Open] leaves stand for the nonterminals not yet expanded.
-    One preorder pass over the rules' right-hand sides. The A* frontier
-    stores [rd] (one cons per push, tail shared with the parent) and
-    decodes only where a tree or program is read. Equal to the tree the
-    {!expansions} chain builds by applying the same rules. *)
+    One preorder pass over the rules' right-hand sides. A popped A*
+    entry holds [rd] (one cons onto its parent's list) and decodes only
+    where a tree or program is read. Equal to the tree the {!expansions}
+    chain builds by applying the same rules. *)
 val of_derivation : Cfg.t -> int list -> t
 
 (** [close_tails g opens rd] — Algorithm 2's RemoveTail on a derivation:
@@ -61,7 +61,9 @@ val g_cost_opens : Pcfg.t -> string list -> float
     prune), not per push. *)
 val depth : Cfg.t -> t -> int
 
-(** Per-grammar tables for the canonical template fingerprint: a 63-bit
+(** Per-grammar tables: those of the canonical template fingerprint, the
+    §5.1 depth tables, and the per-rule facts {!expand_metrics} reads.
+    The fingerprint is a 63-bit
     polynomial hash of the rule-contribution sequence in
     leftmost-derivation (= preorder) order. Two complete trees of the
     same grammar have equal fingerprints iff their {!Stagg_taco.Pretty}
@@ -91,10 +93,7 @@ val depth_static : fingerprints -> bool
 
 (** Facts the penalty functions need, computable on partial trees. *)
 type metrics = {
-  tensor_leaves : (string * string list) list;
-      (** tensor/const terminals in left-to-right order; [Const] appears as
-          [("Const", \[\])] *)
-  n_tensors : int;  (** length of [tensor_leaves] *)
+  n_tensors : int;  (** tensor/const terminals *)
   n_unique : int;
       (** distinct tensor symbols (Const counts once) — the quantity a
           dimension list has one entry per, hence the paper's "length" *)
@@ -106,16 +105,24 @@ type metrics = {
           sorted — the a3/b1 criterion, maintained in O(1) per leaf *)
   n_index_i : int;  (** leaves whose index list contains ["i"] (a1) *)
   has_const_leaf : bool;
-  distinct_ops : Stagg_taco.Ast.op list;
+  ops : int;
+      (** the distinct operators, one {!op_bit} each; a prefix minus
+          counts as [Sub] *)
   complete : bool;
 }
 
 val metrics : Cfg.t -> t -> metrics
 
+(** [op_bit op] — [op]'s bit in {!metrics}[.ops]. *)
+val op_bit : Stagg_taco.Ast.op -> int
+
+(** The number of distinct operators in {!metrics}[.ops]. *)
+val n_distinct_ops : metrics -> int
+
 (** Metrics plus the open leaves — count and ordered (left-to-right)
-    nonterminal names — and the running fingerprint, carried in the A*
-    queue payload so neither pops nor the g(x) of a push rescan the
-    tree. [opens] and [fp] are maintained incrementally for every
+    nonterminal names — and the running fingerprint, held by a popped A*
+    entry and extended once per child, so neither a pop nor the g(x) of
+    a push rescans a tree. [opens] and [fp] are maintained incrementally for every
     grammar: expansion always rewrites the leftmost open leaf, i.e. the
     list's head / the next preorder slot.
 
@@ -151,12 +158,12 @@ val incremental_safe : Cfg.t -> bool
 (** [expand_metrics fps parent r] — the annotation of the tree obtained
     from [parent]'s tree by applying rule [r] at the leftmost open leaf,
     computed from [parent]'s annotation and [r]'s rhs alone — O(|rhs| +
-    tensor leaves), no child tree needed, so pushes don't materialize
-    trees at all. Requires an {!incremental_safe} grammar, which the
-    searches check on entry. Equal
-    to [annotate] on that child except that [distinct_ops] may list the
-    same ops in a different first-appearance order (the penalties use
-    only membership/length). *)
+    distinct tensors), no child tree needed, so pushes don't materialize
+    trees at all. A rule without tensor/const terminals that changes
+    neither the operators nor completeness shares [parent]'s metrics
+    record. Requires an {!incremental_safe} grammar, which the searches
+    check on entry. Equal to [annotate] on that child. Raises
+    [Invalid_argument] when [parent] is complete. *)
 val expand_metrics : fingerprints -> annotated -> Cfg.rule -> annotated
 
 (** [to_program g x] rebuilds the TACO template AST from a complete tree.

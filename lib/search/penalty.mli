@@ -22,22 +22,42 @@ type ctx = {
 }
 
 (** A context compiled for the search hot loop: criterion membership as
-    flat bools, list lengths precomputed. Scoring with it is
-    bit-identical to {!score} on the originating context. *)
+    flat bools, list lengths precomputed. *)
 type compiled
 
 val compile : ctx -> compiled
 
-(** [score_compiled k m ~program] — the total penalty X(x). [program] is
-    the rebuilt template AST when [x] is complete ([None] on partials);
-    a4's structural "same tensor under +,−,/" check needs it. *)
-val score_compiled : compiled -> Node.metrics -> program:Stagg_taco.Ast.program option -> float
+(** [score_compiled k m] — X(x) over every enabled criterion except a4.
+    a4 adds 0 or ∞ to a sum of terms ≥ 0, so the total X(x) is
+    [infinity] when {!checks_a4} holds and x applies +, − or / to two
+    identical operands, and [score_compiled k m] otherwise, bit for bit
+    (see {!score}). *)
+val score_compiled : compiled -> Node.metrics -> float
 
-(** [score ctx m ~program] — [score_compiled] after a one-shot
-    {!compile}; for tests and one-off calls. *)
+(** Can a4 fire on x? It must be enabled and x complete, and two equal
+    operands need a repeated tensor symbol (more leaves than distinct
+    symbols) and one of +, −, / among x's operators. *)
+val checks_a4 : compiled -> Node.metrics -> bool
+
+(** a4's test on a decoded template's right-hand side: some +, − or /
+    applied to two syntactically identical operands. *)
+val same_operand_addsubdiv : Stagg_taco.Ast.expr -> bool
+
+(** [score ctx m ~program] — the total X(x) with a4 read off the decoded
+    template ([program], [None] on partial or undecodable trees); for
+    tests and one-off calls. *)
 val score : ctx -> Node.metrics -> program:Stagg_taco.Ast.program option -> float
 
-(** Does {!score_compiled} ever read [~program]? Only a4 does; when it is
-    disabled, scoring with [~program:None] is bit-identical to scoring
-    with the rebuilt AST, so callers may skip the rebuild. *)
-val needs_program : compiled -> bool
+(** Per-grammar tables and a reusable stack for {!a4_candidate}. Mutable
+    scratch: one per search, never shared between domains. *)
+type a4_scan
+
+val a4_scan : Stagg_grammar.Cfg.t -> a4_scan
+
+(** [a4_candidate s rid rd] — one allocation-free pass over the complete
+    derivation [rid :: rd] (applied rule ids, most recent first). [false]
+    guarantees that the template it decodes to is not an a4 match:
+    either it decodes to no program, or no +, − or / in it has operands
+    with equal expression hashes (equal ASTs always hash equally).
+    [true] (a candidate) must be decided on the decoded program. *)
+val a4_candidate : a4_scan -> int -> int list -> bool

@@ -10,7 +10,8 @@
    pop leaves the vacated slot pointing at whatever lived there before
    the swap, and [grow]'s [Array.make] pins the triggering push's value
    in every unused slot — on a frontier that grew to millions of entries
-   the dead region retains popped values (trees, annotations) until
+   the dead region retains popped values — for the A* frontier, each
+   popped child's parent entry and everything it reaches — until
    [clear], which the GC cannot see past. *)
 
 type 'a t = {

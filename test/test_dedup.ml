@@ -7,6 +7,11 @@
      frontier carries rule-id derivations, and decoding one must rebuild
      the tree, the tail-closed tree and the program the [Node.expansions]
      chain and [Node.remove_tail] build;
+   - a differential of the A* search's a4 scan ({!Penalty.a4_candidate})
+     against a4 on the decoded program, over random complete derivations
+     of generated grammars and of every suite kernel's STAGG^TD grammar,
+     and a count over one STAGG^TD suite pass that every child decoded at
+     push is one a4 rejects;
    - a differential run of the pipeline with fingerprint vs legacy
      printed-string dedup: solved sets, first solutions, and search counts
      must be identical;
@@ -221,11 +226,123 @@ let test_decoding () =
   Alcotest.(check bool) "some partial trees closed by their tails" true (!closed_partials > 0);
   Alcotest.(check bool) "some programs rebuilt" true (!programs > 0)
 
-(* ---- fingerprint vs legacy string dedup, end to end ---- *)
-
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
+
+(* ---- a4 on the derivation vs a4 on the decoded program ---- *)
+
+let suite_td_grammars =
+  lazy
+    (List.filter_map
+       (fun (b : Bench.t) ->
+         match Stagg.Pipeline.prepare Stagg.Method_.stagg_td b with
+         | Ok prep -> Some (grammar_case ("td " ^ b.name) (Stagg_grammar.Pcfg.cfg prep.pcfg))
+         | Error _ -> None)
+       Suite.all)
+
+(* one a4 scanner per grammar, as each search owns one *)
+let a4_grammars =
+  lazy
+    (List.map
+       (fun ((_, g, _, _) as case) -> (case, Penalty.a4_scan g))
+       (Lazy.force grammars @ [ grammar_case "two tails" two_tails ]
+       @ Lazy.force suite_td_grammars))
+
+let same_operand g rd =
+  match Node.to_program g (Node.of_derivation g rd) with
+  | Some p -> Penalty.same_operand_addsubdiv p.Stagg_taco.Ast.rhs
+  | None -> false
+
+let a4_candidates = ref 0
+let a4_matches = ref 0
+
+(* Case: an index into [a4_grammars] and a complete derivation of that
+   grammar, most recent rule first. Runs after the decoding differential,
+   so both earlier corpora are unchanged. *)
+let gen_a4_case _st =
+  let gs = Lazy.force a4_grammars in
+  let i = next_int (List.length gs) in
+  let (_, g, _, sizes), _ = List.nth gs i in
+  let rec complete () =
+    let rd = ref [] in
+    match walk ~visit:(fun _ d -> rd := d) g sizes (Node.initial g) [] (3 + next_int 24) with
+    | Some _ when !rd <> [] -> !rd
+    | _ -> complete ()
+  in
+  (i, complete ())
+
+let print_a4_case (i, rd) =
+  let (label, _, _, _), _ = List.nth (Lazy.force a4_grammars) i in
+  Printf.sprintf "%s: %s" label (String.concat " " (List.map string_of_int rd))
+
+let a4_on =
+  Penalty.compile
+    { Penalty.dim_list = []; ops_available = []; grammar_has_const = false; enabled = [ Penalty.A4 ] }
+
+(* Neither the metrics pre-check ({!Penalty.checks_a4}) nor the scan
+   ever clears an a4 match, so the search's verdict — a candidate that
+   passes both, decided on its decoded program — is a4's verdict. *)
+let a4_scan_sound =
+  QCheck.Test.make ~name:"a non-candidate never decodes to an a4 match" ~count:20_000
+    (QCheck.make ~print:print_a4_case gen_a4_case)
+    (fun (i, rd) ->
+      let (_, g, _, _), scan = List.nth (Lazy.force a4_grammars) i in
+      let checked = Penalty.checks_a4 a4_on (Node.metrics g (Node.of_derivation g rd)) in
+      let candidate = Penalty.a4_candidate scan (List.hd rd) (List.tl rd) in
+      let matches = same_operand g rd in
+      if candidate then incr a4_candidates;
+      if matches then incr a4_matches;
+      let verdict = checked && candidate && same_operand g rd in
+      ((not matches) || (checked && candidate)) && verdict = matches)
+
+let test_a4_corpus () =
+  (* the property is vacuous unless the walks reach a4 matches; the
+     counters are the ones the property, run just before, filled *)
+  check_bool "a4 matches reached" true (!a4_matches > 100);
+  check_bool "candidates reached" true (!a4_candidates >= !a4_matches)
+
+(* One STAGG^TD suite pass, searched as the pipeline searches it, with
+   the push-side a4 counts read off the search statistics: every child
+   the scan sends to decoding is one a4 rejects. The per-kernel search
+   counts must match the pipeline's own run, so this is that pass. *)
+let test_a4_suite_pass () =
+  let m = Stagg.Method_.stagg_td in
+  let results = Stagg.Pipeline.run_suite ~jobs:1 m Suite.all in
+  let decodes = ref 0 and rejections = ref 0 in
+  List.iter2
+    (fun (b : Bench.t) (r : Stagg.Result_.t) ->
+      let q = Stagg.Pipeline.query_of_bench m b in
+      let liftable =
+        (not m.analysis) || Result.is_ok (Stagg_minic.Facts.analyze q.func).ft_verdict
+      in
+      match (liftable, Stagg.Pipeline.prepare_query m q) with
+      | false, _ | _, Error _ -> ()
+      | true, Ok prep -> (
+          let acc = Stagg.Accept.start ~bench:b.name ~method_label:m.label in
+          let consts = Stagg_minic.Ast.constants q.func in
+          match
+            Stagg.Accept.validator acc ~seed:m.seed ~func:q.func ~signature:q.signature ~consts
+              ~verify:m.verify ~batched:m.batched_validate ()
+          with
+          | Error _ -> ()
+          | Ok validate ->
+              let prune = Stagg.Pipeline.prune_of m q ~consts prep in
+              let st =
+                Astar.stats_of
+                  (Astar.search_topdown ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
+                     ~max_depth:m.max_depth ~dedup:m.dedup ?prune ~budget:m.budget ~validate ())
+              in
+              check_int (b.name ^ " attempts") r.attempts st.attempts;
+              check_int (b.name ^ " expansions") r.expansions st.expansions;
+              check_int (b.name ^ " suppressed") r.suppressed st.suppressed;
+              decodes := !decodes + st.push_decodes;
+              rejections := !rejections + st.a4_rejections))
+    Suite.all results;
+  check_bool "a4 rejects children in the pass" true (!rejections > 0);
+  check_int "push-side decodes = a4 rejections" !rejections !decodes
+
+(* ---- fingerprint vs legacy string dedup, end to end ---- *)
 
 let first_solution (r : Stagg.Result_.t) =
   match r.solution with
@@ -280,6 +397,12 @@ let () =
       ( "decoding",
         [
           Alcotest.test_case "derivations decode like tree surgery" `Quick test_decoding;
+        ] );
+      ( "a4",
+        [
+          QCheck_alcotest.to_alcotest a4_scan_sound;
+          Alcotest.test_case "a4 corpus reaches matches" `Quick test_a4_corpus;
+          Alcotest.test_case "push-side decodes are a4 rejections" `Slow test_a4_suite_pass;
         ] );
       ( "differential",
         [

@@ -90,8 +90,7 @@ let test_remove_tail () =
 
 (* property: the incremental annotation carried through the A* queue agrees
    with a full rescan at every expansion, on random walks through top-down
-   and bottom-up grammars (distinct_ops compared as sets — the incremental
-   path may discover the same ops in a different first-appearance order) *)
+   and bottom-up grammars *)
 let test_incremental_metrics_agree () =
   let grammars =
     [
@@ -111,7 +110,6 @@ let test_incremental_metrics_agree () =
     seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
     !seed mod bound
   in
-  let sorted_ops m = List.sort compare m.Node.distinct_ops in
   List.iter
     (fun (label, g) ->
       let safe = Node.incremental_safe g in
@@ -133,8 +131,6 @@ let test_incremental_metrics_agree () =
                     let inc = Node.expand_metrics fps ann r in
                     let scan = Node.annotate g fps x' in
                     let im = inc.Node.metrics and sm = scan.Node.metrics in
-                    check_bool (label ^ ": leaves") true
-                      (im.Node.tensor_leaves = sm.Node.tensor_leaves);
                     check_int (label ^ ": n_tensors") sm.Node.n_tensors im.Node.n_tensors;
                     check_int (label ^ ": n_unique") sm.Node.n_unique im.Node.n_unique;
                     check_bool (label ^ ": firsts_rev") true
@@ -144,7 +140,7 @@ let test_incremental_metrics_agree () =
                     check_int (label ^ ": n_index_i") sm.Node.n_index_i im.Node.n_index_i;
                     check_bool (label ^ ": has_const_leaf") sm.Node.has_const_leaf
                       im.Node.has_const_leaf;
-                    check_bool (label ^ ": distinct_ops") true (sorted_ops im = sorted_ops sm);
+                    check_int (label ^ ": ops") sm.Node.ops im.Node.ops;
                     check_bool (label ^ ": complete") sm.Node.complete im.Node.complete;
                     check_int (label ^ ": n_open") scan.Node.n_open inc.Node.n_open;
                     check_bool (label ^ ": opens") true
@@ -193,14 +189,13 @@ let mk_metrics ?(has_const = false) ?(ops = []) ~complete leaves =
   in
   let const_sym = List.exists (fun (n, _) -> String.equal n "Const") leaves in
   {
-    Node.tensor_leaves = leaves;
-    n_tensors = List.length leaves;
+    Node.n_tensors = List.length leaves;
     n_unique = (List.length firsts_rev + if const_sym then 1 else 0);
     firsts_rev;
     sorted_firsts = sorted (List.rev firsts_rev);
     n_index_i = List.length (List.filter (fun (_, idxs) -> List.mem "i" idxs) leaves);
     has_const_leaf = has_const;
-    distinct_ops = ops;
+    ops = List.fold_left (fun acc op -> acc lor Node.op_bit op) 0 ops;
     complete;
   }
 
@@ -251,7 +246,7 @@ let test_penalty_a4 () =
   check_bool "b+b infinite" true
     (Penalty.score (ctx ~enabled:[ Penalty.A4 ] ()) m ~program:(Some p_add) = infinity);
   check_bool "b*b allowed" true
-    (Penalty.score (ctx ~enabled:[ Penalty.A4 ] ()) { m with Node.distinct_ops = [ Ast.Mul ] }
+    (Penalty.score (ctx ~enabled:[ Penalty.A4 ] ()) { m with Node.ops = Node.op_bit Ast.Mul }
        ~program:(Some p_mul)
     = 0.)
 

@@ -1,4 +1,4 @@
-(* Tests for stagg_util: Bigint, Rat, Pqueue, Pool, Prng. *)
+(* Tests for stagg_util: Bigint, Rat, Pqueue, Pool, Lru, Inttbl, Prng. *)
 
 open Stagg_util
 
@@ -453,6 +453,38 @@ let test_prng_split () =
   let seq t = List.init 10 (fun _ -> Prng.int t 1_000_000) in
   check_bool "split streams differ" false (seq s1 = seq s2)
 
+(* ---- Inttbl ---- *)
+
+(* Model: the stdlib Hashtbl. Keys come from a small range (so probes
+   collide and tables grow through several doublings) plus the extreme
+   ints a fingerprint can take. *)
+let qcheck_inttbl_model =
+  let key =
+    QCheck.(oneof [ int_range (-40) 400; oneofl [ 0; -1; max_int; min_int; 1 lsl 62 ] ])
+  in
+  QCheck.Test.make ~name:"inttbl matches the Hashtbl model" ~count:300
+    QCheck.(list (triple (int_range 0 3) key (int_range 0 9)))
+    (fun ops ->
+      let t = Inttbl.create () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (op, k, v) ->
+          let v = float_of_int v in
+          match op with
+          | 0 ->
+              Inttbl.replace t k v;
+              Hashtbl.replace model k v;
+              true
+          | 1 ->
+              let was = Hashtbl.mem model k in
+              if not was then Hashtbl.replace model k 0.;
+              Inttbl.check_add t k = was
+          | 2 -> Inttbl.mem t k = Hashtbl.mem model k
+          | _ -> (
+              let x = Inttbl.find t k ~default:nan in
+              match Hashtbl.find_opt model k with Some y -> x = y | None -> Float.is_nan x))
+        ops
+      && Inttbl.length t = Hashtbl.length model)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "stagg_util"
@@ -498,6 +530,7 @@ let () =
           Alcotest.test_case "replace and remove" `Quick test_lru_replace_and_remove;
           qc qcheck_lru_model;
         ] );
+      ( "inttbl", [ qc qcheck_inttbl_model ] );
       ( "frontier", [ qc qcheck_frontier_split_merge ] );
       ( "prng",
         [
