@@ -1,167 +1,25 @@
-(** The benchmark harness: regenerates every table and figure of the
-    paper's evaluation (§8) and runs Bechamel micro-benchmarks — one
-    [Test.make] per experiment — timing a representative query for each.
+(** The paper's evaluation harness: regenerates every table and figure
+    of §8, and runs the [@smoke] CI legs.
 
     Run with [dune exec bench/main.exe]; [-- --help] lists the flags.
-    [--skip-ablations] produces only Table 1 and Figures 9–10;
-    [--skip-bechamel] skips the micro-benchmark pass; [--jobs N] (or
-    [-j N]) runs the sweeps on a pool of N domains (default:
+    [--skip-ablations] produces only Table 1 and Figures 9–10; [--jobs N]
+    (or [-j N]) runs the sweeps on a pool of N domains (default:
     [Domain.recommended_domain_count () - 1]; [--jobs 1] reproduces the
-    sequential harness exactly, modulo timing); [--json FILE] also
-    writes the machine-readable summary as JSON for perf-trajectory
-    tracking; [--no-analysis] runs the STAGG methods without the static
-    analysis, the reference its pruning is checked against. [--smoke]
-    is the <60s artificial-suite CI sweep ([dune build @smoke] runs it
-    and diffs the JSON against the committed expectations), steered by
-    [--oracle] and [--heap-ceiling WORDS]; [--serve-smoke] replays a
-    deterministic request mix through an in-process server.
+    sequential harness exactly, modulo timing); [--no-analysis] runs the
+    STAGG methods without the static analysis, the reference its pruning
+    is checked against. [--smoke] is the <60s artificial-suite CI sweep
+    ([dune build @smoke] runs it and diffs its [--json FILE] output
+    against the committed expectations), steered by [--oracle] and
+    [--heap-ceiling WORDS]; [--serve-smoke] replays a deterministic
+    request mix through an in-process server.
 
     [--jobs], [--no-analysis] and [--oracle] are defined once, in
-    {!Cli_flags}, and shared with the [stagg] CLI. Serve throughput and
-    latency under load are the lifting benchmark's serve-mix workload
-    ([sh liftbench/run.sh --workload serve-mix]). *)
+    {!Cli_flags}, and shared with the [stagg] CLI. Lift throughput,
+    latency and per-layer costs are measured by the lifting benchmark
+    ([sh liftbench/run.sh]), not here. *)
 
 module Experiments = Stagg_report.Experiments
-
-let representative name =
-  match Stagg_benchsuite.Suite.find name with
-  | Some b -> b
-  | None -> failwith ("missing benchmark " ^ name)
-
-(* ---- Bechamel micro-benchmarks: one per table/figure ---- *)
-
-(* The staged evaluator vs the reference interpreter on the validation
-   hot path: gemv at the validator's own example sizes (N=3, M=4). The
-   compiled program is built once outside the timed closure, as the
-   validator compiles once per instantiation and evaluates per example. *)
-let evaluator_tests () =
-  let open Bechamel in
-  let module T = Stagg_taco.Tensor in
-  let module I = Stagg_taco.Interp.Make (Stagg_util.Value.Rat_value) in
-  let module C = Stagg_taco.Compile.Make (Stagg_util.Value.Rat_value) in
-  let p = Stagg_taco.Parser.parse_program_exn "R(i) = A(i, j) * X(j)" in
-  let r = Stagg_util.Rat.of_int in
-  let env =
-    [
-      ("A", T.of_flat_array [| 3; 4 |] (Array.init 12 (fun k -> r (k + 1))));
-      ("X", T.of_flat_array [| 4 |] (Array.init 4 (fun k -> r (k + 2))));
-    ]
-  in
-  let lhs_shape = [| 3 |] in
-  let expected =
-    match I.run ~env ~lhs_shape p with
-    | Ok t -> T.to_flat_array t
-    | Error e -> failwith e
-  in
-  let compiled = C.compile p in
-  (* the same kernel as the validator sees it: a template whose symbols
-     are substituted per candidate — once by instantiate+compile (the
-     per-candidate path), once by rebind over the shared template
-     compilation (the batched path) *)
-  let template = Stagg_taco.Parser.parse_program_exn "a(i) = b(i, j) * c(j)" in
-  let mapping = [ ("a", "R"); ("b", "A"); ("c", "X") ] in
-  let template_compiled = C.compile_template template in
-  [
-    Test.make ~name:"validator kernel: gemv Interp.run"
-      (Staged.stage (fun () -> ignore (I.run ~env ~lhs_shape p)));
-    Test.make ~name:"validator kernel: gemv Compile.run_equal"
-      (Staged.stage (fun () -> ignore (C.run_equal compiled ~env ~lhs_shape ~expected)));
-    Test.make ~name:"validator kernel: gemv instantiate+compile+run_equal"
-      (Staged.stage (fun () ->
-           let concrete = Stagg_template.Templatize.rename template ~mapping ~const:None in
-           let c = C.compile concrete in
-           ignore (C.run_equal c ~env ~lhs_shape ~expected)));
-    Test.make ~name:"validator kernel: gemv rebind+run_equal (batched)"
-      (Staged.stage (fun () ->
-           C.rebind template_compiled ~mapping ~const:None;
-           ignore (C.run_equal template_compiled ~env ~lhs_shape ~expected)));
-  ]
-
-(* Per-layer rows for the mini-C interpreter under each of its value
-   domains: traced DAGs (the candidate oracle), rationals (I/O example
-   generation) and rational functions (bounded verification).
-   [dk_conv1x1] is the suite's slowest kernel to trace. *)
-let interpreter_tests () =
-  let open Bechamel in
-  let module Bench = Stagg_benchsuite.Bench in
-  let skeletons name =
-    let b = representative name in
-    let func = Bench.func b in
-    Test.make ~name:("oracle: Trace.skeletons " ^ name)
-      (Staged.stage (fun () -> ignore (Stagg_oracle.Trace.skeletons func b.Bench.signature)))
-  in
-  let gemv = representative "art_gemv" in
-  let func = Bench.func gemv and signature = gemv.Bench.signature in
-  let candidate = Option.get (Bench.truth gemv) in
-  [
-    skeletons "dk_conv1x1";
-    skeletons "art_ttm";
-    Test.make ~name:"examples: Examples.generate art_gemv"
-      (Staged.stage (fun () ->
-           ignore
-             (Stagg_validate.Examples.generate ~func ~signature
-                ~prng:(Stagg_util.Prng.create ~seed:1) ())));
-    Test.make ~name:"verify: Bmc.check art_gemv"
-      (Staged.stage (fun () -> ignore (Stagg_verify.Bmc.check ~func ~signature ~candidate ())));
-  ]
-
-let bechamel_tests () =
-  let open Bechamel in
-  let gemv = representative "art_gemv" in
-  let run_method m () = ignore (Stagg.Pipeline.run m gemv) in
-  let staged f = Staged.stage f in
-  evaluator_tests () @ interpreter_tests ()
-  @ [
-    (* Table 1 / Fig 9 / Fig 10: the head-to-head methods *)
-    Test.make ~name:"table1/fig9/fig10 STAGG_TD" (staged (run_method Stagg.Method_.stagg_td));
-    Test.make ~name:"table1/fig9/fig10 STAGG_BU" (staged (run_method Stagg.Method_.stagg_bu));
-    Test.make ~name:"table1 LLM-only"
-      (staged (fun () -> ignore (Stagg_baselines.Llm_only.run ~seed:1 gemv)));
-    Test.make ~name:"table1 C2TACO"
-      (staged (fun () -> ignore (Stagg_baselines.C2taco.run ~seed:1 ~heuristics:true gemv)));
-    Test.make ~name:"table1 Tenspiler"
-      (staged (fun () -> ignore (Stagg_baselines.Tenspiler.run ~seed:1 gemv)));
-    (* Table 2: the penalty machinery *)
-    Test.make ~name:"table2 STAGG_TD.Drop(A)"
-      (staged (run_method (Stagg.Method_.drop_all_penalties Stagg.Method_.stagg_td "A")));
-    (* Table 3 / Figs 11-12: grammar configurations *)
-    Test.make ~name:"table3/fig11 TD.EqualProbability"
-      (staged (run_method Stagg.Method_.td_equal_probability));
-    Test.make ~name:"table3/fig11 TD.LLMGrammar" (staged (run_method Stagg.Method_.td_llm_grammar));
-    Test.make ~name:"table3/fig12 TD.FullGrammar"
-      (staged (run_method Stagg.Method_.td_full_grammar));
-    ]
-
-(* Each Bechamel test is self-contained, so the micro-benchmark pass runs
-   on the same domain pool as the experiment sweeps; workers return their
-   report lines and the caller prints them in test order. Expect a little
-   more measurement noise at [jobs > 1] — worker domains share the
-   machine while measuring. *)
-let run_bechamel ~jobs () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "== Bechamel micro-benchmarks (one per experiment; gemv query) ==";
-  let instances = [ Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 0.5) () in
-  let measure test =
-    let buf = Buffer.create 128 in
-    let results = Benchmark.all cfg instances test in
-    Hashtbl.iter
-      (fun name raw ->
-        match
-          Analyze.one
-            (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-            Instance.monotonic_clock raw
-        with
-        | ols -> (
-            match Analyze.OLS.estimates ols with
-            | Some [ est ] -> Printf.bprintf buf "  %-44s %14.0f ns/run\n" name est
-            | _ -> Printf.bprintf buf "  %-44s (no estimate)\n" name)
-        | exception _ -> Printf.bprintf buf "  %-44s (analysis failed)\n" name)
-      results;
-    Buffer.contents buf
-  in
-  List.iter print_string (Stagg_util.Pool.map ~jobs measure (bechamel_tests ()))
+module Clock = Stagg_util.Clock
 
 (* ---- smoke mode: a <60s CI sweep over the artificial suite ----
 
@@ -180,10 +38,15 @@ let smoke_methods =
     Stagg.Method_.bu_full_grammar;
   ]
 
+(* Version of the smoke JSON layout. Bump when a field is added, removed
+   or changes meaning, so consumers of the expectations can dispatch
+   instead of guessing. *)
+let schema_version = 4
+
 let smoke_json rows =
   let buf = Buffer.create 512 in
   Printf.bprintf buf "{\n  \"schema_version\": %d,\n  \"suite\": \"artificial\",\n  \"methods\": [\n"
-    Stagg_report.Experiments.schema_version;
+    schema_version;
   let n = List.length rows in
   List.iteri
     (fun i (label, rs) ->
@@ -207,7 +70,7 @@ let smoke_json rows =
 
 let run_smoke ~json_file ~heap_ceiling ~tune () =
   let benches = Stagg_benchsuite.Suite.artificial in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let rows =
     List.map
       (fun (m : Stagg.Method_.t) -> (m.label, Stagg.Pipeline.run_suite (tune m) benches))
@@ -219,7 +82,7 @@ let run_smoke ~json_file ~heap_ceiling ~tune () =
       let solved = List.length (List.filter (fun (r : Stagg.Result_.t) -> r.solved) rs) in
       Printf.printf "  %-24s solved %2d/%d\n" label solved (List.length rs))
     rows;
-  Printf.printf "smoke wall: %.1fs\n" (Unix.gettimeofday () -. t0);
+  Printf.printf "smoke wall: %.1fs\n" (Clock.now () -. t0);
   (match json_file with
   | None -> ()
   | Some file ->
@@ -323,11 +186,11 @@ let run_serve_smoke ~jobs ~json_file () =
         Buffer.add_char buf '\n')
       (Stagg_serve.Server.run_lines server lines)
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   replay "cold";
   replay "warm";
   Printf.printf "== serve smoke (%d requests, cold + warm replay) ==\n" (List.length lines);
-  Printf.printf "serve smoke wall: %.1fs\n" (Unix.gettimeofday () -. t0);
+  Printf.printf "serve smoke wall: %.1fs\n" (Clock.now () -. t0);
   match json_file with
   | None -> print_string (Buffer.contents buf)
   | Some file ->
@@ -336,9 +199,9 @@ let run_serve_smoke ~jobs ~json_file () =
       close_out oc;
       Printf.eprintf "[bench] wrote %s\n%!" file
 
-let run_campaign ~skip_ablations ~skip_bechamel ~analysis ~jobs ~json_file () =
+let run_campaign ~skip_ablations ~analysis ~jobs () =
   let progress msg = Printf.eprintf "[bench] %s\n%!" msg in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let runs =
     if skip_ablations then Experiments.run_core ~progress ~jobs ~analysis ()
     else Experiments.run_all ~progress ~jobs ~analysis ()
@@ -366,26 +229,19 @@ let run_campaign ~skip_ablations ~skip_bechamel ~analysis ~jobs ~json_file () =
   end;
   Printf.printf "== machine-readable summary (method, solved, avg time over solved, avg attempts) ==\n";
   print_string (Experiments.summary runs);
-  let wall_s = Unix.gettimeofday () -. t0 in
-  Printf.printf "\ntotal harness time: %.1fs\n" wall_s;
-  (match json_file with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      output_string oc (Experiments.json_summary ~jobs ~wall_s runs);
-      close_out oc;
-      Printf.eprintf "[bench] wrote %s\n%!" file);
-  if not skip_bechamel then run_bechamel ~jobs ()
+  Printf.printf "\ntotal harness time: %.1fs\n" (Clock.now () -. t0)
 
-let main smoke serve_smoke skip_ablations skip_bechamel no_analysis oracle heap_ceiling jobs
-    json_file =
+let main smoke serve_smoke skip_ablations no_analysis oracle heap_ceiling jobs json_file =
   if serve_smoke then run_serve_smoke ~jobs ~json_file ()
   else if smoke then
     run_smoke ~json_file ~heap_ceiling
       ~tune:(fun m -> Cli_flags.with_oracle oracle (Cli_flags.with_analysis no_analysis m))
       ()
-  else
-    run_campaign ~skip_ablations ~skip_bechamel ~analysis:(not no_analysis) ~jobs ~json_file ()
+  else if json_file <> None then begin
+    prerr_endline "main.exe: --json writes the --smoke or --serve-smoke output only";
+    exit 2
+  end
+  else run_campaign ~skip_ablations ~analysis:(not no_analysis) ~jobs ()
 
 let () =
   (* The campaign's hot loops (A* frontier, validation memo) allocate
@@ -406,7 +262,10 @@ let () =
     Arg.(
       value
       & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the machine-readable summary to $(docv).")
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "With $(b,--smoke) or $(b,--serve-smoke): write the leg's deterministic output to \
+             $(docv).")
   in
   let term =
     Term.(
@@ -414,7 +273,6 @@ let () =
       $ flag "smoke" "Run the <60s artificial-suite CI sweep."
       $ flag "serve-smoke" "Replay the deterministic serve request mix, cold then warm."
       $ flag "skip-ablations" "Only Table 1 and Figures 9–10."
-      $ flag "skip-bechamel" "Skip the micro-benchmark pass."
       $ Cli_flags.no_analysis $ Cli_flags.oracle $ heap_ceiling $ Cli_flags.jobs $ json_file)
   in
   exit (Cmd.eval (Cmd.v (Cmd.info "main.exe" ~doc:"The paper's evaluation harness (§8).") term))

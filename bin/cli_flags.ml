@@ -1,6 +1,6 @@
-(** The flags the [stagg] CLI and the benchmark harness ([bench/main.exe])
-    share, defined once so both executables spell, document and parse
-    them alike. *)
+(** The flags [stagg lift], [stagg suite] and the §8 harness
+    ([bench/main.exe]) share, defined once so both executables spell,
+    document and parse them alike. *)
 
 open Cmdliner
 

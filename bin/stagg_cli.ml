@@ -6,8 +6,10 @@
       (LLM candidates, templates, dimension list, learned pCFG);
     - [stagg kernel NAME] — print the TACO-compiled loop nest of a
       benchmark's lifting;
-    - [stagg suite] — run a method over the whole suite;
-    - [stagg experiments] — regenerate the paper's tables and figures. *)
+    - [stagg suite] — run a method over the whole suite.
+
+    The paper's tables and figures (§8) are regenerated by the benchmark
+    harness, [dune exec bench/main.exe]. *)
 
 open Cmdliner
 module Suite = Stagg_benchsuite.Suite
@@ -295,38 +297,6 @@ let export_cmd =
        ~doc:"Lift a benchmark and render the result for a high-performance backend.")
     Term.(const run $ name_arg $ backend_arg $ method_arg)
 
-(* ---- experiments ---- *)
-
-let experiments_cmd =
-  let core_flag =
-    Arg.(value & flag & info [ "core" ] ~doc:"Only Table 1 and Figures 9–10 (skip ablations).")
-  in
-  let run core jobs =
-    let progress msg = Printf.eprintf "[experiments] %s\n%!" msg in
-    let runs =
-      if core then Stagg_report.Experiments.run_core ~progress ~jobs ()
-      else Stagg_report.Experiments.run_all ~progress ~jobs ()
-    in
-    print_string (Stagg_report.Experiments.table1 runs);
-    print_newline ();
-    print_string (Stagg_report.Experiments.fig9 runs);
-    print_newline ();
-    print_string (Stagg_report.Experiments.fig10 runs);
-    if not core then begin
-      print_newline ();
-      print_string (Stagg_report.Experiments.table2 runs);
-      print_newline ();
-      print_string (Stagg_report.Experiments.table3 runs);
-      print_newline ();
-      print_string (Stagg_report.Experiments.fig11 runs);
-      print_newline ();
-      print_string (Stagg_report.Experiments.fig12 runs)
-    end
-  in
-  Cmd.v
-    (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures (§8).")
-    Term.(const run $ core_flag $ Cli_flags.jobs)
-
 (* ---- serve ---- *)
 
 let serve_cmd =
@@ -465,4 +435,4 @@ let () =
   in
   exit (Cmd.eval (Cmd.group info
        [ list_cmd; lift_cmd; lift_file_cmd; export_cmd; show_cmd; analyze_cmd; kernel_cmd;
-         suite_cmd; serve_cmd; experiments_cmd; lint_cmd ]))
+         suite_cmd; serve_cmd; lint_cmd ]))

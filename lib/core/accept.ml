@@ -7,30 +7,13 @@ type t = {
   bench : string;
   method_label : string;
   started : float;
-  (* per-phase accumulators; the search, the validator and the verifier
-     all run on the calling domain *)
-  mutable validate_s : float;
-  mutable verify_s : float;
+  (* the search and the validator both run on the calling domain *)
   mutable instantiations : int;
 }
 
-let start ~bench ~method_label =
-  {
-    bench;
-    method_label;
-    started = Clock.now ();
-    validate_s = 0.;
-    verify_s = 0.;
-    instantiations = 0;
-  }
+let start ~bench ~method_label = { bench; method_label; started = Clock.now (); instantiations = 0 }
 
 let elapsed t = Clock.now () -. t.started
-
-(* [f ()], its seconds returned alongside: two clock reads *)
-let timed t f =
-  let t0 = elapsed t in
-  let r = f () in
-  (r, elapsed t -. t0)
 
 let example_seed ~seed qname = seed lxor Hashtbl.hash (qname, "examples")
 
@@ -50,32 +33,22 @@ let validator t ?(memo_scope = "") ~seed ~func ~signature ~consts ~verify ?batch
          (* the examples are a function of (qname, example seed), so the
             key scopes the process-wide verdict memo correctly *)
          let memo_key = Printf.sprintf "%s%s#%d" memo_scope t.bench (example_seed ~seed t.bench) in
-         let verify concrete =
-           (not verify)
-           ||
-           let ok, dt = timed t (fun () -> equivalent ~func ~signature concrete) in
-           t.verify_s <- t.verify_s +. dt;
-           ok
-         in
+         let verify concrete = (not verify) || equivalent ~func ~signature concrete in
          fun template ->
-           let (sol, n), dt =
-             timed t (fun () ->
-                 Validator.validate_counted ~signature ~checker ~consts ~verify ~memo_key ?batched
-                   template)
+           let sol, n =
+             Validator.validate_counted ~signature ~checker ~consts ~verify ~memo_key ?batched
+               template
            in
-           t.validate_s <- t.validate_s +. dt;
            t.instantiations <- t.instantiations + n;
            sol)
 
 let check t checker p =
-  let ok, dt = timed t (fun () -> Validator.check checker p) in
-  t.validate_s <- t.validate_s +. dt;
+  let ok = Validator.check checker p in
   t.instantiations <- t.instantiations + 1;
   ok
 
-let finish t ?(expansions = 0) ?(suppressed = 0) ?(peak_frontier = 0) ?(pruned_rules = 0)
-    ?(n_candidates = 0) ?(traced = false) ?(trace_templates = 0) ?(warnings = []) ~attempts
-    outcome =
+let finish t ?(expansions = 0) ?(suppressed = 0) ?(peak_frontier = 0) ?(n_candidates = 0)
+    ?(traced = false) ?(trace_templates = 0) ?(warnings = []) ~attempts outcome =
   {
     Result_.bench = t.bench;
     method_label = t.method_label;
@@ -86,10 +59,7 @@ let finish t ?(expansions = 0) ?(suppressed = 0) ?(peak_frontier = 0) ?(pruned_r
     expansions;
     suppressed;
     peak_frontier;
-    pruned_rules;
     n_candidates;
-    validate_s = t.validate_s;
-    verify_s = t.verify_s;
     instantiations = t.instantiations;
     traced;
     trace_templates;

@@ -11,10 +11,10 @@
     behind the key. *)
 
 type t
-(** One lift in progress: its start time and phase accumulators. *)
+(** One lift in progress: its start time and instantiation count. *)
 
-(** [start ~bench ~method_label] reads the clock once; every phase time
-    and the final [time_s] are measured from here. *)
+(** [start ~bench ~method_label] reads the clock once; the final
+    [time_s] is measured from here. *)
 val start : bench:string -> method_label:string -> t
 
 (** Seconds since {!start}. *)
@@ -43,9 +43,9 @@ val equivalent :
     lift's checker (as {!checker}, with [qname] the lift's [bench]) and
     returns the template validator the search and the baselines call.
     Each call runs {!Stagg_validate.Validator.validate_counted} under the
-    lift's validation memo key, adds its time to [validate_s] and its
-    instantiations to the record; with [verify], each example-passing
-    instantiation must also be {!equivalent}, timed into [verify_s].
+    lift's validation memo key and adds its instantiations to the record;
+    with [verify], each example-passing instantiation must also be
+    {!equivalent}.
 
     [memo_scope] (default [""]) prefixes the memo key but does not enter
     the example seed: a scoped lift draws the same examples, and so
@@ -64,7 +64,7 @@ val validator :
   (Stagg_taco.Ast.program -> Stagg_validate.Validator.solution option, string) result
 
 (** [check t checker p] checks one concrete program against prepared
-    examples, timed into [validate_s]; it counts as one instantiation. *)
+    examples; it counts as one instantiation. *)
 val check : t -> Stagg_validate.Validator.checker -> Stagg_taco.Ast.program -> bool
 
 (** [finish t ~attempts outcome] reads the clock for [time_s] and builds
@@ -75,7 +75,6 @@ val finish :
   ?expansions:int ->
   ?suppressed:int ->
   ?peak_frontier:int ->
-  ?pruned_rules:int ->
   ?n_candidates:int ->
   ?traced:bool ->
   ?trace_templates:int ->

@@ -246,12 +246,11 @@ let lift_prefixed ?memo_scope (m : Method_.t) (q : query) (prefix_r : (prefix, s
     | Ok p -> (p.pf_traced, p.pf_trace_templates, p.pf_trace_warning)
     | Error _ -> (false, 0, None)
   in
-  let finish ?expansions ?suppressed ?peak_frontier ?pruned_rules ?n_candidates ?(warnings = [])
-      ?(attempts = 0) outcome =
+  let finish ?expansions ?suppressed ?peak_frontier ?n_candidates ?(warnings = []) ?(attempts = 0)
+      outcome =
     (* a trace refusal is a warning, not a failure: the search still
        runs on whatever candidates remain (none, under Oracle_trace) *)
-    Accept.finish acc ?expansions ?suppressed ?peak_frontier ?pruned_rules ?n_candidates ~traced
-      ~trace_templates
+    Accept.finish acc ?expansions ?suppressed ?peak_frontier ?n_candidates ~traced ~trace_templates
       ~warnings:(warnings @ Option.to_list trace_warning)
       ~attempts outcome
   in
@@ -282,9 +281,6 @@ let lift_prefixed ?memo_scope (m : Method_.t) (q : query) (prefix_r : (prefix, s
       | Error msg -> finish ~n_candidates ~warnings (Error msg)
       | Ok validate -> (
           let prune = prune_of m q ~consts prep in
-          let pruned_rules =
-            match prune with Some pr -> Prune.n_doomed pr | None -> 0
-          in
           let outcome =
             match m.search with
             | Method_.Top_down ->
@@ -298,7 +294,7 @@ let lift_prefixed ?memo_scope (m : Method_.t) (q : query) (prefix_r : (prefix, s
           in
           let stats = Astar.stats_of outcome in
           finish ~expansions:stats.expansions ~suppressed:stats.suppressed
-            ~peak_frontier:stats.peak_frontier ~pruned_rules ~n_candidates ~warnings
+            ~peak_frontier:stats.peak_frontier ~n_candidates ~warnings
             ~attempts:stats.attempts
             (match outcome with
             | Astar.Solved (sol, _) -> Ok sol

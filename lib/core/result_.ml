@@ -11,10 +11,7 @@ type t = {
   expansions : int;  (** queue pops doing real work (excludes [suppressed]) *)
   suppressed : int;  (** doomed expansions the static analysis kept off the queue *)
   peak_frontier : int;  (** largest A* frontier length, ledger excluded *)
-  pruned_rules : int;  (** grammar rules the analysis marked doomed up front *)
   n_candidates : int;  (** syntactically valid LLM candidates parsed *)
-  validate_s : float;  (** wall time inside the validator, incl. [verify_s] *)
-  verify_s : float;  (** wall time inside the BMC verify hook *)
   instantiations : int;  (** concrete substitution instantiations executed *)
   traced : bool;
       (** the trace oracle ran and emitted at least one template for this
@@ -23,9 +20,6 @@ type t = {
   warnings : string list;  (** static-analysis warnings (precision losses etc.) *)
   failure : string option;  (** reason when unsolved *)
 }
-
-(** Time outside the validator: search/enumeration proper. *)
-let search_s r = Float.max 0. (r.time_s -. r.validate_s)
 
 let solved_names results =
   List.filter_map (fun r -> if r.solved then Some r.bench else None) results

@@ -2,13 +2,27 @@ open Ast
 
 exception Parse_error of string
 
-type state = { mutable toks : Lexer.token list }
+let max_depth = 256
+
+(* [depth] counts the nesting levels open at the head of [toks] *)
+type state = { mutable toks : Lexer.token list; mutable depth : int }
 
 let peek st = match st.toks with [] -> Lexer.EOF | t :: _ -> t
 let peek2 st = match st.toks with _ :: t :: _ -> t | _ -> Lexer.EOF
 let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
 
 let err fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
+
+(* [nested st f] parses one level deeper, and fails past [max_depth].
+   Without the cap the recursion follows the input's nesting, and since
+   each minor GC scans the whole stack, millions of parentheses cost
+   time quadratic in their number. *)
+let nested st f =
+  if st.depth >= max_depth then err "nesting deeper than %d" max_depth;
+  st.depth <- st.depth + 1;
+  let r = f () in
+  st.depth <- st.depth - 1;
+  r
 
 let expect st tok =
   if peek st = tok then advance st
@@ -29,9 +43,9 @@ and parse_ternary st =
   let c = parse_or st in
   if peek st = Lexer.QUESTION then begin
     advance st;
-    let t = parse_expr st in
+    let t = nested st (fun () -> parse_expr st) in
     expect st Lexer.COLON;
-    let e = parse_ternary st in
+    let e = nested st (fun () -> parse_ternary st) in
     Ternary (c, t, e)
   end
   else c
@@ -111,13 +125,13 @@ and parse_unary st =
   match peek st with
   | Lexer.MINUS ->
       advance st;
-      Neg (parse_unary st)
+      Neg (nested st (fun () -> parse_unary st))
   | Lexer.NOT ->
       advance st;
-      Not (parse_unary st)
+      Not (nested st (fun () -> parse_unary st))
   | Lexer.STAR ->
       advance st;
-      Deref (parse_unary st)
+      Deref (nested st (fun () -> parse_unary st))
   | Lexer.AMP -> (
       advance st;
       match parse_postfix st with
@@ -149,9 +163,9 @@ and parse_postfix st =
         | (Lexer.KW_INT | Lexer.KW_FLOAT) when peek2 st = Lexer.RPAREN ->
             advance st;
             advance st;
-            parse_unary st
+            nested st (fun () -> parse_unary st)
         | _ ->
-            let e = parse_expr st in
+            let e = nested st (fun () -> parse_expr st) in
             expect st Lexer.RPAREN;
             e)
     | t -> err "unexpected token %s in expression" (Lexer.token_to_string t)
@@ -159,7 +173,7 @@ and parse_postfix st =
   let rec subscripts e =
     if peek st = Lexer.LBRACK then begin
       advance st;
-      let ix = parse_expr st in
+      let ix = nested st (fun () -> parse_expr st) in
       expect st Lexer.RBRACK;
       subscripts (Index (e, ix))
     end
@@ -251,7 +265,7 @@ let rec parse_stmt st =
   match peek st with
   | Lexer.LBRACE ->
       advance st;
-      let body = parse_stmts st in
+      let body = nested st (fun () -> parse_stmts st) in
       expect st Lexer.RBRACE;
       Block body
   | Lexer.KW_FOR ->
@@ -305,11 +319,11 @@ let rec parse_stmt st =
 and parse_loop_body st =
   if peek st = Lexer.LBRACE then begin
     advance st;
-    let body = parse_stmts st in
+    let body = nested st (fun () -> parse_stmts st) in
     expect st Lexer.RBRACE;
     body
   end
-  else [ parse_stmt st ]
+  else [ nested st (fun () -> parse_stmt st) ]
 
 and parse_stmts st =
   let rec go acc =
@@ -373,7 +387,7 @@ let parse_function_tokens st =
 
 let parse_function src =
   match
-    let st = { toks = Lexer.tokenize src } in
+    let st = { toks = Lexer.tokenize src; depth = 0 } in
     let f = parse_function_tokens st in
     expect st Lexer.EOF;
     f

@@ -4,5 +4,14 @@
     one function — with C expression precedence, declarations, [for]/[if],
     compound assignment, pointer arithmetic and postfix increment. *)
 
+(** Deepest nesting {!parse_function} accepts: 256 levels. A level is a
+    parenthesised expression or cast, a subscript, a ternary branch, the
+    operand of a unary [-], [!] or [*], a block, or a loop/branch
+    body. *)
+val max_depth : int
+
+(** [Error] on a lexical or syntax error, and on nesting deeper than
+    {!max_depth}, which is reported without parsing past the offending
+    token. *)
 val parse_function : string -> (Ast.func, string) result
 val parse_function_exn : string -> Ast.func

@@ -4,14 +4,6 @@ module Clock = Stagg_util.Clock
 module Penalty = Stagg_search.Penalty
 module Suite = Stagg_benchsuite.Suite
 
-type sweep = {
-  sw_label : string;
-  sw_wall_s : float;
-  sw_heap_words : int;
-  sw_instantiations : int;
-  sw_validate_s : float;
-}
-
 type runs = {
   seed : int;
   td : Result_.t list;
@@ -32,14 +24,6 @@ type runs = {
   bu_full_grammar : Result_.t list;
   trace : Result_.t list;
   trace_llm : Result_.t list;
-  sweeps : sweep list;
-      (** per-sweep measurement log, in execution order: wall seconds,
-          [Gc.quick_stat] major-heap size in words when the sweep
-          finished, total validator instantiations and in-validator
-          seconds summed over the sweep's results. Each sweep starts from
-          a compacted heap ({!sweep_timed}) and the heap only grows
-          between compactions, so the end-of-sweep size approximates the
-          sweep's own high-water mark. *)
 }
 
 let default_seed = 20250604
@@ -68,7 +52,7 @@ let prepare_suite ?jobs ?(oracle = Method_.Oracle_llm) ~seed benches : prep =
 let sweep_prepared ?jobs m (cache : prep) =
   Pool.map ?jobs (fun (q, pr) -> Pipeline.lift_prefixed m q pr) cache
 
-let sweep_timed ?log ~progress label f =
+let sweep_timed ~progress label f =
   (* settle the heap before timing: without this, a sweep pays major-GC
      marking for the previous sweep's garbage (frontiers run to ~10⁶ live
      entries), and the per-sweep times depend on sweep order *)
@@ -76,21 +60,6 @@ let sweep_timed ?log ~progress label f =
   let t0 = Clock.now () in
   let r = f () in
   let dt = Clock.now () -. t0 in
-  (* heap size BEFORE the next sweep's compaction: with a compacted
-     start, this is the sweep's own high-water footprint *)
-  (match log with
-  | Some l ->
-      l :=
-        {
-          sw_label = label;
-          sw_wall_s = dt;
-          sw_heap_words = (Gc.quick_stat ()).Gc.heap_words;
-          sw_instantiations =
-            List.fold_left (fun a (x : Result_.t) -> a + x.instantiations) 0 r;
-          sw_validate_s = List.fold_left (fun a (x : Result_.t) -> a +. x.validate_s) 0. r;
-        }
-        :: !l
-  | None -> ());
   progress
     (Printf.sprintf "%-28s %2d solved  (%.1fs)" label
        (List.length (List.filter (fun (x : Result_.t) -> x.solved) r))
@@ -99,8 +68,7 @@ let sweep_timed ?log ~progress label f =
 
 let run_core_cached ?jobs ?(analysis = true) ~seed ~progress (cache : prep) =
   let all = Suite.all and rw = Suite.real_world in
-  let sweep_log = ref [] in
-  let sweep = sweep_timed ~log:sweep_log ~progress in
+  let sweep = sweep_timed ~progress in
   let with_seed m = { m with Method_.seed; analysis } in
   let sweep_m m = sweep m.Method_.label (fun () -> sweep_prepared ?jobs (with_seed m) cache) in
   let td = sweep_m Method_.stagg_td in
@@ -134,7 +102,6 @@ let run_core_cached ?jobs ?(analysis = true) ~seed ~progress (cache : prep) =
     bu_full_grammar = [];
     trace = [];
     trace_llm = [];
-    sweeps = List.rev !sweep_log;
   }
 
 (* The trace-oracle sweeps. These MUST run after every other sweep of a
@@ -143,10 +110,10 @@ let run_core_cached ?jobs ?(analysis = true) ~seed ~progress (cache : prep) =
    silently shift the instantiation counts of the pre-existing rows —
    the byte-identity contract is that those rows do not move when the
    trace oracle is off. *)
-let run_trace_sweeps ?jobs ?(analysis = true) ~seed ~progress ~sweep_log () =
+let run_trace_sweeps ?jobs ?(analysis = true) ~seed ~progress () =
   let with_seed m = { m with Method_.seed; analysis } in
   let sweep m ~oracle =
-    sweep_timed ~log:sweep_log ~progress m.Method_.label (fun () ->
+    sweep_timed ~progress m.Method_.label (fun () ->
         sweep_prepared ?jobs (with_seed m)
           (prepare_suite ?jobs ~oracle ~seed Suite.all))
   in
@@ -156,22 +123,21 @@ let run_trace_sweeps ?jobs ?(analysis = true) ~seed ~progress ~sweep_log () =
 
 let run_core ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?analysis () =
   let core = run_core_cached ?jobs ?analysis ~seed ~progress (prepare_suite ?jobs ~seed Suite.all) in
-  let sweep_log = ref [] in
-  let trace, trace_llm = run_trace_sweeps ?jobs ?analysis ~seed ~progress ~sweep_log () in
-  { core with trace; trace_llm; sweeps = core.sweeps @ List.rev !sweep_log }
+  let trace, trace_llm = run_trace_sweeps ?jobs ?analysis ~seed ~progress () in
+  { core with trace; trace_llm }
 
 let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = true) () =
   let cache = prepare_suite ?jobs ~seed Suite.all in
   let core = run_core_cached ?jobs ~analysis ~seed ~progress cache in
   let with_seed m = { m with Method_.seed; analysis } in
-  let sweep_log = ref [] in
   let sweep m =
-    sweep_timed ~log:sweep_log ~progress m.Method_.label (fun () ->
+    sweep_timed ~progress m.Method_.label (fun () ->
         sweep_prepared ?jobs (with_seed m) cache)
   in
   let drop base c = sweep (Method_.drop_penalty base c) in
-  (* ablation sweeps run in this binding order, so the sweep log stays in
-     execution order regardless of record-field evaluation order *)
+  (* ablation sweeps run in this binding order, not in record-field
+     evaluation order: the shared validation memo, and so each row's
+     instantiation count, depends on which sweeps ran before it *)
   let td_drop_all = sweep (Method_.drop_all_penalties Method_.stagg_td "A") in
   let td_drops = List.map (fun c -> (c, drop Method_.stagg_td c)) Penalty.all_topdown in
   let bu_drop_all = sweep (Method_.drop_all_penalties Method_.stagg_bu "B") in
@@ -183,7 +149,7 @@ let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = 
   let bu_llm_grammar = sweep Method_.bu_llm_grammar in
   let bu_full_grammar = sweep Method_.bu_full_grammar in
   (* trace sweeps last — see [run_trace_sweeps] on why the order matters *)
-  let trace, trace_llm = run_trace_sweeps ?jobs ~analysis ~seed ~progress ~sweep_log () in
+  let trace, trace_llm = run_trace_sweeps ?jobs ~analysis ~seed ~progress () in
   {
     core with
     td_drop_all;
@@ -198,7 +164,6 @@ let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = 
     bu_full_grammar;
     trace;
     trace_llm;
-    sweeps = core.sweeps @ List.rev !sweep_log;
   }
 
 (* ---- statistics ---- *)
@@ -425,98 +390,3 @@ let summary runs =
          Printf.sprintf "%s\t%d\t%.3f\t%.2f" label (n_solved rs) (avg_time rs) (avg_attempts rs))
        (summary_rows runs)
     @ [ "" ])
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Printf.bprintf buf "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let schema_version = 4
-
-let json_summary ?(jobs = 1) ~wall_s runs =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "{\n  \"schema_version\": %d,\n  \"seed\": %d,\n  \"jobs\": %d,\n  \"wall_time_s\": %.3f,\n"
-    schema_version runs.seed jobs wall_s;
-  Buffer.add_string buf "  \"methods\": [\n";
-  let rows = summary_rows runs in
-  let last = List.length rows - 1 in
-  let sum f rs = List.fold_left (fun a r -> a +. f r) 0. rs in
-  List.iteri
-    (fun i (label, rs) ->
-      Printf.bprintf buf
-        "    {\"method\": \"%s\", \"solved\": %d, \"total\": %d, \"avg_time_s\": %.6f, \
-         \"avg_attempts\": %.2f, \"total_attempts\": %d, \"total_expansions\": %d, \
-         \"total_suppressed\": %d, \"pruned_rules\": %d, \
-         \"search_s\": %.3f, \"validate_s\": %.3f, \"verify_s\": %.3f, \
-         \"instantiations\": %d}%s\n"
-        (json_escape label) (n_solved rs) (List.length rs) (avg_time rs) (avg_attempts rs)
-        (List.fold_left (fun a (r : Result_.t) -> a + r.attempts) 0 rs)
-        (List.fold_left (fun a (r : Result_.t) -> a + r.expansions) 0 rs)
-        (List.fold_left (fun a (r : Result_.t) -> a + r.suppressed) 0 rs)
-        (List.fold_left (fun a (r : Result_.t) -> a + r.pruned_rules) 0 rs)
-        (sum Result_.search_s rs)
-        (sum (fun (r : Result_.t) -> r.validate_s) rs)
-        (sum (fun (r : Result_.t) -> r.verify_s) rs)
-        (List.fold_left (fun a (r : Result_.t) -> a + r.instantiations) 0 rs)
-        (if i = last then "" else ","))
-    rows;
-  Buffer.add_string buf "  ],\n  \"sweeps\": [\n";
-  let nsweeps = List.length runs.sweeps in
-  List.iteri
-    (fun i s ->
-      let inst_per_s =
-        if s.sw_validate_s > 0. then float_of_int s.sw_instantiations /. s.sw_validate_s else 0.
-      in
-      Printf.bprintf buf
-        "    {\"sweep\": \"%s\", \"wall_s\": %.3f, \"heap_words\": %d, \
-         \"instantiations\": %d, \"validate_s\": %.3f, \"inst_per_s\": %.0f}%s\n"
-        (json_escape s.sw_label) s.sw_wall_s s.sw_heap_words s.sw_instantiations
-        s.sw_validate_s inst_per_s
-        (if i = nsweeps - 1 then "" else ","))
-    runs.sweeps;
-  Buffer.add_string buf "  ],\n";
-  (* trace-oracle telemetry, present when the campaign ran the trace
-     sweeps: how many kernels the tracer produced templates for, how many
-     templates it emitted, and which solves the trace row gets that the
-     plain LLM row does not *)
-  (if runs.trace <> [] then begin
-     let traced =
-       List.length (List.filter (fun (r : Result_.t) -> r.traced) runs.trace)
-     in
-     let templates =
-       List.fold_left (fun a (r : Result_.t) -> a + r.trace_templates) 0 runs.trace
-     in
-     let llm_solved = Result_.solved_names runs.llm in
-     let trace_only =
-       List.filter (fun n -> not (List.mem n llm_solved)) (Result_.solved_names runs.trace)
-     in
-     Printf.bprintf buf
-       "  \"trace\": {\"kernels_traced\": %d, \"trace_templates\": %d, \
-        \"trace_solved\": %d, \"trace_llm_solved\": %d, \"trace_only_solved\": %d, \
-        \"trace_only\": [%s]},\n"
-       traced templates (n_solved runs.trace) (n_solved runs.trace_llm)
-       (List.length trace_only)
-       (String.concat ", " (List.map (fun n -> "\"" ^ json_escape n ^ "\"") trace_only))
-   end);
-  (* validator telemetry: process-wide counters at report time (memo
-     traffic including generation-rotation evictions, and the batched
-     path's LRU template-compilation cache) *)
-  let vs = Stagg_validate.Validator.stats () in
-  Printf.bprintf buf
-    "\
-    \  \"validator\": {\"memo_hits\": %d, \"memo_misses\": %d, \"memo_evictions\": %d, \
-     \"template_compiles\": %d, \"template_cache_hits\": %d, \"template_cache_evictions\": %d, \
-     \"template_overflows\": %d}\n\
-     }\n"
-    vs.memo_hits vs.memo_misses vs.memo_evictions vs.template_compiles vs.template_cache_hits
-    vs.template_cache_evictions vs.template_overflows;
-  Buffer.contents buf

@@ -6,15 +6,6 @@
 
 open Stagg
 
-(** One entry of the per-sweep measurement log. *)
-type sweep = {
-  sw_label : string;
-  sw_wall_s : float;
-  sw_heap_words : int;  (** major-heap words at sweep end (compacted start) *)
-  sw_instantiations : int;  (** validator instantiations summed over the sweep *)
-  sw_validate_s : float;  (** in-validator seconds summed over the sweep *)
-}
-
 type runs = {
   seed : int;
   td : Result_.t list;  (** STAGG^TD on all 77 *)
@@ -39,11 +30,11 @@ type runs = {
           Swept LAST (with [trace_llm]) so the cross-sweep validation
           memo leaves every pre-existing row byte-identical. *)
   trace_llm : Result_.t list;  (** the [Trace+LLM] union-oracle row *)
-  sweeps : sweep list;  (** per-sweep measurement log, in execution order *)
 }
 
-(** [run_all ()] — the full campaign (≈20 suite sweeps). [progress] is
-    called with a short message as each sweep finishes.
+(** [run_all ()] — the full campaign (≈20 suite sweeps). Each sweep
+    starts from a compacted heap; [progress] is called with its label,
+    solved count and wall seconds as it finishes.
 
     The method-independent preparation (mock-LLM query, candidate
     parsing, templatization, dimension prediction) is computed once per
@@ -85,26 +76,7 @@ val fig10 : runs -> string
 val fig11 : runs -> string
 val fig12 : runs -> string
 
-(** Machine-readable summary (one line per method row of each table) for
-    EXPERIMENTS.md bookkeeping. *)
+(** Machine-readable summary: one tab-separated line per method row of
+    each table (label, solved, average time and attempts over solved
+    queries), for EXPERIMENTS.md bookkeeping. *)
 val summary : runs -> string
-
-(** The (label, results) rows behind {!summary}, in summary order. *)
-val summary_rows : runs -> (string * Result_.t list) list
-
-(** Version of the JSON layouts emitted by this harness ({!json_summary}
-    and the smoke summary in [bench/main.ml]). Bump when a field is
-    added, removed, or changes meaning, so downstream consumers of the
-    perf-trajectory files can dispatch instead of guessing. *)
-val schema_version : int
-
-(** [json_summary ~jobs ~wall_s runs] — the {!summary} data as a JSON
-    document (per method: solved count, suite size, avg time and
-    attempts over solved queries, total attempts/expansions/
-    suppressed), the per-sweep wall/heap/instantiations-per-second log
-    ([sweeps]), the cumulative validator counters
-    ({!Stagg_validate.Validator.stats}: memo hits/misses/evictions,
-    template-compilation cache traffic), plus the harness wall time and
-    the [jobs] the campaign ran with. Written by [bench/main.exe --json
-    FILE] so successive PRs can track the perf trajectory. *)
-val json_summary : ?jobs:int -> wall_s:float -> runs -> string

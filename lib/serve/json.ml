@@ -62,7 +62,10 @@ let to_string j =
 
 exception Parse of string
 
-type state = { src : string; mutable pos : int }
+let max_depth = 64
+
+(* [depth] counts the arrays and objects open at [pos] *)
+type state = { src : string; mutable pos : int; mutable depth : int }
 
 let error st msg = raise (Parse (Printf.sprintf "%s at offset %d" msg st.pos))
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
@@ -166,6 +169,19 @@ let parse_number st =
       | Some f -> Float f
       | None -> error st (Printf.sprintf "bad number %S" s))
 
+(* [open_nested st] consumes an opening bracket or brace, and fails past
+   [max_depth]. Without the cap the recursion follows the input's
+   nesting, and since each minor GC scans the whole stack, a line of
+   millions of brackets costs time quadratic in its length. *)
+let open_nested st =
+  if st.depth >= max_depth then error st (Printf.sprintf "nesting deeper than %d" max_depth);
+  st.depth <- st.depth + 1;
+  st.pos <- st.pos + 1
+
+let close_nested st =
+  st.depth <- st.depth - 1;
+  st.pos <- st.pos + 1
+
 let rec parse_value st =
   skip_ws st;
   match peek st with
@@ -175,10 +191,10 @@ let rec parse_value st =
   | Some 'f' -> literal st "false" (Bool false)
   | Some 'n' -> literal st "null" Null
   | Some '[' ->
-      st.pos <- st.pos + 1;
+      open_nested st;
       skip_ws st;
       if peek st = Some ']' then begin
-        st.pos <- st.pos + 1;
+        close_nested st;
         List []
       end
       else begin
@@ -190,17 +206,17 @@ let rec parse_value st =
               st.pos <- st.pos + 1;
               items (v :: acc)
           | Some ']' ->
-              st.pos <- st.pos + 1;
+              close_nested st;
               List.rev (v :: acc)
           | _ -> error st "expected ',' or ']'"
         in
         List (items [])
       end
   | Some '{' ->
-      st.pos <- st.pos + 1;
+      open_nested st;
       skip_ws st;
       if peek st = Some '}' then begin
-        st.pos <- st.pos + 1;
+        close_nested st;
         Obj []
       end
       else begin
@@ -220,7 +236,7 @@ let rec parse_value st =
               st.pos <- st.pos + 1;
               fields (kv :: acc)
           | Some '}' ->
-              st.pos <- st.pos + 1;
+              close_nested st;
               List.rev (kv :: acc)
           | _ -> error st "expected ',' or '}'"
         in
@@ -232,7 +248,7 @@ let rec parse_value st =
       | _ -> error st (Printf.sprintf "unexpected character '%c'" c))
 
 let of_string s =
-  let st = { src = s; pos = 0 } in
+  let st = { src = s; pos = 0; depth = 0 } in
   match parse_value st with
   | v ->
       skip_ws st;

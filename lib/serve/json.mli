@@ -24,7 +24,12 @@ type t =
 (** Compact rendering (no whitespace), fields in given order. *)
 val to_string : t -> string
 
-(** Parse one JSON document; trailing garbage is an error. *)
+(** Deepest array/object nesting {!of_string} accepts: 64. *)
+val max_depth : int
+
+(** Parse one JSON document; trailing garbage is an error, and so is
+    nesting deeper than {!max_depth} (reported without reading past the
+    offending bracket). *)
 val of_string : string -> (t, string) result
 
 (** [member name j] — field of an [Obj], [None] otherwise. *)

@@ -30,6 +30,17 @@
     the validation memo: verdicts never bleed between epochs, while
     requests within one epoch still share them.
 
+    Input limits. Both parsers on the request path cap nesting depth
+    and stop at the cap, so a hostile line costs parse time bounded by
+    the cap, not by its nesting. A request line nested deeper than
+    {!Json.max_depth} (64) arrays and objects gets one
+    ["bad request: nesting deeper than 64 at offset N"] error, N the
+    offset of the bracket past the cap; a kernel nested deeper than
+    {!Stagg_minic.Parser.max_depth} (256) levels gets one
+    ["C parse error: nesting deeper than 256"] error.
+    Input size, interpreter fuel and BMC term size are not yet bounded
+    per request.
+
     Per-response telemetry reports the request's own validator-memo
     traffic as a delta of two monotonic snapshots — exact when requests
     are processed sequentially ([jobs = 1]), a process-wide

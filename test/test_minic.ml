@@ -68,6 +68,31 @@ let test_parse_errors () =
   check_bool "missing brace" true (Result.is_error (Parser.parse_function "void f() { int i;"));
   check_bool "garbage" true (Result.is_error (Parser.parse_function "not a function"))
 
+(* The nesting cap: an expression nested exactly [Parser.max_depth] deep
+   parses, one level more is a structured error, and a million levels are
+   refused the same way (the parser stops at the cap). No kernel of the
+   suite comes near the cap. *)
+let nested_kernel ~open_ ~close_ k =
+  let rep s = String.concat "" (List.init k (fun _ -> s)) in
+  Printf.sprintf "void f(int *r) { r[0] = %s1%s; }" (rep open_) (rep close_)
+
+let test_parse_depth_cap () =
+  let cap = Parser.max_depth in
+  let refused = Error (Printf.sprintf "nesting deeper than %d" cap) in
+  List.iter
+    (fun (what, open_, close_) ->
+      let parse k = Parser.parse_function (nested_kernel ~open_ ~close_ k) in
+      check_bool (what ^ " at the cap parse") true (Result.is_ok (parse cap));
+      check_bool (what ^ " past the cap refused") true (parse (cap + 1) = refused);
+      let t0 = Clock.now () in
+      check_bool (what ^ " a million deep refused") true (parse 1_000_000 = refused);
+      check_bool (what ^ " refused fast") true (Clock.now () -. t0 < 5.0))
+    [ ("parens", "(", ")"); ("unary minus", "- ", ""); ("negation", "!", "") ];
+  List.iter
+    (fun (b : Stagg_benchsuite.Bench.t) ->
+      check_bool (b.name ^ " parses") true (Result.is_ok (Parser.parse_function b.c_source)))
+    (Stagg_benchsuite.Suite.all @ Stagg_benchsuite.Suite.diagnostics)
+
 (* ---- interpreter ---- *)
 
 let run_fn src args =
@@ -324,6 +349,7 @@ let () =
           Alcotest.test_case "fig2" `Quick test_parse_fig2;
           Alcotest.test_case "syntactic forms" `Quick test_parse_forms;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "nesting depth cap" `Quick test_parse_depth_cap;
         ] );
       ( "interp",
         [

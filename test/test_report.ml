@@ -41,10 +41,7 @@ let fake name solved time =
     expansions = 1;
     suppressed = 0;
     peak_frontier = 0;
-    pruned_rules = 0;
     n_candidates = 0;
-    validate_s = 0.;
-    verify_s = 0.;
     instantiations = 1;
     traced = false;
     trace_templates = 0;
@@ -100,16 +97,6 @@ let synthetic_runs () =
     bu_full_grammar = rs (fun _ -> false) 1.0;
     trace = [];
     trace_llm = [];
-    sweeps =
-      [
-        {
-          Stagg_report.Experiments.sw_label = "STAGG^TD";
-          sw_wall_s = 1.0;
-          sw_heap_words = 1_000_000;
-          sw_instantiations = 10;
-          sw_validate_s = 0.5;
-        };
-      ];
   }
 
 let test_table1_slicing () =

@@ -390,6 +390,58 @@ let test_shutdown_stops_reading () =
   Alcotest.(check (list string)) "nothing answered after the shutdown" []
     (List.map (fun l -> Option.value ~default:"-" (field "status" (parse_resp l))) later)
 
+(* The nesting caps at the request boundary. A request line a million
+   brackets deep gets exactly one error response, reported at offset
+   [Json.max_depth]: the parser stops at the cap instead of reading the
+   rest of the line. A kernel a million parentheses deep is refused the
+   same way by the mini-C parser. Input nested exactly to either cap is
+   served normally, and one level past the JSON cap is not. The time
+   bounds are loose (each refusal takes well under a second) so that
+   slow instrumented builds pass. *)
+let test_server_nesting_caps () =
+  let s = Server.create () in
+  let timed_lines lines =
+    let t0 = Stagg_util.Clock.now () in
+    let rs = Server.run_lines s lines in
+    (List.map parse_resp rs, Stagg_util.Clock.now () -. t0)
+  in
+  let deep_c k =
+    Printf.sprintf "void f(int n, int *a, int *r) { int i; for (i = 0; i < n; i++) r[i] = a[i] * %s3%s; }"
+      (String.make k '(') (String.make k ')')
+  in
+  (match timed_lines [ String.make 1_000_000 '[' ] with
+  | [ r ], dt ->
+      check_string "deep line is an error" "error" (get (field "status" r));
+      check_string "refused at the JSON cap"
+        (Printf.sprintf "bad request: nesting deeper than %d at offset %d" J.max_depth J.max_depth)
+        (get (field "error" r));
+      check_bool "refused fast" true (dt < 5.0)
+  | rs, _ -> Alcotest.failf "expected one response, got %d" (List.length rs));
+  (match timed_lines [ lift_req ~id:"deep-c" (deep_c 1_000_000) mul3_sig ] with
+  | [ r ], dt ->
+      check_string "refused at the mini-C cap"
+        (Printf.sprintf "C parse error: nesting deeper than %d" Stagg_minic.Parser.max_depth)
+        (get (field "error" r));
+      check_bool "refused fast" true (dt < 5.0)
+  | rs, _ -> Alcotest.failf "expected one response, got %d" (List.length rs));
+  (* the request object is one JSON level and the pad fills the rest;
+     the loop body is one mini-C level and the parentheses the rest *)
+  let brackets k = String.make k '[' ^ String.make k ']' in
+  check_bool "one past the JSON cap refused" true (Result.is_error (J.of_string (brackets (J.max_depth + 1))));
+  check_bool "at the JSON cap parsed" true (Result.is_ok (J.of_string (brackets J.max_depth)));
+  let pad = brackets (J.max_depth - 1) in
+  let at_cap =
+    Printf.sprintf {|{"id":"at-cap","c":%s,"sig":%s,"pad":%s}|}
+      (J.to_string (J.String (deep_c (Stagg_minic.Parser.max_depth - 1))))
+      (J.to_string (J.String mul3_sig))
+      pad
+  in
+  match timed_lines [ at_cap ] with
+  | [ r ], _ ->
+      check_string "nested exactly to both caps: lifted" "ok" (get (field "status" r));
+      check_string "the scale kernel's lift" "r(i) = a(i) * 3" (get (field "taco" r))
+  | rs, _ -> Alcotest.failf "expected one response, got %d" (List.length rs)
+
 let () =
   Alcotest.run "stagg_serve"
     [
@@ -414,5 +466,6 @@ let () =
           Alcotest.test_case "epoch isolation" `Quick test_server_epoch_isolation;
           Alcotest.test_case "jobs=4 answers match jobs=1" `Quick test_server_jobs_agree;
           Alcotest.test_case "shutdown stops reading at jobs 2" `Quick test_shutdown_stops_reading;
+          Alcotest.test_case "nesting caps" `Quick test_server_nesting_caps;
         ] );
     ]
