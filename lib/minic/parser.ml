@@ -13,14 +13,16 @@ let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
 
 let err fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
 
-(* [nested st f] parses one level deeper, and fails past [max_depth].
+(* [nested f st] parses one level deeper, and fails past [max_depth].
    Without the cap the recursion follows the input's nesting, and since
    each minor GC scans the whole stack, millions of parentheses cost
-   time quadratic in their number. *)
-let nested st f =
+   time quadratic in their number. Every nesting path recurses through
+   [parse_unary], a conditional's branches or [parse_stmt], and those
+   three are the only places that open a level. *)
+let nested f st =
   if st.depth >= max_depth then err "nesting deeper than %d" max_depth;
   st.depth <- st.depth + 1;
-  let r = f () in
+  let r = f st in
   st.depth <- st.depth - 1;
   r
 
@@ -41,13 +43,14 @@ let rec parse_expr st = parse_ternary st
 
 and parse_ternary st =
   let c = parse_or st in
-  if peek st = Lexer.QUESTION then begin
-    advance st;
-    let t = nested st (fun () -> parse_expr st) in
-    expect st Lexer.COLON;
-    let e = nested st (fun () -> parse_ternary st) in
-    Ternary (c, t, e)
-  end
+  if peek st = Lexer.QUESTION then
+    nested
+      (fun st ->
+        advance st;
+        let t = parse_expr st in
+        expect st Lexer.COLON;
+        Ternary (c, t, parse_ternary st))
+      st
   else c
 
 and parse_or st =
@@ -121,17 +124,19 @@ and parse_mul st =
   in
   go lhs
 
-and parse_unary st =
+and parse_unary st = nested parse_unary_body st
+
+and parse_unary_body st =
   match peek st with
   | Lexer.MINUS ->
       advance st;
-      Neg (nested st (fun () -> parse_unary st))
+      Neg (parse_unary st)
   | Lexer.NOT ->
       advance st;
-      Not (nested st (fun () -> parse_unary st))
+      Not (parse_unary st)
   | Lexer.STAR ->
       advance st;
-      Deref (nested st (fun () -> parse_unary st))
+      Deref (parse_unary st)
   | Lexer.AMP -> (
       advance st;
       match parse_postfix st with
@@ -163,9 +168,9 @@ and parse_postfix st =
         | (Lexer.KW_INT | Lexer.KW_FLOAT) when peek2 st = Lexer.RPAREN ->
             advance st;
             advance st;
-            nested st (fun () -> parse_unary st)
+            parse_unary st
         | _ ->
-            let e = nested st (fun () -> parse_expr st) in
+            let e = parse_expr st in
             expect st Lexer.RPAREN;
             e)
     | t -> err "unexpected token %s in expression" (Lexer.token_to_string t)
@@ -173,7 +178,7 @@ and parse_postfix st =
   let rec subscripts e =
     if peek st = Lexer.LBRACK then begin
       advance st;
-      let ix = nested st (fun () -> parse_expr st) in
+      let ix = parse_expr st in
       expect st Lexer.RBRACK;
       subscripts (Index (e, ix))
     end
@@ -261,11 +266,13 @@ let parse_simple st =
     | _ -> Expr_stmt e
   end
 
-let rec parse_stmt st =
+let rec parse_stmt st = nested parse_stmt_body st
+
+and parse_stmt_body st =
   match peek st with
   | Lexer.LBRACE ->
       advance st;
-      let body = nested st (fun () -> parse_stmts st) in
+      let body = parse_stmts st in
       expect st Lexer.RBRACE;
       Block body
   | Lexer.KW_FOR ->
@@ -319,11 +326,11 @@ let rec parse_stmt st =
 and parse_loop_body st =
   if peek st = Lexer.LBRACE then begin
     advance st;
-    let body = nested st (fun () -> parse_stmts st) in
+    let body = parse_stmts st in
     expect st Lexer.RBRACE;
     body
   end
-  else [ nested st (fun () -> parse_stmt st) ]
+  else [ parse_stmt st ]
 
 and parse_stmts st =
   let rec go acc =

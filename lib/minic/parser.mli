@@ -4,10 +4,14 @@
     one function — with C expression precedence, declarations, [for]/[if],
     compound assignment, pointer arithmetic and postfix increment. *)
 
-(** Deepest nesting {!parse_function} accepts: 256 levels. A level is a
-    parenthesised expression or cast, a subscript, a ternary branch, the
-    operand of a unary [-], [!] or [*], a block, or a loop/branch
-    body. *)
+(** Deepest nesting {!parse_function} accepts: 256 levels. Every
+    statement, every conditional [?:] and every operand at unary
+    precedence opens a level. So the statements of a block or loop/branch
+    body sit one level below the statement holding them, and a
+    parenthesised expression, a subscript, a cast or a prefix [-], [!] or
+    [*] puts its operand one level below its own: [r\[0\] = ((1));] is
+    a statement (level 1) whose right-hand side opens level 2, and its
+    innermost [1] sits at level 2 + 2. *)
 val max_depth : int
 
 (** [Error] on a lexical or syntax error, and on nesting deeper than

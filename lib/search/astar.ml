@@ -164,14 +164,22 @@ type entry = {
   pst : Prune.state;  (** analysis-prune state of the applied-rule multiset *)
 }
 
-(* A frontier item holds no annotation. A pushed child is its expanded
-   parent and the rule applied to it, rebuilt into an [entry] only when
+(* A frontier item allocates nothing: it is a queue slot whose value is
+   an entry and whose sequence number carries, in its low [code_bits]
+   bits, a code. A pushed child is its expanded parent and the rule
+   applied to it (code = rule id), rebuilt into an [entry] only when
    popped ({!rebuild}); the annotation its push computed for f dies
-   young, and siblings share the parent. [Ghost] replays the pop of a
-   complete duplicate of an already-validated template: its pop only
-   counts an expansion, exactly what the popped duplicate would have
-   done. *)
-type item = Root of entry | Child of { parent : entry; rid : int; pst : Prune.state } | Ghost
+   young, siblings share the parent, and its prune state is one
+   [Prune.step] from the parent's. The root entry stands for itself
+   ([root_code]). A ghost ([ghost_code], value the root) replays the pop
+   of a complete duplicate of an already-validated template: its pop
+   only counts an expansion, exactly what the popped duplicate would
+   have done. Sequence numbers are unique, so ordering the packed keys
+   orders the pushes exactly as the bare sequence numbers would. *)
+let code_bits = 20
+let code_mask = (1 lsl code_bits) - 1
+let root_code = code_mask
+let ghost_code = code_mask - 1
 
 type 'sol engine = {
   pcfg : Pcfg.t;
@@ -179,7 +187,8 @@ type 'sol engine = {
   budget : budget;
   a4 : Penalty.a4_scan;
   validate : Stagg_taco.Ast.program -> 'sol option;
-  frontier : item Pqueue.t;  (** priority f(x) *)
+  root : entry;
+  frontier : entry Pqueue.t;  (** priority f(x); see [code_bits] *)
   sup : Ledger.t;  (** admission-suppressed (f, seq, fp, guards) keys *)
   dedup : dedup;
   seen_fp : Inttbl.t;  (** validated templates, fingerprints *)
@@ -210,7 +219,8 @@ let take_seq e =
   e.eseq <- s + 1;
   s
 
-let qpush e f item = Pqueue.push_seq e.frontier f (take_seq e) item
+let qpush e f parent code =
+  Pqueue.push_seq e.frontier f ((take_seq e lsl code_bits) lor code) parent
 
 (* Both searches extend child metrics incrementally ({!Node.expand_metrics})
    and never rescan a tree, so a grammar outside that contract is a caller
@@ -219,7 +229,9 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
   let g = Pcfg.cfg pcfg in
   if not (Node.incremental_safe g) then
     invalid_arg "Astar: grammar is not incremental-safe (a tensor right of a nonterminal)";
+  if Cfg.size g > ghost_code then invalid_arg "Astar: too many rules for a frontier code";
   let x0 = Node.initial g in
+  let root = { c = 0.; deriv = []; ann = Node.annotate g fps x0; pst = Prune.root } in
   let rule_cost = Array.init (Cfg.size g) (fun id -> Pcfg.cost pcfg (Cfg.rule g id)) in
   let h_memo = Hashtbl.create 16 in
   List.iter (fun nt -> Hashtbl.replace h_memo nt (Pcfg.h_cost pcfg nt)) (Cfg.nonterminals g);
@@ -230,7 +242,8 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
       a4 = Penalty.a4_scan g;
       budget;
       validate;
-      frontier = Pqueue.create ~dummy:Ghost;
+      root;
+      frontier = Pqueue.create ~dummy:root;
       sup = Ledger.create ();
       dedup;
       seen_fp = Inttbl.create ();
@@ -254,7 +267,7 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
       stop = Expansions;
     }
   in
-  qpush e 0. (Root { c = 0.; deriv = []; ann = Node.annotate g fps x0; pst = Prune.root });
+  qpush e 0. root root_code;
   e
 
 let elapsed e = Clock.now () -. e.started
@@ -316,7 +329,7 @@ let baseline_pops_suppressed e =
   && (Pqueue.is_empty e.frontier
      ||
      let sp = Ledger.top_prio e.sup and qp = Pqueue.top_prio e.frontier in
-     sp < qp || (sp = qp && Ledger.top_seq e.sup < Pqueue.top_seq e.frontier))
+     sp < qp || (sp = qp && Ledger.top_seq e.sup < Pqueue.top_seq e.frontier lsr code_bits))
 
 (* [true] iff [key] was already in [tbl]; adds it otherwise *)
 let check_add tbl key =
@@ -413,7 +426,7 @@ let push_expansions e (g : Cfg.t) (parent : entry) =
               let pen = Inttbl.find e.pen_memo ann.Node.fp ~default:infinity in
               pen < infinity
               &&
-              (qpush e (c' +. 0. +. pen) Ghost;
+              (qpush e (c' +. 0. +. pen) e.root ghost_code;
                true)
             in
             if not ghosted then begin
@@ -438,25 +451,22 @@ let push_expansions e (g : Cfg.t) (parent : entry) =
                     ~depth:ann.Node.depth ~nt:ann.Node.metrics.n_tensors
                 else
                   let f = c' +. g_of ann.Node.opens +. pen in
-                  qpush e f (Child { parent; rid = r.id; pst = pst' })
+                  qpush e f parent r.id
               end
             end
           end)
         (Cfg.rules_for g nt)
 
-(* The entry a frontier item stands for. A child's path cost is the
-   same float sum its push computed f from, and its annotation is the
-   one its push computed and dropped. *)
-let rebuild e g = function
-  | Root en -> en
-  | Child { parent; rid; pst } ->
-      {
-        c = parent.c +. e.rule_cost.(rid);
-        deriv = rid :: parent.deriv;
-        ann = Node.expand_metrics e.fps parent.ann (Cfg.rule g rid);
-        pst;
-      }
-  | Ghost -> invalid_arg "Astar.rebuild: a ghost stands for no entry"
+(* The entry a frontier item with a rule-id code stands for. A child's
+   path cost is the same float sum its push computed f from, and its
+   annotation and prune state are the ones its push computed. *)
+let rebuild e g parent rid =
+  {
+    c = parent.c +. e.rule_cost.(rid);
+    deriv = rid :: parent.deriv;
+    ann = Node.expand_metrics e.fps parent.ann (Cfg.rule g rid);
+    pst = (match e.prune with None -> Prune.root | Some pr -> Prune.step pr parent.pst rid);
+  }
 
 (* An admission-ledger drain replays what the baseline pop of the
    suppressed entry would have observably done: count the attempt and
@@ -488,17 +498,20 @@ let rec run e ~on_ledger ~on_item =
       run e ~on_ledger ~on_item
     end
   else if over_budget e then Budget_exceeded (e.stop, stats e)
+  else if Pqueue.is_empty e.frontier then Exhausted (stats e)
   else
+    let code = Pqueue.top_seq e.frontier land code_mask in
     match Pqueue.pop e.frontier with
     | None -> Exhausted (stats e)
-    | Some (_, Ghost) ->
+    | Some (_, _) when code = ghost_code ->
         (* ghosts are only pushed for complete children, whose pop
            validates a duplicate (a no-op) and expands nothing *)
         e.expansions <- e.expansions + 1;
         run e ~on_ledger ~on_item
-    | Some (_, item) -> (
+    | Some (_, value) -> (
         e.expansions <- e.expansions + 1;
-        match on_item (rebuild e (Pcfg.cfg e.pcfg) item) with
+        let en = if code = root_code then value else rebuild e (Pcfg.cfg e.pcfg) value code in
+        match on_item en with
         | Some outcome -> outcome
         | None -> run e ~on_ledger ~on_item)
 

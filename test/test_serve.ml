@@ -425,14 +425,15 @@ let test_server_nesting_caps () =
       check_bool "refused fast" true (dt < 5.0)
   | rs, _ -> Alcotest.failf "expected one response, got %d" (List.length rs));
   (* the request object is one JSON level and the pad fills the rest;
-     the loop body is one mini-C level and the parentheses the rest *)
+     the loop, its body and the product's right operand are three mini-C
+     levels and the parentheses the rest *)
   let brackets k = String.make k '[' ^ String.make k ']' in
   check_bool "one past the JSON cap refused" true (Result.is_error (J.of_string (brackets (J.max_depth + 1))));
   check_bool "at the JSON cap parsed" true (Result.is_ok (J.of_string (brackets J.max_depth)));
   let pad = brackets (J.max_depth - 1) in
   let at_cap =
     Printf.sprintf {|{"id":"at-cap","c":%s,"sig":%s,"pad":%s}|}
-      (J.to_string (J.String (deep_c (Stagg_minic.Parser.max_depth - 1))))
+      (J.to_string (J.String (deep_c (Stagg_minic.Parser.max_depth - 3))))
       (J.to_string (J.String mul3_sig))
       pad
   in
