@@ -244,7 +244,7 @@ let main smoke serve_smoke skip_ablations no_analysis oracle heap_ceiling jobs j
   else run_campaign ~skip_ablations ~analysis:(not no_analysis) ~jobs ()
 
 let () =
-  (* The campaign's hot loops (A* frontier, validation memo) allocate
+  (* The campaign's hot loops (A* frontier, validation) allocate
      heavily against a large live heap; the default space_overhead of 120
      spends ~20% of search wall time in major-GC marking. Trading memory
      for time is the right call on a benchmark harness. *)

@@ -13,8 +13,6 @@ let run ~seed (b : Bench.t) : Stagg.Result_.t =
   let candidates = Stagg_oracle.Response.parse_all responses in
   let n_candidates = List.length candidates in
   let func = Bench.func b in
-  (* same examples and memo key as the pipeline sweeps: verdicts land in
-     (and hit) the shared validation memo *)
   match
     Accept.validator acc ~seed ~func ~signature:b.signature
       ~consts:(Stagg_minic.Ast.constants func) ~verify:true ()

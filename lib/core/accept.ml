@@ -27,17 +27,13 @@ let equivalent ~func ~signature candidate =
   | Bmc.Equivalent -> true
   | Bmc.Not_equivalent _ | Bmc.Inconclusive _ -> false
 
-let validator t ?(memo_scope = "") ~seed ~func ~signature ~consts ~verify ?batched () =
+let validator t ~seed ~func ~signature ~consts ~verify ?batched () =
   checker ~seed ~qname:t.bench ~func ~signature
   |> Result.map (fun checker ->
-         (* the examples are a function of (qname, example seed), so the
-            key scopes the process-wide verdict memo correctly *)
-         let memo_key = Printf.sprintf "%s%s#%d" memo_scope t.bench (example_seed ~seed t.bench) in
          let verify concrete = (not verify) || equivalent ~func ~signature concrete in
          fun template ->
            let sol, n =
-             Validator.validate_counted ~signature ~checker ~consts ~verify ~memo_key ?batched
-               template
+             Validator.validate_counted ~signature ~checker ~consts ~verify ?batched template
            in
            t.instantiations <- t.instantiations + n;
            sol)

@@ -5,10 +5,7 @@
     from the requester's own kernel and, when the method verifies, passes
     bounded verification against that kernel. {!Pipeline}, the serve
     remap and the baselines all decide through this module, so they draw
-    the same examples for the same (seed, query) and key the shared
-    validation memo the same way: a memoized verdict recorded by one
-    caller is only sound for another if both agree on the examples
-    behind the key. *)
+    the same examples for the same (seed, query). *)
 
 type t
 (** One lift in progress: its start time and instantiation count. *)
@@ -42,18 +39,11 @@ val equivalent :
 (** [validator t ~seed ~func ~signature ~consts ~verify] prepares the
     lift's checker (as {!checker}, with [qname] the lift's [bench]) and
     returns the template validator the search and the baselines call.
-    Each call runs {!Stagg_validate.Validator.validate_counted} under the
-    lift's validation memo key and adds its instantiations to the record;
-    with [verify], each example-passing instantiation must also be
-    {!equivalent}.
-
-    [memo_scope] (default [""]) prefixes the memo key but does not enter
-    the example seed: a scoped lift draws the same examples, and so
-    reaches the same results, as an unscoped one, while sharing no
-    memoized verdict with other scopes. *)
+    Each call runs {!Stagg_validate.Validator.validate_counted} and adds
+    its instantiations to the record; with [verify], each example-passing
+    instantiation must also be {!equivalent}. *)
 val validator :
   t ->
-  ?memo_scope:string ->
   seed:int ->
   func:Stagg_minic.Ast.func ->
   signature:Stagg_minic.Signature.t ->

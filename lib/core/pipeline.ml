@@ -237,7 +237,7 @@ let prune_of (m : Method_.t) (q : query) ~(consts : 'a list) (prep : prepared) :
            lhs_name = Genlib.tensor_name 0;
          })
 
-let lift_prefixed ?memo_scope (m : Method_.t) (q : query) (prefix_r : (prefix, string) result) :
+let lift_prefixed ?memo_scope:_ (m : Method_.t) (q : query) (prefix_r : (prefix, string) result) :
     Result_.t =
   let acc = Accept.start ~bench:q.qname ~method_label:m.label in
   let facts = if m.analysis then Some (Stagg_minic.Facts.analyze q.func) else None in
@@ -275,7 +275,7 @@ let lift_prefixed ?memo_scope (m : Method_.t) (q : query) (prefix_r : (prefix, s
       in
       let consts = Stagg_minic.Ast.constants func in
       match
-        Accept.validator acc ?memo_scope ~seed:m.seed ~func ~signature:q.signature ~consts
+        Accept.validator acc ~seed:m.seed ~func ~signature:q.signature ~consts
           ~verify:m.verify ~batched:m.batched_validate ()
       with
       | Error msg -> finish ~n_candidates ~warnings (Error msg)
@@ -302,8 +302,8 @@ let lift_prefixed ?memo_scope (m : Method_.t) (q : query) (prefix_r : (prefix, s
             | Astar.Budget_exceeded (Astar.Timeout, _) -> Error "timeout"
             | Astar.Budget_exceeded (_, _) -> Error "budget exceeded"))))
 
-let lift ?memo_scope (m : Method_.t) (q : query) : Result_.t =
-  lift_prefixed ?memo_scope m q (prefix_of_query q)
+let lift ?memo_scope:_ (m : Method_.t) (q : query) : Result_.t =
+  lift_prefixed m q (prefix_of_query q)
 
 let run (m : Method_.t) (b : Bench.t) : Result_.t = lift m (query_of_bench m b)
 

@@ -87,18 +87,15 @@ val prune_of :
 
 (** [lift m q] — the whole pipeline on an arbitrary query; never raises.
 
-    Candidates are accepted through {!Accept.validator}; [memo_scope] is
-    its validation-memo key prefix (default [""]), which does not enter
-    the example seed. The serve path stamps each server epoch's scope
-    here so a long-lived process cannot bleed verdicts between epochs.
-    Pick scopes ending in a delimiter that cannot occur in a [qname]
-    (the server uses ["epoch<n>|"]) so distinct (scope, qname) pairs
-    never concatenate to the same key. *)
+    Candidates are accepted through {!Accept.validator}. [memo_scope] is
+    ignored: kept only because liftbench passes it; goes with ROADMAP
+    item 1. *)
 val lift : ?memo_scope:string -> Method_.t -> query -> Result_.t
 
 (** [lift_prefixed m q prefix] — stages ③–④ on a precomputed prefix
     (see {!prefix_of_query}); the query's client is not consulted.
-    [lift m q] is [lift_prefixed m q (prefix_of_query q)]. *)
+    [lift m q] is [lift_prefixed m q (prefix_of_query q)]. [memo_scope]
+    is ignored, as on {!lift}. *)
 val lift_prefixed :
   ?memo_scope:string -> Method_.t -> query -> (prefix, string) result -> Result_.t
 

@@ -104,12 +104,7 @@ let run_core_cached ?jobs ?(analysis = true) ~seed ~progress (cache : prep) =
     trace_llm = [];
   }
 
-(* The trace-oracle sweeps. These MUST run after every other sweep of a
-   campaign: the cross-sweep validation memo is shared process-wide, so
-   running them earlier would warm it with trace-sourced entries and
-   silently shift the instantiation counts of the pre-existing rows —
-   the byte-identity contract is that those rows do not move when the
-   trace oracle is off. *)
+(* The trace-oracle sweeps, run after every other sweep of a campaign. *)
 let run_trace_sweeps ?jobs ?(analysis = true) ~seed ~progress () =
   let with_seed m = { m with Method_.seed; analysis } in
   let sweep m ~oracle =
@@ -135,9 +130,8 @@ let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = 
         sweep_prepared ?jobs (with_seed m) cache)
   in
   let drop base c = sweep (Method_.drop_penalty base c) in
-  (* ablation sweeps run in this binding order, not in record-field
-     evaluation order: the shared validation memo, and so each row's
-     instantiation count, depends on which sweeps ran before it *)
+  (* bound one by one, not in the record below, so the sweeps (and their
+     progress lines) run in this order *)
   let td_drop_all = sweep (Method_.drop_all_penalties Method_.stagg_td "A") in
   let td_drops = List.map (fun c -> (c, drop Method_.stagg_td c)) Penalty.all_topdown in
   let bu_drop_all = sweep (Method_.drop_all_penalties Method_.stagg_bu "B") in
@@ -148,7 +142,6 @@ let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = 
   let bu_equal = sweep Method_.bu_equal_probability in
   let bu_llm_grammar = sweep Method_.bu_llm_grammar in
   let bu_full_grammar = sweep Method_.bu_full_grammar in
-  (* trace sweeps last — see [run_trace_sweeps] on why the order matters *)
   let trace, trace_llm = run_trace_sweeps ?jobs ~analysis ~seed ~progress () in
   {
     core with

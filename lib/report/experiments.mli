@@ -27,8 +27,7 @@ type runs = {
   trace : Result_.t list;
       (** the [Trace] method row: STAGG^TD drawing candidates from the
           trace oracle ({!Stagg_oracle.Trace}) with no LLM in the loop.
-          Swept LAST (with [trace_llm]) so the cross-sweep validation
-          memo leaves every pre-existing row byte-identical. *)
+          Swept last, with [trace_llm]. *)
   trace_llm : Result_.t list;  (** the [Trace+LLM] union-oracle row *)
 }
 

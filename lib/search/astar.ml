@@ -17,12 +17,6 @@ type stats = {
 
 type stop_reason = Attempts | Expansions | Frontier | Timeout
 
-let stop_reason_to_string = function
-  | Attempts -> "attempts"
-  | Expansions -> "expansions"
-  | Frontier -> "frontier"
-  | Timeout -> "timeout"
-
 type 'sol outcome =
   | Solved of 'sol * stats
   | Exhausted of stats

@@ -42,8 +42,6 @@ type stats = {
     an expansion count divisible by 64. *)
 type stop_reason = Attempts | Expansions | Frontier | Timeout
 
-val stop_reason_to_string : stop_reason -> string
-
 type 'sol outcome =
   | Solved of 'sol * stats
   | Exhausted of stats  (** queue ran dry *)

@@ -44,18 +44,6 @@ let expansions g x =
           (r, x'))
         (Cfg.rules_for g nt)
 
-(* Flat left-to-right accumulation over the open leaves: closed leaves
-   thread the accumulator through unchanged, so this is float-for-float
-   the same computation as folding over the ordered open-leaf list —
-   the invariant [g_cost_opens] relies on. *)
-let g_cost p x =
-  let rec go acc = function
-    | Leaf _ -> acc
-    | Open nt -> acc +. Pcfg.h_cost p nt
-    | Node (_, ch) -> List.fold_left go acc ch
-  in
-  go 0. x
-
 let g_cost_opens p opens = List.fold_left (fun acc nt -> acc +. Pcfg.h_cost p nt) 0. opens
 
 let rec depth g = function

@@ -44,13 +44,9 @@ val of_derivation : Cfg.t -> int list -> t
     tree. *)
 val close_tails : Cfg.t -> string list -> int list -> int list option
 
-(** [g_cost p x] — the heuristic g(x): Σ over open leaves of −log₂ h(nt)
-    (§5.1), accumulated left to right. 0 when complete. *)
-val g_cost : Pcfg.t -> t -> float
-
-(** [g_cost_opens p opens] — the same sum over an ordered open-leaf list
-    (see {!annotated}); float-for-float identical to [g_cost] on the tree
-    the list came from, in O(open leaves) instead of O(tree). *)
+(** [g_cost_opens p opens] — the heuristic g(x): Σ over the ordered
+    open-leaf list (see {!annotated}) of −log₂ h(nt) (§5.1), accumulated
+    left to right. 0 when complete. O(open leaves), no tree scan. *)
 val g_cost_opens : Pcfg.t -> string list -> float
 
 (** Expression depth as defined in §5.1: tensor/constant leaves (and open

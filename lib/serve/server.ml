@@ -14,32 +14,18 @@ let default_config = { jobs = 1; cache_max = 1024; verify = true }
 type t = {
   cfg : config;
   cache : Cache.t;
-  epoch : int;
   seq_mu : Mutex.t;
   mutable next_seq : int;
 }
-
-(* Epochs are process-unique so two servers (tests create many) never
-   share validation-memo scopes; guarded by a mutex rather than a raw
-   atomic read-modify-write. *)
-let epoch_mu = Mutex.create ()
-let epoch_counter = ref 0
-
-let fresh_epoch () =
-  Mutex.protect epoch_mu (fun () ->
-      incr epoch_counter;
-      !epoch_counter)
 
 let create ?(config = default_config) () =
   {
     cfg = { config with jobs = max 1 config.jobs; cache_max = max 1 config.cache_max };
     cache = Cache.create ~max:(max 1 config.cache_max);
-    epoch = fresh_epoch ();
     seq_mu = Mutex.create ();
     next_seq = 0;
   }
 
-let epoch t = t.epoch
 let cache_stats t = Cache.stats t.cache
 
 let reserve_seqs t n =
@@ -47,11 +33,6 @@ let reserve_seqs t n =
       let base = t.next_seq in
       t.next_seq <- t.next_seq + n;
       base)
-
-(* The memo scope ends in '|', which no [qname] can smuggle ambiguity
-   past: "epoch1|" ^ "x" and "epoch11" ^ "|x" differ in the byte before
-   the first '|'. *)
-let memo_scope t = Printf.sprintf "epoch%d|" t.epoch
 
 (* ---- request decoding ---- *)
 
@@ -247,7 +228,7 @@ let try_remap ~(m : Method_.t) ~qname ~func ~signature ~consts (dl : Cache.lifte
 
 (* ---- responses ---- *)
 
-let telemetry_json t ~(vs0 : Validator.stats) ~(vs1 : Validator.stats) =
+let telemetry_json t =
   let cs = Cache.stats t.cache in
   Json.Obj
     [
@@ -258,9 +239,6 @@ let telemetry_json t ~(vs0 : Validator.stats) ~(vs1 : Validator.stats) =
       ("cache_evictions", Json.Int cs.evictions);
       ("cache_inflight", Json.Int cs.inflight);
       ("cache_entries", Json.Int cs.entries);
-      ("memo_hits", Json.Int (vs1.memo_hits - vs0.memo_hits));
-      ("memo_misses", Json.Int (vs1.memo_misses - vs0.memo_misses));
-      ("epoch", Json.Int t.epoch);
     ]
 
 let error_response ~id ~seq msg =
@@ -273,7 +251,7 @@ let error_response ~id ~seq msg =
          ("error", Json.String msg);
        ])
 
-let lift_response t ~id ~seq ~kernel ~fp ~cache_path ~vs0 ~vs1 ~time_s (o : Cache.outcome) =
+let lift_response t ~id ~seq ~kernel ~fp ~cache_path ~time_s (o : Cache.outcome) =
   let status = if o.solved then "ok" else "unsolved" in
   Json.to_string
     (Json.Obj
@@ -295,7 +273,7 @@ let lift_response t ~id ~seq ~kernel ~fp ~cache_path ~vs0 ~vs1 ~time_s (o : Cach
            ("expansions", Json.Int o.expansions);
            ("instantiations", Json.Int o.instantiations);
            ("time_s", Json.Float time_s);
-           ("telemetry", telemetry_json t ~vs0 ~vs1);
+           ("telemetry", telemetry_json t);
          ]))
 
 (* ---- one request ---- *)
@@ -319,11 +297,8 @@ let handle_lift t ~seq ~(req : request) ~raw_id =
               ~mdig:req.mdig
           in
           let t0 = Clock.now () in
-          let vs0 = Validator.stats () in
           let respond cache_path o =
-            let vs1 = Validator.stats () in
             lift_response t ~id:qname ~seq ~kernel:func.Stagg_minic.Ast.fname ~fp ~cache_path
-              ~vs0 ~vs1
               ~time_s:(Clock.now () -. t0)
               o
           in
@@ -351,7 +326,7 @@ let handle_lift t ~seq ~(req : request) ~raw_id =
                         }
                       in
                       (outcome_of_result signature consts
-                         (Pipeline.lift ~memo_scope:(memo_scope t) m q),
+                         (Pipeline.lift m q),
                         "miss")
                 in
                 Cache.fulfill t.cache ~key ~fp outcome;
@@ -363,38 +338,32 @@ let handle_lift t ~seq ~(req : request) ~raw_id =
                   ("internal error: " ^ Printexc.to_string e)))
 
 let stats_response t ~id ~seq =
-  let vs = Validator.stats () in
-  let cs = Cache.stats t.cache in
   Json.to_string
     (Json.Obj
        [
          ("id", match id with Some s -> Json.String s | None -> Json.Null);
          ("seq", Json.Int seq);
          ("status", Json.String "stats");
-         ( "telemetry",
-           Json.Obj
-             [
-               ("cache_hits", Json.Int cs.hits);
-               ("cache_misses", Json.Int cs.misses);
-               ("cache_joins", Json.Int cs.joins);
-               ("cache_remaps", Json.Int cs.remaps);
-               ("cache_evictions", Json.Int cs.evictions);
-               ("cache_inflight", Json.Int cs.inflight);
-               ("cache_entries", Json.Int cs.entries);
-               ("memo_hits", Json.Int vs.memo_hits);
-               ("memo_misses", Json.Int vs.memo_misses);
-               ("memo_evictions", Json.Int vs.memo_evictions);
-               ("epoch", Json.Int t.epoch);
-             ] );
+         ("telemetry", telemetry_json t);
        ])
 
 let op_of j = match field_str j "op" with Ok (Some s) -> s | _ -> "lift"
 
+(* A request's cost grows with its length (a flat [a[i] + 1 + … + 1]
+   chain parses, canonicalizes and analyzes term by term), so an
+   oversized line is refused before any parser reads it. *)
+let max_line_bytes = 65_536
+
+let parse_request line =
+  if String.length line > max_line_bytes then
+    Error (Printf.sprintf "line longer than %d bytes" max_line_bytes)
+  else Json.of_string line
+
 let is_shutdown line =
-  match Json.of_string line with Ok j -> op_of j = "shutdown" | Error _ -> false
+  match parse_request line with Ok j -> op_of j = "shutdown" | Error _ -> false
 
 let process t ~seq line : string * [ `Continue | `Shutdown ] =
-  match Json.of_string line with
+  match parse_request line with
   | Error e -> (error_response ~id:None ~seq ("bad request: " ^ e), `Continue)
   | Ok j -> (
       let id = match field_str j "id" with Ok v -> v | Error _ -> None in

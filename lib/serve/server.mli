@@ -26,11 +26,9 @@
     answered: ["miss"] (searched), ["hit"], ["join"] (waited out a
     concurrent identical search), or ["remap"].
 
-    Each server instance gets a fresh {e epoch}, which scopes
-    the validation memo: verdicts never bleed between epochs, while
-    requests within one epoch still share them.
-
-    Input limits. Both parsers on the request path cap nesting depth
+    Input limits. A request line longer than {!max_line_bytes} gets one
+    ["bad request: line longer than N bytes"] error before any parser
+    reads it. Both parsers on the request path cap nesting depth
     and stop at the cap, so a hostile line costs parse time bounded by
     the cap, not by its nesting. A request line nested deeper than
     {!Json.max_depth} (64) arrays and objects gets one
@@ -38,13 +36,10 @@
     offset of the bracket past the cap; a kernel nested deeper than
     {!Stagg_minic.Parser.max_depth} (256) levels gets one
     ["C parse error: nesting deeper than 256"] error.
-    Input size, interpreter fuel and BMC term size are not yet bounded
-    per request.
+    Interpreter fuel and BMC term size are not yet bounded per request.
 
-    Per-response telemetry reports the request's own validator-memo
-    traffic as a delta of two monotonic snapshots — exact when requests
-    are processed sequentially ([jobs = 1]), a process-wide
-    approximation under concurrency. *)
+    Per-response telemetry is a snapshot of the result cache's
+    counters. *)
 
 type config = {
   jobs : int;  (** concurrent request processors; 1 = caller's domain only *)
@@ -56,12 +51,15 @@ val default_config : config
 
 type t
 
-(** Fresh server state (cache, epoch, sequence counter). *)
+(** Fresh server state (cache, sequence counter). *)
 val create : ?config:config -> unit -> t
 
-(** The server's validation-memo epoch (unique per [create] in this
-    process). *)
-val epoch : t -> int
+(** The longest request line served: 65 536 bytes. The longest line the
+    serve smoke sends is 172 bytes, and the longest the serve-mix
+    benchmark sends is 690 bytes. A flat [a[i] + 1 + … + 1] kernel
+    filling the cap (16 351 terms) is answered ["budget exceeded"] in
+    about a second; the chain's cost grows with its length. *)
+val max_line_bytes : int
 
 val cache_stats : t -> Cache.stats
 

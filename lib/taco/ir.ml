@@ -41,11 +41,6 @@ let rec pp_stmt fmt indent stmt =
       List.iter (pp_stmt fmt (indent + 2)) body;
       Format.fprintf fmt "%s}@," pad
 
-let pp_kernel fmt k =
-  Format.fprintf fmt "@[<v>kernel(out[%s]) {@," (String.concat "," k.out_indices);
-  List.iter (pp_stmt fmt 2) k.body;
-  Format.fprintf fmt "}@]"
-
 let kernel_to_c ~name k =
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in

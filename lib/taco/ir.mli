@@ -28,8 +28,6 @@ type kernel = {
   body : stmt list;
 }
 
-val pp_kernel : Format.formatter -> kernel -> unit
-
 (** [kernel_to_c k] renders the kernel as (illustrative) C source — the
     artifact a TACO user would see. *)
 val kernel_to_c : name:string -> kernel -> string

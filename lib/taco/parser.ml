@@ -152,7 +152,5 @@ let parse_program s =
       { lhs; rhs })
     s
 
-let parse_expr s = run parse_expr_prec s
-
 let parse_program_exn s =
   match parse_program s with Ok p -> p | Error msg -> failwith ("Taco parse error: " ^ msg)

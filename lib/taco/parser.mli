@@ -9,8 +9,5 @@
 (** [parse_program s] parses a full assignment [t(i,...) = e]. *)
 val parse_program : string -> (Ast.program, string) result
 
-(** [parse_expr s] parses a bare right-hand-side expression. *)
-val parse_expr : string -> (Ast.expr, string) result
-
 (** @raise Failure with the error message instead of returning [Error]. *)
 val parse_program_exn : string -> Ast.program

@@ -50,64 +50,6 @@ let expr_to_string e =
   go buf 0 false e;
   Buffer.contents buf
 
-(* ---- fused rename + print ----
-
-   The batched validator keys its verdict memo by the printed concrete
-   program but never builds the concrete AST for losing substitutions, so
-   it prints the template {e as if} renamed. This duplicates [go] rather
-   than parameterizing it — the contract is byte-identity with
-   [program_to_string (Templatize.rename p ~mapping ~const)], which a
-   QCheck property in test_template pins down. *)
-
-let rec lookup name = function
-  | [] -> None
-  | (k, v) :: rest -> if String.equal k name then Some v else lookup name rest
-
-let add_const buf c =
-  if Rat.sign c < 0 then begin
-    Buffer.add_char buf '(';
-    Buffer.add_string buf (Rat.to_string c);
-    Buffer.add_char buf ')'
-  end
-  else Buffer.add_string buf (Rat.to_string c)
-
-let renamed_name ~mapping ~is_const name =
-  if is_const name then name
-  else
-    match lookup name mapping with
-    | Some n -> n
-    | None -> failwith (Printf.sprintf "Templatize.rename: no binding for symbol %s" name)
-
-let rec go_renamed buf ~mapping ~const ~is_const parent_prec right_side e =
-  match e with
-  | Access (t, []) when is_const t -> (
-      match const with
-      | Some c -> add_const buf c
-      | None -> failwith "Templatize.rename: template has Const but no constant was given")
-  | Access (t, idxs) -> add_access buf (renamed_name ~mapping ~is_const t) idxs
-  | Const c -> add_const buf c
-  | Neg inner ->
-      Buffer.add_char buf '-';
-      go_renamed buf ~mapping ~const ~is_const 3 false inner
-  | Bin (op, l, r) ->
-      let p = prec_of op in
-      let needs = p < parent_prec || (p = parent_prec && right_side) in
-      if needs then Buffer.add_char buf '(';
-      go_renamed buf ~mapping ~const ~is_const p false l;
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (op_to_string op);
-      Buffer.add_char buf ' ';
-      go_renamed buf ~mapping ~const ~is_const p true r;
-      if needs then Buffer.add_char buf ')'
-
-let program_to_string_renamed ~mapping ~const ~is_const (p : program) =
-  let name, idxs = p.lhs in
-  let buf = Buffer.create 48 in
-  add_access buf (renamed_name ~mapping ~is_const name) idxs;
-  Buffer.add_string buf " = ";
-  go_renamed buf ~mapping ~const ~is_const 0 false p.rhs;
-  Buffer.contents buf
-
 (* The whole statement goes through one buffer: this string is the §4.4
    canonical template key, built once per validated candidate. *)
 let program_to_string (p : program) =
@@ -117,6 +59,3 @@ let program_to_string (p : program) =
   Buffer.add_string buf " = ";
   go buf 0 false p.rhs;
   Buffer.contents buf
-
-let pp_expr fmt e = Format.pp_print_string fmt (expr_to_string e)
-let pp_program fmt p = Format.pp_print_string fmt (program_to_string p)

@@ -6,20 +6,3 @@
 
 val expr_to_string : Ast.expr -> string
 val program_to_string : Ast.program -> string
-
-(** [program_to_string_renamed ~mapping ~const ~is_const template] prints
-    the template {e as if} instantiated: symbols are looked up in
-    [mapping], rank-0 accesses satisfying [is_const] print as the literal
-    [const] (parenthesized when negative, like any literal), names
-    satisfying [is_const] otherwise pass through unmapped. Byte-identical
-    to [program_to_string (Templatize.rename template ~mapping ~const)] —
-    QCheck-pinned — without building the concrete AST. Raises the same
-    [Failure]s as [rename] on a missing binding or constant. *)
-val program_to_string_renamed :
-  mapping:(string * string) list ->
-  const:Stagg_util.Rat.t option ->
-  is_const:(string -> bool) ->
-  Ast.program ->
-  string
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_program : Format.formatter -> Ast.program -> unit

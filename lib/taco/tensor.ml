@@ -60,7 +60,6 @@ let offset_prefix t ix n =
 let get_prefix t ix n = t.data.(offset_prefix t ix n)
 let set_prefix t ix n v = t.data.(offset_prefix t ix n) <- v
 let get_flat t i = t.data.(i)
-let set_flat t i v = t.data.(i) <- v
 let to_flat_array t = Array.copy t.data
 
 let of_flat_array shape data =

@@ -39,8 +39,6 @@ val set_prefix : 'a t -> int array -> int -> 'a -> unit
 (** Flat row-major access. *)
 val get_flat : 'a t -> int -> 'a
 
-val set_flat : 'a t -> int -> 'a -> unit
-
 (** The flat row-major contents (a fresh copy). *)
 val to_flat_array : 'a t -> 'a array
 

@@ -9,8 +9,6 @@
 (** The symbolic-constant tensor name. *)
 val const_symbol : string
 
-val is_const_symbol : string -> bool
-
 (** [templatize p] applies the three passes — tensor templatization, index
     standardization, constant templatization. Returns [None] when the
     candidate needs more than 4 index variables or more than 25 distinct

@@ -10,11 +10,6 @@ type solution = {
   concrete : Stagg_taco.Ast.program;
 }
 
-let pp_solution fmt s =
-  Format.fprintf fmt "%s via %a"
-    (Stagg_taco.Pretty.program_to_string s.concrete)
-    Subst.pp s.subst
-
 (* ---- prepared examples ----
 
    Everything example-dependent but program-independent — the tensor
@@ -73,141 +68,36 @@ let check_concrete ~signature ~examples p = check (prepare ~signature ~examples)
 
 (* ---- validator telemetry ----
 
-   Process-wide counters: verdict-memo traffic (including entries the
-   bounded memo evicts, which were previously dropped silently) and
-   template-compilation traffic for the batched path.
-
-   The underlying atomics are MONOTONIC — nothing ever writes them
-   backwards. [reset_stats] subtracts instead: it snapshots the current
-   totals into per-counter baselines and [stats] reports
-   [total - baseline]. A reset racing concurrent [Atomic.incr]s can
-   therefore never lose an increment (the old [Atomic.set c 0] could:
-   an increment landing between the read and the zeroing vanished), and
-   two [stats] snapshots always yield an exact interval delta — the
-   serve path meters each request that way rather than resetting. *)
+   Process-wide monotonic counters of the batched path's
+   template-compilation traffic. Nothing resets them: a reader that
+   wants an interval subtracts two [stats] snapshots. *)
 
 type stats = {
-  memo_hits : int;
-  memo_misses : int;
-  memo_evictions : int;  (** entries dropped by generation rotation *)
+  memo_hits : int;  (** always 0; see the interface *)
+  memo_misses : int;  (** always 0; see the interface *)
   template_compiles : int;  (** [compile_template] runs (template-cache misses) *)
   template_cache_hits : int;
   template_cache_evictions : int;  (** LRU entries displaced at the cache cap *)
   template_overflows : int;  (** templates over MAXRANK: per-candidate fallback *)
 }
 
-type counter = { total : int Atomic.t; baseline : int Atomic.t }
-
-let counter () = { total = Atomic.make 0; baseline = Atomic.make 0 }
-let c_memo_hits = counter ()
-let c_memo_misses = counter ()
-let c_memo_evictions = counter ()
-let c_template_compiles = counter ()
-let c_template_cache_hits = counter ()
-let c_template_cache_evictions = counter ()
-let c_template_overflows = counter ()
-
-let all_counters =
-  [
-    c_memo_hits;
-    c_memo_misses;
-    c_memo_evictions;
-    c_template_compiles;
-    c_template_cache_hits;
-    c_template_cache_evictions;
-    c_template_overflows;
-  ]
-
-let bump c = Atomic.incr c.total
-let bump_by c n = if n > 0 then ignore (Atomic.fetch_and_add c.total n)
-let read c = Atomic.get c.total - Atomic.get c.baseline
+let c_template_compiles = Atomic.make 0
+let c_template_cache_hits = Atomic.make 0
+let c_template_cache_evictions = Atomic.make 0
+let c_template_overflows = Atomic.make 0
 
 let stats () =
   {
-    memo_hits = read c_memo_hits;
-    memo_misses = read c_memo_misses;
-    memo_evictions = read c_memo_evictions;
-    template_compiles = read c_template_compiles;
-    template_cache_hits = read c_template_cache_hits;
-    template_cache_evictions = read c_template_cache_evictions;
-    template_overflows = read c_template_overflows;
+    memo_hits = 0;
+    memo_misses = 0;
+    template_compiles = Atomic.get c_template_compiles;
+    template_cache_hits = Atomic.get c_template_cache_hits;
+    template_cache_evictions = Atomic.get c_template_cache_evictions;
+    template_overflows = Atomic.get c_template_overflows;
   }
 
-let reset_stats () =
-  List.iter (fun c -> Atomic.set c.baseline (Atomic.get c.total)) all_counters
-
-(* ---- the cross-sweep validation memo ----
-
-   The ~20 method sweeps of a campaign share one candidate prefix per
-   benchmark, so their searches keep producing the same concrete
-   programs. The example verdict is a deterministic function of
-   (benchmark examples, concrete program) — examples are derived from the
-   campaign seed — so it is safe to share across sweeps and across
-   domains: memoized or recomputed, the verdict is identical, which keeps
-   the harness's any-[--jobs N] determinism guarantee. Keyed by the
-   caller-supplied [memo_key] (benchmark + example seed) plus the printed
-   concrete program; guarded by a mutex like [Bench.func_cache]. Only the
-   example verdict is memoized — never the [verify] (BMC) outcome, which
-   is a per-method choice.
-
-   Keyed by the (memo_key, printed program) PAIR, not their
-   concatenation: a separator-joined string is ambiguous the moment a
-   benchmark id contains the separator, silently sharing verdicts
-   between distinct (key, program) pairs. *)
-
-(* Bounded by two-generation rotation rather than the old reject-on-full
-   backstop (which silently stopped memoizing for the rest of the
-   process — fatal in a long-lived server, where the memo must keep
-   admitting the CURRENT request's verdicts). [cur] fills to
-   [memo_gen_max]; rotation then demotes it to [old] and discards the
-   previous [old] (counted as evictions). Lookups consult both
-   generations and re-promote old-generation hits, so any working set
-   under [memo_gen_max] keys survives rotation indefinitely, while total
-   residency never exceeds 2×[memo_gen_max] — the old 500k backstop.
-   Verdicts are deterministic functions of the key, so eviction timing
-   can never change an outcome, only recompute it. *)
-
-let memo_gen_max = 250_000
-
-type memo_state = {
-  mutable cur : (string * string, bool) Hashtbl.t;
-  mutable old : (string * string, bool) Hashtbl.t;
-}
-
-let memo = { cur = Hashtbl.create 4096; old = Hashtbl.create 0 }
-let memo_lock = Mutex.create ()
-let memo_enabled = Atomic.make true
-let set_memo_enabled b = Atomic.set memo_enabled b
-
-let clear_memo () =
-  Mutex.protect memo_lock (fun () ->
-      memo.cur <- Hashtbl.create 4096;
-      memo.old <- Hashtbl.create 0)
-
-let memo_size () =
-  Mutex.protect memo_lock (fun () -> Hashtbl.length memo.cur + Hashtbl.length memo.old)
-
-(* caller holds [memo_lock] *)
-let memo_insert key v =
-  Hashtbl.replace memo.cur key v;
-  if Hashtbl.length memo.cur >= memo_gen_max then begin
-    bump_by c_memo_evictions (Hashtbl.length memo.old);
-    memo.old <- memo.cur;
-    memo.cur <- Hashtbl.create 4096
-  end
-
-let memo_find key =
-  Mutex.protect memo_lock (fun () ->
-      match Hashtbl.find_opt memo.cur key with
-      | Some _ as hit -> hit
-      | None -> (
-          match Hashtbl.find_opt memo.old key with
-          | Some v as hit ->
-              memo_insert key v;
-              hit
-          | None -> None))
-
-let memo_add key v = Mutex.protect memo_lock (fun () -> memo_insert key v)
+(* a no-op; see the interface *)
+let clear_memo () = ()
 
 (* ---- the per-domain compiled-template cache ----
 
@@ -240,24 +130,24 @@ let compiled_template_for template : Tcompile.t option =
   let key = Stagg_taco.Pretty.program_to_string template in
   match Lru.find cache key with
   | Some ct ->
-      bump c_template_cache_hits;
+      Atomic.incr c_template_cache_hits;
       Some ct
   | None -> (
       match Tcompile.compile_template ~const_symbol:Templatize.const_symbol template with
       | exception Tcompile.Rank_overflow _ ->
-          bump c_template_overflows;
+          Atomic.incr c_template_overflows;
           None
       | ct ->
-          bump c_template_compiles;
+          Atomic.incr c_template_compiles;
           (match Lru.add cache key ct with
-          | Some _ -> bump c_template_cache_evictions
+          | Some _ -> Atomic.incr c_template_cache_evictions
           | None -> ());
           Some ct)
 
 (* The instantiation count is accumulated per call and returned, so no
    shared counter sits on the hot path. *)
 let validate_counted ~signature ~(checker : checker) ~consts ?(verify = fun _ -> true)
-    ?memo_key ?(batched = true) template =
+    ?memo_key:_ ?(batched = true) template =
   let args =
     List.map
       (fun (name, spec) ->
@@ -274,54 +164,16 @@ let validate_counted ~signature ~(checker : checker) ~consts ?(verify = fun _ ->
   in
   let ct = if batched then compiled_template_for template else None in
   let count = ref 0 in
-  (* Both arms test the same substitutions in the same order with the same
-     memo keys — the batched arm prints the would-be concrete program
-     directly from the template ([program_to_string_renamed] is
-     byte-identical to printing the instantiation) and only builds the
-     concrete AST for a passing substitution. *)
+  (* Both arms test the same substitutions in the same order; the batched
+     arm only builds the concrete AST for a passing substitution. *)
   let test (subst : Subst.t) =
     incr count;
     let passes =
       match ct with
-      | Some ct -> (
-          let rebind_and_check () =
-            Tcompile.rebind ct ~mapping:subst.Subst.tensor_binding
-              ~const:subst.Subst.const_binding;
-            check_compiled ct checker
-          in
-          match memo_key with
-          | Some mk when Atomic.get memo_enabled -> (
-              let printed =
-                Stagg_taco.Pretty.program_to_string_renamed
-                  ~mapping:subst.Subst.tensor_binding ~const:subst.Subst.const_binding
-                  ~is_const:Templatize.is_const_symbol template
-              in
-              let key = (mk, printed) in
-              match memo_find key with
-              | Some v ->
-                  bump c_memo_hits;
-                  v
-              | None ->
-                  bump c_memo_misses;
-                  let v = rebind_and_check () in
-                  memo_add key v;
-                  v)
-          | _ -> rebind_and_check ())
-      | None -> (
-          let concrete = Subst.instantiate template subst in
-          match memo_key with
-          | Some mk when Atomic.get memo_enabled -> (
-              let key = (mk, Stagg_taco.Pretty.program_to_string concrete) in
-              match memo_find key with
-              | Some v ->
-                  bump c_memo_hits;
-                  v
-              | None ->
-                  bump c_memo_misses;
-                  let v = check checker concrete in
-                  memo_add key v;
-                  v)
-          | _ -> check checker concrete)
+      | Some ct ->
+          Tcompile.rebind ct ~mapping:subst.Subst.tensor_binding ~const:subst.Subst.const_binding;
+          check_compiled ct checker
+      | None -> check checker (Subst.instantiate template subst)
     in
     if passes then begin
       let concrete = Subst.instantiate template subst in
@@ -332,6 +184,6 @@ let validate_counted ~signature ~(checker : checker) ~consts ?(verify = fun _ ->
   let solution = Seq.find_map test substs in
   (solution, !count)
 
-let validate ~signature ~examples ~consts ?verify ?memo_key ?batched template =
+let validate ~signature ~examples ~consts ?verify ?batched template =
   let checker = prepare ~signature ~examples in
-  fst (validate_counted ~signature ~checker ~consts ?verify ?memo_key ?batched template)
+  fst (validate_counted ~signature ~checker ~consts ?verify ?batched template)

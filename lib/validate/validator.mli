@@ -14,11 +14,11 @@
     sweeps), and each substitution is a [rebind] — slot retargeting plus a
     constant-cell write over shared allocation-free scratch — instead of an
     instantiate + compile. Batched and per-candidate validation test the
-    same substitutions in the same order with the same memo keys, so their
-    results, counts, and memo contents are observably identical (the
-    [@smoke] differential and a QCheck suite enforce this). Examples are
-    checked cheapest-first with an early exit at the first mismatching
-    cell. *)
+    same substitutions in the same order, so their results and counts are
+    observably identical (the [@smoke] differential and a QCheck suite
+    enforce this). Examples are checked cheapest-first with an early exit
+    at the first mismatching cell. Every substitution is checked: no
+    verdict is remembered between calls. *)
 
 open Stagg_util
 
@@ -27,8 +27,6 @@ type solution = {
   subst : Stagg_template.Subst.t;
   concrete : Stagg_taco.Ast.program;  (** over the C parameter names *)
 }
-
-val pp_solution : Format.formatter -> solution -> unit
 
 (** A prepared example set — per-example tensor environments (assoc list
     and slot-resolved table), expected outputs and cheapest-first ordering
@@ -39,20 +37,12 @@ type checker
 val prepare :
   signature:Stagg_minic.Signature.t -> examples:Examples.example list -> checker
 
-(** [validate ~signature ~examples ~consts ?verify ?memo_key ?batched
-    template] — first substitution (if any) whose instantiation reproduces
-    every example and passes [verify]. Convenience wrapper over
+(** [validate ~signature ~examples ~consts ?verify ?batched template] —
+    first substitution (if any) whose instantiation reproduces every
+    example and passes [verify]. Convenience wrapper over
     {!validate_counted} that prepares the examples itself; callers
     validating many templates against the same examples should [prepare]
     once instead.
-
-    [memo_key] opts into the process-wide validation memo: example
-    verdicts are cached under [(memo_key, printed concrete program)] and
-    shared across the campaign's method sweeps (and worker domains). The
-    key must determine the examples — the harness uses
-    ["bench#example-seed"]. Verdicts are deterministic functions of the
-    key, so memoized and recomputed runs are observably identical. The
-    [verify] outcome is never memoized.
 
     [batched] (default [true]) selects template-level compilation +
     rebind; [false] forces the per-candidate instantiate + compile path.
@@ -65,13 +55,15 @@ val validate :
   examples:Examples.example list ->
   consts:Rat.t list ->
   ?verify:(Stagg_taco.Ast.program -> bool) ->
-  ?memo_key:string ->
   ?batched:bool ->
   Stagg_taco.Ast.program ->
   solution option
 
 (** As {!validate}, over a prepared [checker], and also returns how many
-    instantiations this call executed. *)
+    instantiations this call executed.
+
+    [memo_key] is ignored: kept only because liftbench passes it; goes
+    with ROADMAP item 1. *)
 val validate_counted :
   signature:Stagg_minic.Signature.t ->
   checker:checker ->
@@ -82,12 +74,9 @@ val validate_counted :
   Stagg_taco.Ast.program ->
   solution option * int
 
-(** Globally enable/disable the validation memo (default: enabled). The
-    determinism test runs the suite both ways and compares. *)
-val set_memo_enabled : bool -> unit
-
+(** A no-op: kept only because liftbench calls it; goes with ROADMAP
+    item 1. *)
 val clear_memo : unit -> unit
-val memo_size : unit -> int
 
 (** [check ck p] — does the {e concrete} TACO program [p] (over the C
     parameter names) reproduce every example? *)
@@ -100,15 +89,15 @@ val check_concrete :
   Stagg_taco.Ast.program ->
   bool
 
-(** Validator telemetry: process-wide counters over the verdict memo
-    (hits, misses, and entries evicted by generation rotation — the memo
-    is bounded at ~500k entries but keeps admitting, unlike the old
-    reject-on-full backstop) and the batched path's per-domain LRU
-    compiled-template cache. *)
+(** Validator telemetry: process-wide counters over the batched path's
+    per-domain LRU compiled-template cache. *)
 type stats = {
   memo_hits : int;
+      (** always 0: kept only because liftbench reads it; goes with
+          ROADMAP item 1 *)
   memo_misses : int;
-  memo_evictions : int;
+      (** always 0: kept only because liftbench reads it; goes with
+          ROADMAP item 1 *)
   template_compiles : int;
   template_cache_hits : int;
   template_cache_evictions : int;
@@ -117,14 +106,7 @@ type stats = {
           validated on the per-candidate fallback path *)
 }
 
-(** Counters since the last {!reset_stats} (process start if never
-    reset). The underlying totals are monotonic; two [stats] snapshots
-    subtract to an exact interval delta even while other domains keep
-    validating — how the serve path meters per-request telemetry. *)
+(** Counter totals since process start. They only grow, so two
+    snapshots subtract to the traffic in between (process-wide: other
+    domains' validation counts too). *)
 val stats : unit -> stats
-
-(** Re-baseline {!stats} to zero. Safe to call concurrently with
-    in-flight validation: implemented as baseline capture over monotonic
-    counters, so increments are never lost (the previous implementation
-    zeroed the counters and could drop racing increments). *)
-val reset_stats : unit -> unit

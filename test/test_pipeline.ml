@@ -75,25 +75,6 @@ let test_parallel_determinism () =
   let par = List.map strip (Stagg.Pipeline.run_suite ~jobs:4 Stagg.Method_.stagg_td benches) in
   check_bool "jobs:1 and jobs:4 agree modulo time_s" true (seq = par)
 
-let test_memo_determinism () =
-  (* the cross-sweep validation memo must be invisible in results: a
-     memo-disabled sequential run and a memo-enabled 4-worker run agree on
-     every field except wall-clock times *)
-  let benches =
-    List.filter_map Suite.find
-      [ "art_copy"; "art_gemv"; "art_gemm"; "dsp_mean8"; "sa_const_sub"; "dk_mse" ]
-  in
-  let strip (r : Stagg.Result_.t) = { r with time_s = 0. } in
-  let module V = Stagg_validate.Validator in
-  V.set_memo_enabled false;
-  V.clear_memo ();
-  let off = List.map strip (Stagg.Pipeline.run_suite ~jobs:1 Stagg.Method_.stagg_td benches) in
-  V.set_memo_enabled true;
-  V.clear_memo ();
-  let on_ = List.map strip (Stagg.Pipeline.run_suite ~jobs:4 Stagg.Method_.stagg_td benches) in
-  check_bool "memo filled by the sweep" true (V.memo_size () > 0);
-  check_bool "memo on/off byte-identical" true (off = on_)
-
 let test_determinism () =
   let norm (r : Stagg.Result_.t) =
     ( r.solved,
@@ -152,13 +133,11 @@ let test_no_verify_mode () =
 
 (* The per-candidate validator path is the reference for the batched
    one: over the smoke methods and the artificial suite, both must agree
-   per kernel on every count and on the first solution. The memo is
-   cleared before each run, or the second run would only replay the
-   first's verdicts; the wall-clock backstop is off so that only the
-   deterministic caps can stop a search. *)
+   per kernel on every count and on the first solution. The wall-clock
+   backstop is off so that only the deterministic caps can stop a
+   search. *)
 let test_batched_matches_per_candidate () =
   let run (m : Stagg.Method_.t) batched_validate =
-    Stagg_validate.Validator.clear_memo ();
     Stagg.Pipeline.run_suite
       {
         m with
@@ -233,7 +212,6 @@ let () =
           Alcotest.test_case "five-index query unsolvable" `Slow test_five_index_unsolvable;
           Alcotest.test_case "determinism" `Slow test_determinism;
           Alcotest.test_case "parallel determinism" `Slow test_parallel_determinism;
-          Alcotest.test_case "memo determinism" `Slow test_memo_determinism;
           Alcotest.test_case "prepared artifacts" `Quick test_prepare_artifacts;
           Alcotest.test_case "substitutions bind parameters" `Slow test_solution_substitution_sound;
           Alcotest.test_case "ablation configurations" `Slow test_ablation_configs_run;

@@ -248,38 +248,30 @@ let field name j = Option.bind (J.member name j) J.to_str
 let telem name j = Option.bind (J.member "telemetry" j) (fun t -> Option.bind (J.member name t) J.to_int)
 let get o = Option.get o
 
-(* The first satellite bug this PR fixes: process-wide validator
-   counters used to bleed across requests. Two sequential requests on
-   one server must meter their own memo traffic — and the repeat must be
-   answered from the cache without validating anything at all. *)
+(* Two sequential requests on one server: each response carries the
+   cache counters as of its own answer, and the repeat is answered from
+   the cache without validating anything at all. A search validates
+   through the compiled-template cache, so validation shows as that
+   cache's traffic (compiles plus hits) over the request. *)
 let test_server_telemetry_independent () =
   let s = Server.create () in
-  match List.map parse_resp (Server.run_lines s [ lift_req mul3_src mul3_sig; lift_req mul3_src mul3_sig ]) with
-  | [ r1; r2 ] ->
-      check_string "first request searches" "miss" (get (field "cache" r1));
-      check_bool "search validated against the memo" true (get (telem "memo_misses" r1) > 0);
-      check_string "repeat is a cache hit" "hit" (get (field "cache" r2));
-      check_int "hit does no validation: zero memo misses" 0 (get (telem "memo_misses" r2));
-      check_int "hit does no validation: zero memo hits" 0 (get (telem "memo_hits" r2));
-      check_string "hit answer is byte-identical to the searched one"
-        (get (field "taco" r1)) (get (field "taco" r2))
-  | _ -> Alcotest.fail "expected two responses"
-
-(* Epoch scoping: a second server must never see the first server's
-   memo verdicts (its memo keys live in a different epoch), even though
-   both run in one process. Before the epoch scope, server B's search
-   here reported memo hits it never earned. *)
-let test_server_epoch_isolation () =
-  let a = Server.create () in
-  let b = Server.create () in
-  check_bool "each server gets its own epoch" true (Server.epoch a <> Server.epoch b);
-  let ra = parse_resp (List.hd (Server.run_lines a [ lift_req mul3_src mul3_sig ])) in
-  let rb = parse_resp (List.hd (Server.run_lines b [ lift_req mul3_src mul3_sig ])) in
-  check_string "server A searches" "miss" (get (field "cache" ra));
-  check_string "server B searches its own cache" "miss" (get (field "cache" rb));
-  check_int "server B's memo starts cold: no cross-epoch hits" 0 (get (telem "memo_hits" rb));
-  check_bool "server B validates for itself" true (get (telem "memo_misses" rb) > 0);
-  check_string "same answer either way" (get (field "taco" ra)) (get (field "taco" rb))
+  let validated_by f =
+    let v0 = Stagg_validate.Validator.stats () in
+    let r = f () in
+    let v1 = Stagg_validate.Validator.stats () in
+    (r, v1.template_compiles - v0.template_compiles + v1.template_cache_hits - v0.template_cache_hits)
+  in
+  let lift () = parse_resp (List.hd (Server.run_lines s [ lift_req mul3_src mul3_sig ])) in
+  let r1, v1 = validated_by lift in
+  let r2, v2 = validated_by lift in
+  check_string "first request searches" "miss" (get (field "cache" r1));
+  check_bool "search validated" true (v1 > 0);
+  check_int "first request: one cache miss" 1 (get (telem "cache_misses" r1));
+  check_string "repeat is a cache hit" "hit" (get (field "cache" r2));
+  check_int "hit does no validation" 0 v2;
+  check_int "repeat: one cache hit" 1 (get (telem "cache_hits" r2));
+  check_string "hit answer is byte-identical to the searched one"
+    (get (field "taco" r1)) (get (field "taco" r2))
 
 (* jobs = 4 races the mix through the single-flight cache; which request
    becomes the searching owner is scheduling-dependent, but every
@@ -390,12 +382,13 @@ let test_shutdown_stops_reading () =
   Alcotest.(check (list string)) "nothing answered after the shutdown" []
     (List.map (fun l -> Option.value ~default:"-" (field "status" (parse_resp l))) later)
 
-(* The nesting caps at the request boundary. A request line a million
-   brackets deep gets exactly one error response, reported at offset
-   [Json.max_depth]: the parser stops at the cap instead of reading the
-   rest of the line. A kernel a million parentheses deep is refused the
-   same way by the mini-C parser. Input nested exactly to either cap is
-   served normally, and one level past the JSON cap is not. The time
+(* The nesting caps at the request boundary. A request line of
+   [Server.max_line_bytes] opening brackets gets exactly one error
+   response, reported at offset [Json.max_depth]: the parser stops at
+   the cap instead of reading the rest of the line. A kernel nested as
+   deep as a served line can hold is refused the same way by the mini-C
+   parser. Input nested exactly to either cap is served normally, and
+   one level past the JSON cap is not. The time
    bounds are loose (each refusal takes well under a second) so that
    slow instrumented builds pass. *)
 let test_server_nesting_caps () =
@@ -409,7 +402,7 @@ let test_server_nesting_caps () =
     Printf.sprintf "void f(int n, int *a, int *r) { int i; for (i = 0; i < n; i++) r[i] = a[i] * %s3%s; }"
       (String.make k '(') (String.make k ')')
   in
-  (match timed_lines [ String.make 1_000_000 '[' ] with
+  (match timed_lines [ String.make Server.max_line_bytes '[' ] with
   | [ r ], dt ->
       check_string "deep line is an error" "error" (get (field "status" r));
       check_string "refused at the JSON cap"
@@ -417,7 +410,10 @@ let test_server_nesting_caps () =
         (get (field "error" r));
       check_bool "refused fast" true (dt < 5.0)
   | rs, _ -> Alcotest.failf "expected one response, got %d" (List.length rs));
-  (match timed_lines [ lift_req ~id:"deep-c" (deep_c 1_000_000) mul3_sig ] with
+  let deepest =
+    (Server.max_line_bytes - String.length (lift_req ~id:"deep-c" (deep_c 0) mul3_sig)) / 2
+  in
+  (match timed_lines [ lift_req ~id:"deep-c" (deep_c deepest) mul3_sig ] with
   | [ r ], dt ->
       check_string "refused at the mini-C cap"
         (Printf.sprintf "C parse error: nesting deeper than %d" Stagg_minic.Parser.max_depth)
@@ -443,6 +439,40 @@ let test_server_nesting_caps () =
       check_string "the scale kernel's lift" "r(i) = a(i) * 3" (get (field "taco" r))
   | rs, _ -> Alcotest.failf "expected one response, got %d" (List.length rs)
 
+(* The request-size cap. A line one byte longer than
+   [Server.max_line_bytes] gets exactly one error response before any
+   parser reads it, however well-formed the request inside it; a line
+   of exactly the cap, and a normal request, still lift. *)
+let test_server_line_cap () =
+  let s = Server.create () in
+  let padded len =
+    let request pad =
+      Printf.sprintf {|{"c":%s,"sig":%s,"pad":"%s"}|}
+        (J.to_string (J.String mul3_src))
+        (J.to_string (J.String mul3_sig))
+        pad
+    in
+    request (String.make (len - String.length (request "")) 'x')
+  in
+  let over = padded (Server.max_line_bytes + 1) and at = padded Server.max_line_bytes in
+  check_int "over-cap line length" (Server.max_line_bytes + 1) (String.length over);
+  check_int "at-cap line length" Server.max_line_bytes (String.length at);
+  let t0 = Stagg_util.Clock.now () in
+  (match List.map parse_resp (Server.run_lines s [ over ]) with
+  | [ r ] ->
+      check_string "over-cap line is an error" "error" (get (field "status" r));
+      check_string "refused for its length"
+        (Printf.sprintf "bad request: line longer than %d bytes" Server.max_line_bytes)
+        (get (field "error" r))
+  | rs -> Alcotest.failf "expected one response, got %d" (List.length rs));
+  check_bool "refused fast" true (Stagg_util.Clock.now () -. t0 < 5.0);
+  match List.map parse_resp (Server.run_lines s [ at; lift_req mul3_src mul3_sig ]) with
+  | [ r_at; r ] ->
+      check_string "line of exactly the cap lifts" "ok" (get (field "status" r_at));
+      check_string "normal request still lifts" "ok" (get (field "status" r));
+      check_string "the scale kernel's lift" "r(i) = a(i) * 3" (get (field "taco" r))
+  | rs -> Alcotest.failf "expected two responses, got %d" (List.length rs)
+
 let () =
   Alcotest.run "stagg_serve"
     [
@@ -464,9 +494,9 @@ let () =
         [
           Alcotest.test_case "telemetry independent per request" `Quick
             test_server_telemetry_independent;
-          Alcotest.test_case "epoch isolation" `Quick test_server_epoch_isolation;
           Alcotest.test_case "jobs=4 answers match jobs=1" `Quick test_server_jobs_agree;
           Alcotest.test_case "shutdown stops reading at jobs 2" `Quick test_shutdown_stops_reading;
           Alcotest.test_case "nesting caps" `Quick test_server_nesting_caps;
+          Alcotest.test_case "line length cap" `Quick test_server_line_cap;
         ] );
     ]

@@ -173,52 +173,6 @@ let test_subst_enumerate_seq_agrees () =
         eager lazy_)
     cases
 
-(* ---- the renamed printer (batched validation memo keys) ----
-
-   [Pretty.program_to_string_renamed] must be byte-identical to renaming
-   the AST and printing it — the batched validator uses it to build memo
-   keys without constructing concrete programs, so any divergence would
-   silently split or merge memo entries. The generator covers Const holes
-   (including negative and non-integer constants, which print with the
-   same parenthesization either way), ranked [Const(i)] accesses that
-   rename leaves untouched, and every operator. *)
-let qcheck_renamed_printer_parity =
-  let arb =
-    let open QCheck.Gen in
-    let atoms =
-      [
-        "b(i,j)"; "c(j)"; "d(i)"; "s"; "Const"; "2"; "b(i,j) * c(j)"; "Const * c(j)";
-        "Const(i)"; "- Const"; "- d(i)";
-      ]
-    in
-    let op = oneofl [ "+"; "-"; "*"; "/" ] in
-    let rhs =
-      oneof
-        [ oneofl atoms; map3 (fun a o b -> a ^ " " ^ o ^ " " ^ b) (oneofl atoms) op (oneofl atoms) ]
-    in
-    let lhs = oneofl [ "a(i)"; "a"; "a(i,j)" ] in
-    let const =
-      oneof
-        [
-          map Rat.of_int (int_range (-9) 9);
-          map2 (fun n d -> Rat.of_ints n d) (int_range (-9) 9) (int_range 1 4);
-        ]
-    in
-    QCheck.make
-      (map3 (fun l r c -> (l ^ " = " ^ r, c)) lhs rhs const)
-      ~print:(fun (s, c) -> s ^ " / Const=" ^ Rat.to_string c)
-  in
-  let mapping = [ ("a", "R"); ("b", "Mat1"); ("c", "Mat2"); ("d", "Vec"); ("s", "Scale") ] in
-  QCheck.Test.make
-    ~name:"program_to_string_renamed is byte-identical to rename-then-print" ~count:500 arb
-    (fun (src, const) ->
-      let template = parse src in
-      let const = Some const in
-      String.equal
-        (show (Templatize.rename template ~mapping ~const))
-        (Stagg_taco.Pretty.program_to_string_renamed ~mapping ~const
-           ~is_const:Templatize.is_const_symbol template))
-
 let () =
   Alcotest.run "stagg_template"
     [
@@ -251,6 +205,5 @@ let () =
           Alcotest.test_case "inconsistent arities" `Quick test_subst_arity_inconsistent_template;
           Alcotest.test_case "instantiate" `Quick test_subst_instantiate;
           Alcotest.test_case "lazy enumeration agrees" `Quick test_subst_enumerate_seq_agrees;
-          QCheck_alcotest.to_alcotest qcheck_renamed_printer_parity;
         ] );
     ]

@@ -215,9 +215,7 @@ let test_oracle_llm_identity () =
   check_bool "with_oracle Oracle_llm is the identity on the method" true
     (Stagg.Method_.with_oracle Stagg.Method_.stagg_td Stagg.Method_.Oracle_llm
     = Stagg.Method_.stagg_td);
-  (* ...and so is every observable outcome of a run (instantiation counts
-     are skipped: the validator memo is process-wide, so the second of two
-     identical runs legitimately instantiates less) *)
+  (* ...and so is every observable outcome of a run *)
   List.iter
     (fun name ->
       let b = bench name in
@@ -237,6 +235,7 @@ let test_oracle_llm_identity () =
       check_int (name ^ " expansions identical") r1.expansions r2.expansions;
       check_int (name ^ " candidates identical") r1.n_candidates r2.n_candidates;
       check_int (name ^ " suppressed identical") r1.suppressed r2.suppressed;
+      check_int (name ^ " instantiations identical") r1.instantiations r2.instantiations;
       check_string (name ^ " solution identical") (sol r1) (sol r2);
       check_bool (name ^ " neither traced") false (r1.traced || r2.traced);
       check_int (name ^ " no trace templates") 0 (r1.trace_templates + r2.trace_templates);
