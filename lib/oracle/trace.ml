@@ -114,6 +114,7 @@ type refusal =
   | No_generic_cell
   | No_generic_term
   | Inconsistent of string
+  | Outside_template_space of { index_vars : int; rhs_tensors : int }
 
 let refusal_to_string = function
   | Scan base ->
@@ -131,6 +132,12 @@ let refusal_to_string = function
   | No_generic_term ->
       "trace: a summand group admits no per-iteration access pattern"
   | Inconsistent why -> "trace: " ^ why
+  | Outside_template_space { index_vars; rhs_tensors } ->
+      Printf.sprintf
+        "trace: candidate outside the template space (%d index variables, %d \
+         RHS tensors; at most %d and %d)"
+        index_vars rhs_tensors Stagg_template.Templatize.max_index_vars
+        Stagg_template.Templatize.max_rhs_tensors
 
 (* ------------------------------------------------------------------ *)
 (* Tracing layer                                                       *)
@@ -550,20 +557,33 @@ let skeletons (func : A.func) (sg : Sg.t) =
   | None -> (
       let loop_vars = facts.Stagg_minic.Facts.ft_loop_vars in
       let nvars = List.length loop_vars in
-      let r1 =
-        run_extract func sg ~loop_vars
-          ~var_value:(fun i -> i + 1)
-          ~size_value:(fun k -> nvars + 2 + k)
-      in
-      let r2 =
-        run_extract func sg ~loop_vars
-          ~var_value:(fun i -> 2 * (nvars - i))
-          ~size_value:(fun k -> (2 * nvars) + 2 + k)
-      in
-      match (r1, r2) with
-      | Error r, _ | _, Error r -> Error r
-      | Ok p1, Ok p2 ->
-          if T.equal_program p1 p2 then Ok [ p1 ]
-          else
-            Error
-              (Inconsistent "the two probe runs decode to different programs"))
+      let probe = run_extract func sg ~loop_vars in
+      (* The second probe can only confirm or contradict the first, so it
+         runs only when the first yields a program the template space can
+         hold: after a refusal or an untemplatizable program no second
+         result can change the answer, and the second probe, at about
+         twice the sizes, is most of the call's cost. *)
+      match
+        probe ~var_value:(fun i -> i + 1) ~size_value:(fun k -> nvars + 2 + k)
+      with
+      | Error r -> Error r
+      | Ok p1 when Stagg_template.Templatize.templatize p1 = None ->
+          Error
+            (Outside_template_space
+               {
+                 index_vars = List.length (T.indices_of_program p1);
+                 rhs_tensors = List.length (T.tensors_in_order p1) - 1;
+               })
+      | Ok p1 -> (
+          match
+            probe
+              ~var_value:(fun i -> 2 * (nvars - i))
+              ~size_value:(fun k -> (2 * nvars) + 2 + k)
+          with
+          | Error r -> Error r
+          | Ok p2 ->
+              if T.equal_program p1 p2 then Ok [ p1 ]
+              else
+                Error
+                  (Inconsistent
+                     "the two probe runs decode to different programs")))

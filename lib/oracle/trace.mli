@@ -17,9 +17,15 @@
     re-rolled by grouping structurally identical summands and checking
     that the group size equals the product of the candidate reduction
     indices' extents. Everything is repeated under a second, independent
-    value assignment; only extractions on which both runs agree (after
-    canonicalizing reduction-index names) are emitted, which de-aliases
-    coincidences such as [A\[i+j\]] or size-dependent constants.
+    value assignment at about twice the sizes; only extractions on which
+    both runs agree (after canonicalizing reduction-index names) are
+    emitted, which de-aliases coincidences such as [A\[i+j\]] or
+    size-dependent constants. The second probe runs only when its result
+    can change the answer: a refusal from the first probe is returned
+    as is, and a first program outside the template space (more than
+    four index variables, Fig. 5, or more than 25 RHS tensors) is
+    refused as {!Outside_template_space}, since downstream
+    templatization would drop it anyway.
 
     Determinism: both probe assignments are fixed functions of the
     signature and of [Facts.ft_loop_vars] order — no randomness, no
@@ -72,6 +78,10 @@ type refusal =
       (** no written output cell sits at pairwise-distinct loop indices *)
   | No_generic_term  (** a summand group has no per-iteration decode *)
   | Inconsistent of string  (** decodes disagree (within or across runs) *)
+  | Outside_template_space of { index_vars : int; rhs_tensors : int }
+      (** the first probe's program has more index variables or RHS
+          tensors than {!Stagg_template.Templatize.templatize} accepts
+          (at most 4 and 25); no second probe is run *)
 
 (** Human-readable form; always prefixed ["trace: "], and the {!Scan}
     case always contains ["trace: scan unsupported"]. *)
@@ -95,10 +105,11 @@ val trace_cells :
 val eval_dag : inputs:(string * Rat.t array) list -> dag -> Rat.t
 
 (** [skeletons f sg] traces [f] under two independent probe assignments
-    and extracts the einsum candidate templates both agree on. The
-    resulting programs are over [f]'s real parameter names with reduction
-    indices canonically renamed — ready to be consumed exactly like
-    parsed LLM candidates. *)
+    and extracts the einsum candidate templates both agree on; the
+    second probe is skipped when the first refuses or leaves the
+    template space. The resulting programs are over [f]'s real parameter
+    names with reduction indices canonically renamed — ready to be
+    consumed exactly like parsed LLM candidates. *)
 val skeletons :
   Stagg_minic.Ast.func ->
   Stagg_minic.Signature.t ->

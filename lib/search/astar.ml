@@ -276,8 +276,9 @@ let stats e =
     a4_rejections = e.a4_rejections;
   }
 
-(* Same per-nonterminal values and the same left-to-right summation as
-   [Node.g_cost_opens], with the log₂ precomputed per nonterminal. *)
+(* The heuristic g(x) (§5.1): Σ of [Pcfg.h_cost] over the ordered
+   open-leaf list, summed left to right, with each nonterminal's cost
+   looked up in [h_memo] instead of recomputed. 0 when complete. *)
 let g_opens e opens =
   List.fold_left (fun acc nt -> acc +. Hashtbl.find e.h_memo nt) 0. opens
 

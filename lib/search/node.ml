@@ -44,8 +44,6 @@ let expansions g x =
           (r, x'))
         (Cfg.rules_for g nt)
 
-let g_cost_opens p opens = List.fold_left (fun acc nt -> acc +. Pcfg.h_cost p nt) 0. opens
-
 let rec depth g = function
   | Leaf (Cfg.Tok_tensor _ | Cfg.Tok_const) -> 1
   | Leaf _ -> 0

@@ -44,11 +44,6 @@ val of_derivation : Cfg.t -> int list -> t
     tree. *)
 val close_tails : Cfg.t -> string list -> int list -> int list option
 
-(** [g_cost_opens p opens] — the heuristic g(x): Σ over the ordered
-    open-leaf list (see {!annotated}) of −log₂ h(nt) (§5.1), accumulated
-    left to right. 0 when complete. O(open leaves), no tree scan. *)
-val g_cost_opens : Pcfg.t -> string list -> float
-
 (** Expression depth as defined in §5.1: tensor/constant leaves (and open
     expression-valued leaves) have depth 1; a node of an expression-valued
     rule with ≥2 expression children adds 1; everything else is

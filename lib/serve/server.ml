@@ -395,6 +395,40 @@ let run_lines t lines =
   let f (seq, l) = fst (process t ~seq l) in
   if t.cfg.jobs <= 1 then List.map f indexed else Pool.map ~jobs:t.cfg.jobs f indexed
 
+(* [line_reader ic] returns a function that reads [ic] one line at a time
+   (without its newline; [None] at end of input). It keeps at most
+   [max_line_bytes + 1] bytes of a line and reads the rest of a longer
+   line through the same fixed-size chunk without keeping it, so an
+   oversized line costs bounded memory and still fails [parse_request]'s
+   length check. *)
+let line_reader ic =
+  let chunk = Bytes.create 65_536 in
+  let pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 1024 in
+  let rec newline_at i = if i >= !len || Bytes.get chunk i = '\n' then i else newline_at (i + 1) in
+  let rec go ~started =
+    if !pos >= !len then begin
+      pos := 0;
+      len := In_channel.input ic chunk 0 (Bytes.length chunk)
+    end;
+    if !len = 0 then if started then Some (Buffer.contents line) else None
+    else
+      let stop = newline_at !pos in
+      let room = max_line_bytes + 1 - Buffer.length line in
+      Buffer.add_subbytes line chunk !pos (min (stop - !pos) room);
+      if stop < !len then begin
+        pos := stop + 1;
+        Some (Buffer.contents line)
+      end
+      else begin
+        pos := stop;
+        go ~started:true
+      end
+  in
+  fun () ->
+    Buffer.clear line;
+    go ~started:false
+
 (* Streaming loop shared by stdio and socket: emit responses in request
    order with at most [jobs] requests in flight (a FIFO of running
    domains; joining the oldest both bounds concurrency and preserves
@@ -412,9 +446,10 @@ let serve_channel t ~ic ~oc =
     if ctl = `Shutdown then stop := true
   in
   let drain_one () = emit ((Queue.pop pending) ()) in
+  let next_line = line_reader ic in
   (try
      while not !stop do
-       match In_channel.input_line ic with
+       match next_line () with
        | None -> raise Exit
        | Some line ->
            let seq = reserve_seqs t 1 in

@@ -28,9 +28,12 @@
 
     Input limits. A request line longer than {!max_line_bytes} gets one
     ["bad request: line longer than N bytes"] error before any parser
-    reads it. Both parsers on the request path cap nesting depth
-    and stop at the cap, so a hostile line costs parse time bounded by
-    the cap, not by its nesting. A request line nested deeper than
+    reads it. The serving loop keeps at most [max_line_bytes + 1] bytes
+    of a line and reads past the rest in fixed-size chunks without
+    keeping them, so an oversized line costs bounded memory whatever its
+    length, and the line after it is served normally. Both parsers on
+    the request path cap nesting depth and stop at the cap, so a hostile
+    line costs parse time bounded by the cap, not by its nesting. A request line nested deeper than
     {!Json.max_depth} (64) arrays and objects gets one
     ["bad request: nesting deeper than 64 at offset N"] error, N the
     offset of the bracket past the cap; a kernel nested deeper than
@@ -72,6 +75,13 @@ val process_line : t -> seq:int -> string -> string
     request order. The in-process entry point for tests and the load
     bench. *)
 val run_lines : t -> string list -> string list
+
+(** [serve_channel t ~ic ~oc] — the streaming loop behind {!run_stdio}
+    and {!run_socket}: read request lines from [ic] and write responses
+    to [oc] until EOF or a shutdown request, which it reports as [true].
+    Responses are emitted in request order; at most [jobs] requests are
+    in flight. *)
+val serve_channel : t -> ic:in_channel -> oc:out_channel -> bool
 
 (** Serve stdin → stdout until EOF or a shutdown request. Responses are
     emitted in request order; at most [jobs] requests are in flight. A

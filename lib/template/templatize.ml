@@ -4,7 +4,8 @@ let const_symbol = "Const"
 let is_const_symbol = String.equal const_symbol
 
 let canonical_indices = [ "i"; "j"; "k"; "l" ]
-let max_tensor_symbols = 25
+let max_index_vars = List.length canonical_indices
+let max_rhs_tensors = 25
 
 let templatize (p : program) : program option =
   (* tensor templatization: LHS ↦ a, then RHS tensors by first appearance *)
@@ -14,7 +15,7 @@ let templatize (p : program) : program option =
     match Hashtbl.find_opt tensor_map name with
     | Some s -> Some s
     | None ->
-        if !next_tensor > max_tensor_symbols then None
+        if !next_tensor > max_rhs_tensors then None
         else begin
           let s = String.make 1 (Char.chr (Char.code 'a' + !next_tensor)) in
           incr next_tensor;
@@ -29,7 +30,7 @@ let templatize (p : program) : program option =
     match Hashtbl.find_opt index_map i with
     | Some s -> Some s
     | None ->
-        if !next_index >= List.length canonical_indices then None
+        if !next_index >= max_index_vars then None
         else begin
           let s = List.nth canonical_indices !next_index in
           incr next_index;

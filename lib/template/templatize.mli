@@ -9,10 +9,17 @@
 (** The symbolic-constant tensor name. *)
 val const_symbol : string
 
+(** The template space's bounds: at most [max_index_vars] (4) distinct
+    index variables and [max_rhs_tensors] (25) distinct RHS tensors. *)
+val max_index_vars : int
+
+val max_rhs_tensors : int
+
 (** [templatize p] applies the three passes — tensor templatization, index
     standardization, constant templatization. Returns [None] when the
-    candidate needs more than 4 index variables or more than 25 distinct
-    RHS tensors (outside the template space). *)
+    candidate needs more than {!max_index_vars} index variables or more
+    than {!max_rhs_tensors} distinct RHS tensors (outside the template
+    space). *)
 val templatize : Stagg_taco.Ast.program -> Stagg_taco.Ast.program option
 
 (** [rename p mapping ~consts] instantiates a template: tensor symbols are

@@ -7,6 +7,7 @@ module Bench = Stagg_benchsuite.Bench
 
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
+let check_int = Alcotest.(check int)
 
 let bench name = Option.get (Suite.find name)
 
@@ -62,6 +63,21 @@ let test_bu_structural_limits () =
 let test_five_index_unsolvable () =
   check_bool "dk_conv1x1 unsolvable top-down" false (run_td "dk_conv1x1").Stagg.Result_.solved;
   check_bool "dk_conv1x1 unsolvable bottom-up" false (run_bu "dk_conv1x1").Stagg.Result_.solved
+
+(* Under the trace oracle the five-index query is refused before any
+   search: nothing is traced, nothing is attempted, and the refusal is
+   the failure. *)
+let test_five_index_trace_refused () =
+  let r = Stagg.Pipeline.run Stagg.Method_.td_trace (bench "dk_conv1x1") in
+  check_bool "unsolved" false r.Stagg.Result_.solved;
+  check_bool "not traced" false r.traced;
+  check_int "no trace templates" 0 r.trace_templates;
+  check_int "no attempts" 0 r.attempts;
+  match r.failure with
+  | Some f ->
+      check_bool ("failure is the trace refusal: " ^ f) true
+        (String.starts_with ~prefix:"trace:" f)
+  | None -> Alcotest.fail "no failure recorded"
 
 let test_parallel_determinism () =
   (* a domain pool must not change what is computed: run_suite with 1 and
@@ -210,6 +226,8 @@ let () =
           Alcotest.test_case "bottom-up representatives" `Slow test_bu_representatives;
           Alcotest.test_case "bottom-up structural limits" `Slow test_bu_structural_limits;
           Alcotest.test_case "five-index query unsolvable" `Slow test_five_index_unsolvable;
+          Alcotest.test_case "five-index query refused by the trace oracle" `Quick
+            test_five_index_trace_refused;
           Alcotest.test_case "determinism" `Slow test_determinism;
           Alcotest.test_case "parallel determinism" `Slow test_parallel_determinism;
           Alcotest.test_case "prepared artifacts" `Quick test_prepare_artifacts;

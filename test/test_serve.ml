@@ -473,6 +473,60 @@ let test_server_line_cap () =
       check_string "the scale kernel's lift" "r(i) = a(i) * 3" (get (field "taco" r))
   | rs -> Alcotest.failf "expected two responses, got %d" (List.length rs)
 
+(* A request for the one suite kernel the trace oracle cannot lift is
+   answered unsolved, with the oracle's refusal as its failure. *)
+let test_server_outside_template_space () =
+  let b = Option.get (Stagg_benchsuite.Suite.find "dk_conv1x1") in
+  let s = Server.create () in
+  match Server.run_lines s [ lift_req ~id:b.name b.c_source (Sigspec.to_string b.signature) ] with
+  | [ line ] ->
+      let r = parse_resp line in
+      check_string "unsolved" "unsolved" (get (field "status" r));
+      let f = get (field "failure" r) in
+      check_bool ("failure is the trace refusal: " ^ f) true
+        (String.starts_with ~prefix:"trace: candidate outside the template space" f)
+  | rs -> Alcotest.failf "expected one response, got %d" (List.length rs)
+
+(* The line cap in the streaming loop itself: a 16 MiB line gets one
+   length error and the request after it is answered normally, and the
+   loop allocates well under the line's length meanwhile (it keeps at
+   most [Server.max_line_bytes + 1] bytes of any line). *)
+let test_channel_long_line () =
+  let input = Filename.temp_file "stagg-serve-test" ".in" in
+  let output = Filename.temp_file "stagg-serve-test" ".out" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ input; output ])
+    (fun () ->
+      Out_channel.with_open_bin input (fun oc ->
+          let block = String.make 65_536 'x' in
+          for _ = 1 to 256 do
+            output_string oc block
+          done;
+          output_string oc ("\n" ^ J.to_string (J.Obj [ ("op", J.String "stats") ]) ^ "\n"));
+      let s = Server.create () in
+      let a0 = Gc.allocated_bytes () in
+      let stopped =
+        In_channel.with_open_bin input (fun ic ->
+            Out_channel.with_open_bin output (fun oc -> Server.serve_channel s ~ic ~oc))
+      in
+      let allocated = Gc.allocated_bytes () -. a0 in
+      check_bool "ended by EOF, not a shutdown" false stopped;
+      check_bool
+        (Printf.sprintf "allocated %.0f bytes, under 1 MiB" allocated)
+        true (allocated < 1_048_576.);
+      let responses =
+        In_channel.with_open_bin output In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      match List.map parse_resp responses with
+      | [ r_long; r_stats ] ->
+          check_string "long line refused for its length"
+            (Printf.sprintf "bad request: line longer than %d bytes" Server.max_line_bytes)
+            (get (field "error" r_long));
+          check_string "next line served" "stats" (get (field "status" r_stats))
+      | rs -> Alcotest.failf "expected two responses, got %d" (List.length rs))
+
 let () =
   Alcotest.run "stagg_serve"
     [
@@ -498,5 +552,9 @@ let () =
           Alcotest.test_case "shutdown stops reading at jobs 2" `Quick test_shutdown_stops_reading;
           Alcotest.test_case "nesting caps" `Quick test_server_nesting_caps;
           Alcotest.test_case "line length cap" `Quick test_server_line_cap;
+          Alcotest.test_case "outside the template space" `Quick
+            test_server_outside_template_space;
+          Alcotest.test_case "16 MiB line through the channel loop" `Quick
+            test_channel_long_line;
         ] );
     ]

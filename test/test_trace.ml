@@ -165,6 +165,27 @@ let test_artificial_skeletons () =
       | Error r -> Alcotest.failf "%s: refused: %s" b.name (Trace.refusal_to_string r))
     Suite.artificial
 
+(* The whole suite under the oracle alone: every kernel but one yields
+   exactly one program, and dk_conv1x1, whose lift needs a fifth index
+   variable, is refused as outside the template space. *)
+let test_suite_split () =
+  let refused =
+    List.filter_map
+      (fun (b : Bench.t) ->
+        match skeletons_of b with
+        | Ok [ _ ] -> None
+        | Ok ps -> Alcotest.failf "%s: %d programs, expected one" b.name (List.length ps)
+        | Error r -> Some (b.name, r))
+      Suite.all
+  in
+  check_int "suite size" 77 (List.length Suite.all);
+  match refused with
+  | [ ("dk_conv1x1", Trace.Outside_template_space _) ] -> ()
+  | rs ->
+      Alcotest.failf "expected only dk_conv1x1 outside the template space, got: %s"
+        (String.concat "; "
+           (List.map (fun (n, r) -> n ^ ": " ^ Trace.refusal_to_string r) rs))
+
 (* ---- pinned end-to-end: the Trace method row, no LLM in the loop ---- *)
 
 let test_trace_solves_artificial () =
@@ -267,6 +288,23 @@ let test_diagnostic_refusals () =
   | Trace.Output_unwritten, _ -> ()
   | _, s -> Alcotest.failf "diag_no_store: expected Output_unwritten, got %s" s
 
+(* The first probe's program for dk_conv1x1 uses five index variables,
+   one more than the template space holds, so the oracle refuses it
+   without running the second probe. *)
+let test_outside_template_space () =
+  match skeletons_of (bench "dk_conv1x1") with
+  | Ok _ -> Alcotest.fail "dk_conv1x1: expected a refusal, got templates"
+  | Error (Trace.Outside_template_space { index_vars; rhs_tensors } as r) ->
+      let s = Trace.refusal_to_string r in
+      check_int "index variables" 5 index_vars;
+      check_int "RHS tensors" 2 rhs_tensors;
+      check_bool "message prefixed" true (contains_sub "trace: " s);
+      check_bool "message names the count" true (contains_sub "5 index variables" s);
+      check_bool "message names the limit" true (contains_sub "at most 4" s)
+  | Error r ->
+      Alcotest.failf "dk_conv1x1: expected Outside_template_space, got %s"
+        (Trace.refusal_to_string r)
+
 (* ---- robustness on hand-written kernels ---- *)
 
 let sig1 =
@@ -358,6 +396,7 @@ let () =
       ( "skeletons",
         [
           Alcotest.test_case "artificial suite emits" `Quick test_artificial_skeletons;
+          Alcotest.test_case "77-kernel split" `Quick test_suite_split;
           Alcotest.test_case "repeated operand" `Quick
             test_repeated_operand_becomes_constant_multiple;
         ] );
@@ -368,6 +407,7 @@ let () =
           Alcotest.test_case "uninitialized accumulator" `Quick
             test_uninitialized_accumulator_refused;
           Alcotest.test_case "scalar-mediated scan" `Quick test_scalar_mediated_scan_refused;
+          Alcotest.test_case "outside the template space" `Quick test_outside_template_space;
         ] );
       ( "e2e",
         [
