@@ -156,13 +156,15 @@ let kernel_cmd =
     | None -> Printf.printf "%s has no TACO-expressible lifting\n" b.name
     | Some p -> (
         Printf.printf "TACO: %s\n\n" (Stagg_taco.Pretty.program_to_string p);
-        match Stagg_taco.Lower.lower p with
-        | Error e -> Printf.printf "lowering failed: %s\n" e
-        | Ok k -> print_string (Stagg_taco.Ir.kernel_to_c ~name:b.name k))
+        match Bench.emit_c b p with
+        | Error e -> Printf.printf "code generation failed: %s\n" e
+        | Ok c -> print_string c)
   in
   Cmd.v
     (Cmd.info "kernel"
-       ~doc:"Compile a benchmark's ground-truth TACO program to a loop-nest kernel and print it.")
+       ~doc:
+         "Compile a benchmark's ground-truth TACO program to C over the benchmark's parameters \
+          and print it.")
     Term.(const run $ name_arg)
 
 (* ---- suite ---- *)

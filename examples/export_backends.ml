@@ -29,27 +29,7 @@ let () =
               | Ok cpp -> Printf.printf "-- TACO C++ --\n%s\n" cpp
               | Error e -> Printf.printf "TACO export: %s\n" e);
               (* ... and back to plain C through our own TACO backend *)
-              let params =
-                List.filter_map
-                  (fun (pname, spec) ->
-                    match spec with
-                    | Stagg_minic.Signature.Arr dims when pname <> b.signature.out ->
-                        Some { Stagg_taco.Codegen_c.tname = pname; dims }
-                    | Stagg_minic.Signature.Scalar_data ->
-                        Some { Stagg_taco.Codegen_c.tname = pname; dims = [] }
-                    | _ -> None)
-                  b.signature.args
-              in
-              let out_dims =
-                match Stagg_minic.Signature.out_spec b.signature with
-                | Stagg_minic.Signature.Arr dims -> dims
-                | _ -> []
-              in
-              (match
-                 Stagg_taco.Codegen_c.emit_program ~name ~params
-                   ~out:{ Stagg_taco.Codegen_c.tname = b.signature.out; dims = out_dims }
-                   sol.concrete
-               with
+              match Stagg_benchsuite.Bench.emit_c b sol.concrete with
               | Ok c -> Printf.printf "-- regenerated C (our TACO backend) --\n%s\n" c
-              | Error e -> Printf.printf "C backend: %s\n" e)))
+              | Error e -> Printf.printf "C backend: %s\n" e))
     [ "art_gemv"; "blas_saxpy"; "dk_mse" ]

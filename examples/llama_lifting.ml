@@ -21,8 +21,7 @@ let () =
       | Some sol -> (
           Printf.printf "lifted in %.3fs after %d synthesis attempts:\n  %s\n" r.time_s r.attempts
             (Stagg_taco.Pretty.program_to_string sol.concrete);
-          match Stagg_taco.Lower.lower sol.concrete with
-          | Ok kernel ->
-              Printf.printf "compiled kernel:\n%s" (Stagg_taco.Ir.kernel_to_c ~name:b.name kernel)
-          | Error e -> Printf.printf "lowering failed: %s\n" e))
+          match Bench.emit_c b sol.concrete with
+          | Ok c -> Printf.printf "compiled kernel:\n%s" c
+          | Error e -> Printf.printf "code generation failed: %s\n" e))
     kernels

@@ -83,9 +83,9 @@ let () =
       Format.printf "  winning substitution: %a@." Stagg_template.Subst.pp sol.subst;
 
       banner "compiled TACO kernel (what the TACO compiler would emit)";
-      (match Stagg_taco.Lower.lower sol.concrete with
-      | Ok kernel -> print_string (Stagg_taco.Ir.kernel_to_c ~name:"lifted" kernel)
-      | Error e -> Printf.printf "  lowering failed: %s\n" e);
+      (match Stagg_benchsuite.Bench.emit_c bench sol.concrete with
+      | Ok c -> print_string c
+      | Error e -> Printf.printf "  code generation failed: %s\n" e);
 
       banner "sanity: run both programs on a concrete input";
       let n = 3 in

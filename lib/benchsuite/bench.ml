@@ -43,6 +43,21 @@ let truth (b : t) =
 
 let is_real_world (b : t) = b.category <> Artificial
 
+let emit_c (b : t) p =
+  let module Sig = Stagg_minic.Signature in
+  let module C = Stagg_taco.Codegen_c in
+  let params =
+    List.filter_map
+      (fun (tname, spec) ->
+        match spec with
+        | Sig.Arr dims when tname <> b.signature.out -> Some { C.tname; dims }
+        | Sig.Scalar_data -> Some { C.tname; dims = [] }
+        | _ -> None)
+      b.signature.args
+  in
+  let out_dims = match Sig.out_spec b.signature with Sig.Arr dims -> dims | _ -> [] in
+  C.emit_program ~name:b.name ~params ~out:{ C.tname = b.signature.out; dims = out_dims } p
+
 let mk ~name ~category ~quality ~args ~out ~truth c_source =
   {
     name;

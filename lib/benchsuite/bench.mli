@@ -27,6 +27,12 @@ val truth : t -> Stagg_taco.Ast.program option
 
 val is_real_world : t -> bool
 
+(** [emit_c b p] compiles the TACO program [p] over [b]'s parameters to
+    C with {!Stagg_taco.Codegen_c.emit_program}: a function named
+    [b.name] whose tensor parameters are [b]'s data parameters (scalars
+    and cells as rank 0), writing the output parameter. *)
+val emit_c : t -> Stagg_taco.Ast.program -> (string, string) result
+
 (** Constructor used by the suite files. [args] pair each parameter with
     its spec; [out] names the output parameter. *)
 val mk :

@@ -109,14 +109,22 @@ let prefix_of_query (q : query) : (prefix, string) result =
   in
   let pf_traced = trace_candidates <> [] in
   let pf_trace_templates = List.length trace_candidates in
-  if candidates = [] then Error empty_reason
+  (* an [Error] prefix has no warning field, so under [Oracle_trace_llm]
+     the failure itself carries the trace refusal *)
+  let fail reason =
+    match (q.oracle, pf_trace_warning) with
+    | Method_.Oracle_trace_llm, Some w -> Error (reason ^ "; " ^ w)
+    | _ -> Error reason
+  in
+  if candidates = [] then fail empty_reason
   else begin
     let templates = List.filter_map Templatize.templatize candidates in
     if templates = [] then
-      Error
+      fail
         (match q.oracle with
+        | Method_.Oracle_llm -> "no templatizable LLM candidates"
         | Method_.Oracle_trace -> "no templatizable trace candidates"
-        | _ -> "no templatizable LLM candidates")
+        | Method_.Oracle_trace_llm -> "no templatizable trace or LLM candidates")
     else begin
       match Dimlist.predict templates with
       | None -> Error "dimension prediction failed"

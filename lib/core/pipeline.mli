@@ -59,7 +59,9 @@ type prefix
     stage ② — it consumes the query's LLM client (unless
     [q.oracle = Oracle_trace]) and, per [q.oracle], the trace oracle.
     [Error reason] when no oracle yields a usable candidate; under
-    [Oracle_trace] the reason is the tracer's structured refusal. *)
+    [Oracle_trace] the reason is the tracer's structured refusal, and
+    under [Oracle_trace_llm] the reason names both sources and ends with
+    that refusal, if the tracer refused. *)
 val prefix_of_query : query -> (prefix, string) result
 
 (** [prepared_of_prefix m p] finishes stage ② for one method: grammar

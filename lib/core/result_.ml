@@ -10,7 +10,7 @@ type t = {
   attempts : int;  (** templates sent to validation (Table 1/3 "attempts") *)
   expansions : int;  (** queue pops doing real work (excludes [suppressed]) *)
   suppressed : int;  (** doomed expansions the static analysis kept off the queue *)
-  peak_frontier : int;  (** largest A* frontier length, ledger excluded *)
+  peak_frontier : int;  (** largest A* frontier length, suppressed keys excluded *)
   n_candidates : int;  (** syntactically valid LLM candidates parsed *)
   instantiations : int;  (** concrete substitution instantiations executed *)
   traced : bool;

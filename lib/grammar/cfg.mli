@@ -64,6 +64,5 @@ val rule_lhs_cat : t -> int -> category
 val size : t -> int
 
 val term_to_string : term -> string
-val sym_to_string : sym -> string
 val rule_to_string : rule -> string
 val pp : Format.formatter -> t -> unit

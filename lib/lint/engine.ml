@@ -1,7 +1,7 @@
 (* The domain-safety analysis: loads the .cmt files dune emits for every
    library, inventories module-scope mutable state, computes which code
    runs on more than one domain (arguments to [Domain.spawn],
-   [Pool.map]/[map_reduce], [Domain.DLS.new_key] initializers — plus
+   [Pool.map], [Domain.DLS.new_key] initializers — plus
    everything those closures call, followed transitively across the
    loaded modules), and checks the five rules of {!Report.rule}.
 
@@ -60,13 +60,13 @@ let suffix_any pats comps = List.exists (suffix_eq comps) pats
 (* Call sites whose function arguments run on other domains, at two
    sharing levels. [Domain.spawn] and DLS initializers share every
    record reachable from the closure with the spawning domain, so
-   mutable-field and array traffic is checked. [Pool.map]/[map_reduce]
-   tasks are share-nothing by contract (pool.mli: "f must not touch
-   mutable state shared with other tasks") and each task owns its own
-   data — only module-scope state is shared between tasks, so only the
-   inventory rule applies there. *)
+   mutable-field and array traffic is checked. [Pool.map] tasks are
+   share-nothing by contract (pool.mli: "f must not touch mutable state
+   shared with other tasks") and each task owns its own data — only
+   module-scope state is shared between tasks, so only the inventory
+   rule applies there. *)
 let shared_crossing_fns = [ [ "Domain"; "spawn" ]; [ "DLS"; "new_key" ] ]
-let task_crossing_fns = [ [ "Pool"; "map" ]; [ "Pool"; "map_reduce" ] ]
+let task_crossing_fns = [ [ "Pool"; "map" ] ]
 
 let guard_fns = [ [ "Mutex"; "protect" ] ]
 let newkey_fns = [ [ "DLS"; "new_key" ] ]
@@ -95,7 +95,6 @@ let nondet_fns =
 let blocking_fns =
   [
     [ "Pool"; "map" ];
-    [ "Pool"; "map_reduce" ];
     [ "Domain"; "join" ];
     [ "Domain"; "spawn" ];
     [ "Unix"; "sleep" ];

@@ -31,5 +31,4 @@ val n_cells : sizes:(string * int) list -> arg_spec -> int
 (** All dimension-size names used by the signature. *)
 val size_names : t -> string list
 
-val spec_of : t -> string -> arg_spec option
 val out_spec : t -> arg_spec

@@ -47,9 +47,6 @@ type dag =
   | Neg of dag
   | Bin of Stagg_taco.Ast.op * dag * dag
 
-val equal_dag : dag -> dag -> bool
-val pp_dag : Format.formatter -> dag -> unit
-
 (** The tracing value domain. Concrete rationals stay concrete (sizes,
     loop counters, constant folding); anything touched by a leaf becomes
     symbolic. Only value-preserving simplifications are performed

@@ -28,122 +28,6 @@ type dedup = Fingerprint | Pretty_key
 
 type prune_mode = Prune_admission
 
-(* ---- the admission ledger ----
-
-   Admission control at push time: a doomed complete child is never
-   enqueued — no frontier item, no heap traffic — but the pop the
-   baseline would have spent on it must still tick the budget and the
-   64-pop clock poll AT ITS BASELINE POSITION,
-   or the attempt/expansion caps would land on different templates (the
-   suppressed child is pushed long before the baseline pops it, so
-   counting it at push time front-loads the budget and stops the search
-   on earlier pops than the baseline's — observably different attempts
-   the moment a cap binds). The ledger keeps exactly the (f, seq) key of
-   every suppressed child in a scalar min-heap over unboxed float/int
-   arrays; the search drains it in lockstep with the frontier, charging
-   [suppressed] (and replaying the doomed pop's observable dedup/attempt
-   effects) precisely when (f, seq) says the baseline pop would have
-   happened. Frontier and ledger share one sequence counter, so the
-   interleaving — FIFO ties included — is the baseline's. *)
-module Ledger = struct
-  type t = {
-    mutable prio : float array;
-    mutable seq : int array;
-    mutable fp : int array;
-    mutable depth : int array;
-    mutable nt : int array;
-    mutable size : int;
-  }
-
-  let create () = { prio = [||]; seq = [||]; fp = [||]; depth = [||]; nt = [||]; size = 0 }
-  let is_empty l = l.size = 0
-  let length l = l.size
-  let top_prio l = l.prio.(0)
-  let top_seq l = l.seq.(0)
-
-  let less l i j = l.prio.(i) < l.prio.(j) || (l.prio.(i) = l.prio.(j) && l.seq.(i) < l.seq.(j))
-
-  let swap l i j =
-    let fswap (a : float array) =
-      let x = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- x
-    in
-    let iswap (a : int array) =
-      let x = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- x
-    in
-    fswap l.prio;
-    iswap l.seq;
-    iswap l.fp;
-    iswap l.depth;
-    iswap l.nt
-
-  let grow l =
-    let cap = Array.length l.prio in
-    if l.size = cap then begin
-      let ncap = if cap = 0 then 16 else cap * 2 in
-      let nf = Array.make ncap 0. in
-      Array.blit l.prio 0 nf 0 l.size;
-      l.prio <- nf;
-      let ni a =
-        let n = Array.make ncap 0 in
-        Array.blit a 0 n 0 l.size;
-        n
-      in
-      l.seq <- ni l.seq;
-      l.fp <- ni l.fp;
-      l.depth <- ni l.depth;
-      l.nt <- ni l.nt
-    end
-
-  let push l ~prio ~seq ~fp ~depth ~nt =
-    grow l;
-    let i = ref l.size in
-    l.prio.(!i) <- prio;
-    l.seq.(!i) <- seq;
-    l.fp.(!i) <- fp;
-    l.depth.(!i) <- depth;
-    l.nt.(!i) <- nt;
-    l.size <- l.size + 1;
-    let continue_ = ref true in
-    while !continue_ && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if less l !i parent then begin
-        swap l !i parent;
-        i := parent
-      end
-      else continue_ := false
-    done
-
-  (* remove the minimum; returns (fp, depth, n_tensors) *)
-  let pop l =
-    let fp = l.fp.(0) and depth = l.depth.(0) and nt = l.nt.(0) in
-    l.size <- l.size - 1;
-    if l.size > 0 then begin
-      l.prio.(0) <- l.prio.(l.size);
-      l.seq.(0) <- l.seq.(l.size);
-      l.fp.(0) <- l.fp.(l.size);
-      l.depth.(0) <- l.depth.(l.size);
-      l.nt.(0) <- l.nt.(l.size);
-      let i = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        let lc = (2 * !i) + 1 and rc = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if lc < l.size && less l lc !smallest then smallest := lc;
-        if rc < l.size && less l rc !smallest then smallest := rc;
-        if !smallest <> !i then begin
-          swap l !smallest !i;
-          i := !smallest
-        end
-        else continue_ := false
-      done
-    end;
-    (fp, depth, nt)
-end
-
 (* A popped search state: a partial leftmost derivation, as the applied
    rule ids, most recent first, with everything the pop and its pushes
    read besides a tree — path cost, metrics, open leaves, depth,
@@ -175,6 +59,24 @@ let code_mask = (1 lsl code_bits) - 1
 let root_code = code_mask
 let ghost_code = code_mask - 1
 
+(* Admission control at push time: a doomed complete child is never
+   enqueued on the frontier, but the pop the baseline would have spent on
+   it must still tick the budget and the 64-pop clock poll AT ITS
+   BASELINE POSITION, or the attempt/expansion caps would land on
+   different templates (counting it at push time front-loads the budget
+   and stops the search on earlier pops than the baseline's). So its
+   key goes to a second queue, [sup], whose value is the child's
+   fingerprint and whose packed sequence number carries one of two
+   codes, decided at push from the child's annotation: whether the
+   baseline pop would have passed the search's guard (the top-down
+   depth prune, the bottom-up tensor count) and so counted an attempt
+   and marked the template seen ([replay_code]), or only ticked
+   ([tick_code]). The search drains [sup] in lockstep with the
+   frontier; both draw from one sequence counter, so the interleaving,
+   FIFO ties included, is the baseline's. *)
+let replay_code = 1
+let tick_code = 0
+
 type 'sol engine = {
   pcfg : Pcfg.t;
   penalty : Penalty.compiled;
@@ -183,7 +85,8 @@ type 'sol engine = {
   validate : Stagg_taco.Ast.program -> 'sol option;
   root : entry;
   frontier : entry Pqueue.t;  (** priority f(x); see [code_bits] *)
-  sup : Ledger.t;  (** admission-suppressed (f, seq, fp, guards) keys *)
+  sup : int Pqueue.t;  (** admission-suppressed fingerprints; see [replay_code] *)
+  replays : Node.annotated -> bool;  (** the search's guard on a suppressed child *)
   dedup : dedup;
   seen_fp : Inttbl.t;  (** validated templates, fingerprints *)
   seen_str : (string, unit) Hashtbl.t;  (** validated templates, printed form (legacy mode) *)
@@ -198,7 +101,7 @@ type 'sol engine = {
   mutable eseq : int;  (** push sequence shared by [frontier] and [sup] *)
   mutable attempts : int;
   mutable expansions : int;
-  mutable suppressed : int;  (** ledger drains *)
+  mutable suppressed : int;  (** [sup] drains *)
   mutable peak_frontier : int;  (** largest [frontier] length seen by [run] *)
   mutable push_decodes : int;  (** a4 candidates decoded at push *)
   mutable a4_rejections : int;  (** complete children a4 kept off the frontier *)
@@ -206,20 +109,19 @@ type 'sol engine = {
   mutable stop : stop_reason;  (** which limit fired, for [Budget_exceeded] *)
 }
 
-(* every push — frontier or ledger — consumes one sequence number, so
+(* every push — frontier or [sup] — consumes one sequence number, so
    the numbering is exactly the baseline's push order *)
-let take_seq e =
+let packed_seq e code =
   let s = e.eseq in
   e.eseq <- s + 1;
-  s
+  (s lsl code_bits) lor code
 
-let qpush e f parent code =
-  Pqueue.push_seq e.frontier f ((take_seq e lsl code_bits) lor code) parent
+let qpush e f parent code = Pqueue.push_seq e.frontier f (packed_seq e code) parent
 
 (* Both searches extend child metrics incrementally ({!Node.expand_metrics})
    and never rescan a tree, so a grammar outside that contract is a caller
    error, not a slow path. Every grammar the pipeline builds satisfies it. *)
-let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
+let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays =
   let g = Pcfg.cfg pcfg in
   if not (Node.incremental_safe g) then
     invalid_arg "Astar: grammar is not incremental-safe (a tensor right of a nonterminal)";
@@ -238,7 +140,8 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
       validate;
       root;
       frontier = Pqueue.create ~dummy:root;
-      sup = Ledger.create ();
+      sup = Pqueue.create ~dummy:0;
+      replays;
       dedup;
       seen_fp = Inttbl.create ();
       seen_str = Hashtbl.create 64;
@@ -290,12 +193,12 @@ let max_frontier = 1_500_000
    deterministic outcome); the clock is only a backstop, so it is polled
    every 64 pops and latched, keeping it out of the hot loop. *)
 (* Budget accounting runs on TOTAL baseline pops — real expansions plus
-   admission-suppressed ledger drains — so enabling the analysis prune
+   admission-suppressed [sup] drains — so enabling the analysis prune
    moves no stop point: the tick sequence, and hence where a cap or the
-   64-pop clock poll lands, is position-for-position the baseline's. Only the REPORTED expansion
-   count shrinks. The frontier cap likewise counts ledger residents: the
-   baseline holds every suppressed child in its queue, so the cap must
-   see the same population. *)
+   64-pop clock poll lands, is position-for-position the baseline's.
+   Only the REPORTED expansion count shrinks. The frontier cap likewise
+   counts [sup] residents: the baseline holds every suppressed child in
+   its queue, so the cap must see the same population. *)
 let over_budget e =
   let pops = e.expansions + e.suppressed in
   if e.attempts >= e.budget.max_attempts then begin
@@ -306,7 +209,7 @@ let over_budget e =
     e.stop <- Expansions;
     true
   end
-  else if Pqueue.length e.frontier + Ledger.length e.sup > max_frontier then begin
+  else if Pqueue.length e.frontier + Pqueue.length e.sup > max_frontier then begin
     e.stop <- Frontier;
     true
   end
@@ -318,13 +221,15 @@ let over_budget e =
   end
 
 (* Would the baseline's next pop be a suppressed (never-enqueued) child?
-   Exact (f, seq) lexicographic comparison against the frontier head. *)
+   Exact (f, seq) lexicographic comparison of the two queue heads; the
+   sequence numbers are unique, so comparing the packed keys compares
+   them. *)
 let baseline_pops_suppressed e =
-  (not (Ledger.is_empty e.sup))
+  (not (Pqueue.is_empty e.sup))
   && (Pqueue.is_empty e.frontier
      ||
-     let sp = Ledger.top_prio e.sup and qp = Pqueue.top_prio e.frontier in
-     sp < qp || (sp = qp && Ledger.top_seq e.sup < Pqueue.top_seq e.frontier lsr code_bits))
+     let sp = Pqueue.top_prio e.sup and qp = Pqueue.top_prio e.frontier in
+     sp < qp || (sp = qp && Pqueue.top_seq e.sup < Pqueue.top_seq e.frontier))
 
 (* [true] iff [key] was already in [tbl]; adds it otherwise *)
 let check_add tbl key =
@@ -434,16 +339,16 @@ let push_expansions e (g : Cfg.t) (parent : entry) =
                 if Option.is_some e.prune && complete && Prune.is_doomed pst' then
                   (* a DOOMED complete child — the analysis proved its
                      validation enumerates zero substitutions — is never
-                     enqueued: its (f, seq) key goes to the admission
-                     ledger, which replays the pop's observable effects at
-                     its baseline position. The penalty is scored the
-                     baseline way because f must be bit-identical, and
-                     [pen_memo] is still fed so later twins ghost exactly
-                     as before. Incomplete doomed children stay ordinary
-                     entries: their pops never validate anyway, and their
-                     children inherit the doomed state through [pst]. *)
-                  Ledger.push e.sup ~prio:(c' +. 0. +. pen) ~seq:(take_seq e) ~fp:ann.Node.fp
-                    ~depth:ann.Node.depth ~nt:ann.Node.metrics.n_tensors
+                     enqueued: its key goes to [sup], whose drain replays
+                     the pop's observable effects at its baseline
+                     position. The penalty is scored the baseline way
+                     because f must be bit-identical, and [pen_memo] is
+                     still fed so later twins ghost exactly as before.
+                     Incomplete doomed children stay ordinary entries:
+                     their pops never validate anyway, and their children
+                     inherit the doomed state through [pst]. *)
+                  let code = if e.replays ann then replay_code else tick_code in
+                  Pqueue.push_seq e.sup (c' +. 0. +. pen) (packed_seq e code) ann.Node.fp
                 else
                   let f = c' +. g_of ann.Node.opens +. pen in
                   qpush e f parent r.id
@@ -463,34 +368,32 @@ let rebuild e g parent rid =
     pst = (match e.prune with None -> Prune.root | Some pr -> Prune.step pr parent.pst rid);
   }
 
-(* An admission-ledger drain replays what the baseline pop of the
-   suppressed entry would have observably done: count the attempt and
-   mark the template seen the first time it survives the same guards
-   (the TD depth prune / the BU tensor-count gate) — validating it was a
-   structural no-op. *)
-let replay_suppressed e ~fp = if not (Inttbl.check_add e.seen_fp fp) then e.attempts <- e.attempts + 1
-
 (* The searches run on the calling domain; [?domains] accepts only 1
    (see the mli). *)
 let check_domains d =
   if d <> 1 then invalid_arg (Printf.sprintf "Astar: ~domains must be 1, got %d" d)
 
 (* The search loop shared by both enumerators. Each step either drains
-   one admission-ledger key (when the baseline's next pop is a
-   suppressed child) or pops one frontier item, after the same budget
-   check. [on_ledger] replays a suppressed pop from its
-   (fp, depth, n_tensors); [on_item] handles an entry and returns the
-   outcome that ends the search, if any. *)
-let rec run e ~on_ledger ~on_item =
+   one [sup] key (when the baseline's next pop is a suppressed child) or
+   pops one frontier item, after the same budget check. [on_item]
+   handles an entry and returns the outcome that ends the search, if
+   any. *)
+let rec run e ~on_item =
   let n = Pqueue.length e.frontier in
   if n > e.peak_frontier then e.peak_frontier <- n;
   if baseline_pops_suppressed e then
     if over_budget e then Budget_exceeded (e.stop, stats e)
     else begin
-      let fp, depth, nt = Ledger.pop e.sup in
+      let code = Pqueue.top_seq e.sup land code_mask in
       e.suppressed <- e.suppressed + 1;
-      on_ledger ~fp ~depth ~nt;
-      run e ~on_ledger ~on_item
+      (* a [replay_code] drain does what the baseline pop observably did:
+         count the attempt and mark the template seen the first time —
+         validating it was a structural no-op *)
+      (match Pqueue.pop e.sup with
+      | Some (_, fp) when code = replay_code ->
+          if not (Inttbl.check_add e.seen_fp fp) then e.attempts <- e.attempts + 1
+      | _ -> ());
+      run e ~on_item
     end
   else if over_budget e then Budget_exceeded (e.stop, stats e)
   else if Pqueue.is_empty e.frontier then Exhausted (stats e)
@@ -502,13 +405,13 @@ let rec run e ~on_ledger ~on_item =
         (* ghosts are only pushed for complete children, whose pop
            validates a duplicate (a no-op) and expands nothing *)
         e.expansions <- e.expansions + 1;
-        run e ~on_ledger ~on_item
+        run e ~on_item
     | Some (_, value) -> (
         e.expansions <- e.expansions + 1;
         let en = if code = root_code then value else rebuild e (Pcfg.cfg e.pcfg) value code in
         match on_item en with
         | Some outcome -> outcome
-        | None -> run e ~on_ledger ~on_item)
+        | None -> run e ~on_item)
 
 let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?prune
     ?prune_mode:(_ = Prune_admission) ?(domains = 1) ~budget ~validate () =
@@ -519,10 +422,9 @@ let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?p
      so depth-dead pops never decode (or walk) their tree *)
   if not (Node.depth_static fps) then
     invalid_arg "Astar: grammar is not depth-static";
-  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune in
-  run e
-    ~on_ledger:(fun ~fp ~depth ~nt:_ -> if depth <= max_depth then replay_suppressed e ~fp)
-    ~on_item:(fun en ->
+  let replays (ann : Node.annotated) = ann.depth <= max_depth in
+  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays in
+  run e ~on_item:(fun en ->
       if en.ann.Node.depth > max_depth then None
       else if en.ann.Node.metrics.complete then
         Option.map (fun sol -> Solved (sol, stats e)) (try_validate e g ~fp:en.ann.Node.fp en.deriv)
@@ -536,15 +438,12 @@ let search_bottomup ~pcfg ~penalty_ctx ~dim_list ?(dedup = Fingerprint) ?prune
   check_domains domains;
   let g = Pcfg.cfg pcfg in
   let fps = Node.fingerprints g in
-  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune in
   let n_predicted = List.length dim_list in
-  run e
-    ~on_ledger:(fun ~fp ~depth:_ ~nt ->
-      (* the baseline pop validates (a no-op here) only when the complete
-         tree carries exactly the predicted tensor count, and expands
-         nothing *)
-      if nt = n_predicted then replay_suppressed e ~fp)
-    ~on_item:(fun en ->
+  (* the baseline pop of a complete tree validates only when it carries
+     exactly the predicted tensor count, and expands nothing *)
+  let replays (ann : Node.annotated) = ann.metrics.n_tensors = n_predicted in
+  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays in
+  run e ~on_item:(fun en ->
       let solved =
         if en.ann.Node.metrics.n_tensors = n_predicted then
           match Node.close_tails g en.ann.Node.opens en.deriv with

@@ -19,13 +19,14 @@ type stats = {
   expansions : int;  (** pops doing real work (entries and ghosts); excludes [suppressed] *)
   suppressed : int;
       (** admission-suppressed expansions: doomed complete children never
-          enqueued, charged to the budget at their baseline pop position
-          via the admission ledger. Budget caps and the timeout poll tick
-          on [expansions + suppressed] (total baseline pops), so enabling
+          enqueued on the frontier, whose keys wait in a second queue and
+          are charged to the budget at their baseline pop position.
+          Budget caps and the timeout poll tick on
+          [expansions + suppressed] (total baseline pops), so enabling
           pruning moves no stop point; see {!search_topdown}. *)
   peak_frontier : int;
       (** the largest frontier length the search reached (entries and
-          ghosts; the admission ledger is not counted). Deterministic,
+          ghosts; suppressed keys are not counted). Deterministic,
           so it pins the frontier's memory high-water mark: turning the
           analysis prune off enqueues doomed children and raises it. *)
   push_decodes : int;
@@ -60,12 +61,15 @@ val stats_of : 'sol outcome -> stats
 type dedup = Fingerprint | Pretty_key
 
 (** How analysis-pruned (doomed) complete children are absorbed. There
-    is one mode: a doomed child is never enqueued; its (f, tie-break
-    sequence) key goes to a scalar side ledger, which the search drains
-    in lockstep with the frontier so the suppressed pop's budget tick and
-    observable dedup/attempt effects land at exactly the position the
-    baseline pop would have. The type, and the searches' [?prune_mode],
-    are kept only because the lifting benchmark's replay passes them. *)
+    is one mode: a doomed child is never enqueued on the frontier; its
+    (f, tie-break sequence) key and fingerprint go to a second priority
+    queue, numbered from the frontier's sequence counter and drained in
+    lockstep with it, so the suppressed pop's budget tick lands at
+    exactly the position the baseline pop would have. Whether that pop
+    also counts an attempt and marks the template seen (the search's
+    depth or tensor-count guard) is decided when the child is
+    suppressed. The type, and the searches' [?prune_mode], are kept only
+    because the lifting benchmark's replay passes them. *)
 type prune_mode = Prune_admission
 
 (** Top-down search (Algorithm 1): validates templates when a complete

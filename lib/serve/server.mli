@@ -50,11 +50,10 @@ type config = {
   verify : bool;  (** BMC-verify searched and remapped results (default) *)
 }
 
-val default_config : config
-
 type t
 
-(** Fresh server state (cache, sequence counter). *)
+(** Fresh server state (cache, sequence counter). [config] defaults to
+    one job, a 1024-entry cache and verification on. *)
 val create : ?config:config -> unit -> t
 
 (** The longest request line served: 65 536 bytes. The longest line the

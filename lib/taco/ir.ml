@@ -17,39 +17,6 @@ type stmt =
 
 type kernel = { out_indices : string list; body : stmt list }
 
-let bound_to_string = function
-  | Dim_of (t, k) -> Printf.sprintf "dim(%s,%d)" t k
-  | Out_dim k -> Printf.sprintf "dim(out,%d)" k
-
-let rec exp_to_string = function
-  | Const c -> Rat.to_string c
-  | Temp t -> t
-  | Load (t, idxs) -> Printf.sprintf "%s[%s]" t (String.concat "][" idxs)
-  | Neg e -> Printf.sprintf "(-%s)" (exp_to_string e)
-  | Bin (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (exp_to_string a) (Ast.op_to_string op) (exp_to_string b)
-
-let rec pp_stmt fmt indent stmt =
-  let pad = String.make indent ' ' in
-  match stmt with
-  | Set_temp (t, e) -> Format.fprintf fmt "%s%s = %s;@," pad t (exp_to_string e)
-  | Accum_temp (t, e) -> Format.fprintf fmt "%s%s += %s;@," pad t (exp_to_string e)
-  | Store (idxs, e) ->
-      Format.fprintf fmt "%sout[%s] = %s;@," pad (String.concat "][" idxs) (exp_to_string e)
-  | For (v, b, body) ->
-      Format.fprintf fmt "%sfor (%s = 0; %s < %s; %s++) {@," pad v v (bound_to_string b) v;
-      List.iter (pp_stmt fmt (indent + 2)) body;
-      Format.fprintf fmt "%s}@," pad
-
-let kernel_to_c ~name k =
-  let buf = Buffer.create 256 in
-  let fmt = Format.formatter_of_buffer buf in
-  Format.fprintf fmt "@[<v>/* generated by stagg_taco.Lower */@,void %s(...) {@," name;
-  List.iter (pp_stmt fmt 2) k.body;
-  Format.fprintf fmt "}@]@.";
-  Format.pp_print_flush fmt ();
-  Buffer.contents buf
-
 module Exec (V : Stagg_util.Value.S) = struct
   exception Exec_error of string
 

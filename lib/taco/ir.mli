@@ -4,7 +4,8 @@
     (paper §2 and §7): lowered programs are ordinary loop nests over dense
     row-major arrays, executable both concretely and symbolically. Loop
     extents refer to tensor axis sizes symbolically ([Dim_of]), so one
-    lowered kernel works for every input size. *)
+    lowered kernel works for every input size. {!Codegen_c} renders a
+    kernel as C. *)
 
 type bound =
   | Dim_of of string * int  (** extent of axis [k] of input tensor [t] *)
@@ -27,10 +28,6 @@ type kernel = {
   out_indices : string list;  (** loop variables indexing the output *)
   body : stmt list;
 }
-
-(** [kernel_to_c k] renders the kernel as (illustrative) C source — the
-    artifact a TACO user would see. *)
-val kernel_to_c : name:string -> kernel -> string
 
 module Exec (V : Stagg_util.Value.S) : sig
   (** [run ~env ~out_shape k] executes the kernel. [env] binds input

@@ -45,11 +45,6 @@ let rec go buf parent_prec right_side e =
       go buf p true r;
       if needs then Buffer.add_char buf ')'
 
-let expr_to_string e =
-  let buf = Buffer.create 32 in
-  go buf 0 false e;
-  Buffer.contents buf
-
 (* The whole statement goes through one buffer: this string is the §4.4
    canonical template key, built once per validated candidate. *)
 let program_to_string (p : program) =

@@ -4,5 +4,4 @@
     [parse (print p)] is the identity on ASTs (tested by round-trip
     properties). *)
 
-val expr_to_string : Ast.expr -> string
 val program_to_string : Ast.program -> string

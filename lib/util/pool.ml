@@ -57,5 +57,3 @@ let map ?jobs f xs =
       let jobs = match jobs with Some j -> j | None -> default_jobs () in
       let helpers = min (max 1 jobs) (Array.length input) - 1 in
       if helpers = 0 then List.map f xs else map_on ~helpers f input
-
-let map_reduce ?jobs ~map:f ~init ~reduce xs = List.fold_left reduce init (map ?jobs f xs)

@@ -1,4 +1,4 @@
-(** A fixed-size domain pool with an ordered [map] / [map_reduce] API.
+(** A fixed-size domain pool with an ordered [map] API.
 
     Each call builds a pool of worker domains over a shared work queue
     (an atomic cursor into the input array) and a result-slot array
@@ -25,9 +25,3 @@ val default_jobs : unit -> int
     [min jobs (length xs) - 1] helper domains are spawned, [jobs]
     defaulting to {!default_jobs}. Values below 1 are clamped to 1. *)
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [map_reduce ?jobs ~map ~init ~reduce xs] — parallel [map] followed by
-    an in-order left fold on the calling domain, so the reduction sees
-    results in input order and needs no synchronisation of its own. *)
-val map_reduce :
-  ?jobs:int -> map:('a -> 'b) -> init:'acc -> reduce:('acc -> 'b -> 'acc) -> 'a list -> 'acc

@@ -11,8 +11,8 @@
    the swap, and [grow]'s [Array.make] pins the triggering push's value
    in every unused slot — on a frontier that grew to millions of entries
    the dead region retains popped values — for the A* frontier, each
-   popped child's parent entry and everything it reaches — until
-   [clear], which the GC cannot see past. *)
+   popped child's parent entry and everything it reaches — for as long
+   as the queue lives. *)
 
 type 'a t = {
   mutable prio : float array;
@@ -80,8 +80,6 @@ let push q prio value =
   push_seq q prio q.next_seq value;
   q.next_seq <- q.next_seq + 1
 
-let peek q = if q.size = 0 then None else Some (q.prio.(0), q.value.(0))
-
 let pop q =
   if q.size = 0 then None
   else begin
@@ -111,9 +109,3 @@ let pop q =
     q.value.(q.size) <- q.dummy;
     Some (prio, value)
   end
-
-let clear q =
-  q.size <- 0;
-  q.prio <- [||];
-  q.seq <- [||];
-  q.value <- [||]

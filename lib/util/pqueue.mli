@@ -24,9 +24,10 @@ val push : 'a t -> float -> 'a -> unit
 
 (** [push_seq q priority seq v] inserts [v] with a caller-supplied
     tie-break sequence and leaves the internal counter untouched. Lets a
-    caller share one sequence numbering across several structures (the
-    admission-mode A* numbers its frontier and its suppressed ledger from
-    one counter so interleaving matches the baseline pop order). Do not
+    caller share one sequence numbering across several queues: the A*
+    search keeps its frontier and the keys of its admission-suppressed
+    children in two queues numbered from one counter, so comparing the
+    two heads gives the pop order of a single queue holding both. Do not
     mix with {!push} on the same queue unless the caller guarantees the
     sequences stay unique. *)
 val push_seq : 'a t -> float -> int -> 'a -> unit
@@ -35,14 +36,9 @@ val push_seq : 'a t -> float -> int -> 'a -> unit
     priority. [None] on an empty queue. *)
 val pop : 'a t -> (float * 'a) option
 
-(** [peek q] returns a minimum element without removing it. *)
-val peek : 'a t -> (float * 'a) option
-
 (** The minimum element's priority / tie-break sequence, without
     allocating. Undefined (raises) on an empty queue — guard with
     {!is_empty}. *)
 val top_prio : 'a t -> float
 
 val top_seq : 'a t -> int
-
-val clear : 'a t -> unit

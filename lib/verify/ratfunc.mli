@@ -18,7 +18,6 @@ val den : t -> Poly.t
     polynomial. *)
 val make : Poly.t -> Poly.t -> t
 
-val of_poly : Poly.t -> t
 val var : string -> t
 
 include Value.S with type t := t

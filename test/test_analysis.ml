@@ -387,7 +387,16 @@ let first_solution (r : Stagg.Result_.t) =
    load — the heaviest artificial searches sit near the 10 s default
    under a loaded domain pool — so the differential runs with the
    timeout disabled. (The test keeps its name from when a third,
-   replaying prune mode was compared too.) *)
+   replaying prune mode was compared too.)
+
+   A suppressed child replays an attempt only if the baseline pop would
+   have validated it, which the search decides when it suppresses the
+   child. Bottom-up, every BU.FullGrammar suppressed child here carries
+   the wrong tensor count and must only tick: replaying them would read
+   60 attempts instead of 57 on art_scal_const. Top-down, completing a
+   leaf never deepens a tree, so no suppressed child is deeper than its
+   expanded parent; the extra TD.FullGrammar row at max_depth 3 checks
+   the identities where the depth limit discards far more pops. *)
 let test_differential () =
   let benches = Suite.artificial in
   let total_suppressed = ref 0 in
@@ -415,6 +424,7 @@ let test_differential () =
       Stagg.Method_.stagg_bu;
       Stagg.Method_.td_full_grammar;
       Stagg.Method_.bu_full_grammar;
+      { Stagg.Method_.td_full_grammar with max_depth = 3; label = "TD.FullGrammar.depth3" };
     ];
   check_bool "admission suppressed something" true (!total_suppressed > 0)
 

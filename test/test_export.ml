@@ -41,6 +41,22 @@ let test_codegen_rejects_unknown_tensor () =
     (Result.is_error
        (Codegen_c.emit_program ~name:"f" ~params:[] ~out:gemv_out (parse "R(i) = Z(i)")))
 
+(* What [stagg kernel] prints: every suite ground truth compiles to C
+   over its benchmark's own parameters, and the C parses in the mini-C
+   frontend. *)
+let test_codegen_suite_truths () =
+  List.iter
+    (fun (b : Stagg_benchsuite.Bench.t) ->
+      match Stagg_benchsuite.Bench.truth b with
+      | None -> ()
+      | Some p -> (
+          match Stagg_benchsuite.Bench.emit_c b p with
+          | Error e -> Alcotest.fail (b.name ^ ": " ^ e)
+          | Ok src ->
+              check_bool (b.name ^ ": emitted C parses") true
+                (Result.is_ok (Stagg_minic.Parser.parse_function src))))
+    Stagg_benchsuite.Suite.all
+
 (* The round-trip property: TACO → (our C backend) → STAGG → equivalent
    TACO. This exercises lowering, code generation, the C frontend, the
    whole synthesis pipeline and the verifier in one loop. *)
@@ -148,6 +164,7 @@ let () =
         [
           Alcotest.test_case "gemv" `Quick test_codegen_gemv;
           Alcotest.test_case "unknown tensor" `Quick test_codegen_rejects_unknown_tensor;
+          Alcotest.test_case "suite ground truths" `Quick test_codegen_suite_truths;
           Alcotest.test_case "round trip: gemv" `Slow test_roundtrip_gemv;
           Alcotest.test_case "round trip: fma" `Slow test_roundtrip_saxpy_like;
         ] );

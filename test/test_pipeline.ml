@@ -79,6 +79,24 @@ let test_five_index_trace_refused () =
         (String.starts_with ~prefix:"trace:" f)
   | None -> Alcotest.fail "no failure recorded"
 
+(* Under Trace+LLM the same refusal reaches the failure, after a reason
+   that names both candidate sources: none of the mock LLM's five-index
+   responses templatizes either. *)
+let test_five_index_trace_llm_refused () =
+  let r = Stagg.Pipeline.run Stagg.Method_.td_trace_llm (bench "dk_conv1x1") in
+  check_bool "unsolved" false r.Stagg.Result_.solved;
+  check_bool "not traced" false r.traced;
+  check_int "no attempts" 0 r.attempts;
+  match r.failure with
+  | Some f ->
+      check_bool ("failure names both sources: " ^ f) true
+        (String.starts_with ~prefix:"no templatizable trace or LLM candidates; trace: " f);
+      check_bool ("failure carries the refusal: " ^ f) true
+        (String.ends_with
+           ~suffix:"outside the template space (5 index variables, 2 RHS tensors; at most 4 and 25)"
+           f)
+  | None -> Alcotest.fail "no failure recorded"
+
 let test_parallel_determinism () =
   (* a domain pool must not change what is computed: run_suite with 1 and
      4 workers agree on every field except wall-clock time *)
@@ -228,6 +246,8 @@ let () =
           Alcotest.test_case "five-index query unsolvable" `Slow test_five_index_unsolvable;
           Alcotest.test_case "five-index query refused by the trace oracle" `Quick
             test_five_index_trace_refused;
+          Alcotest.test_case "five-index query refused under trace+llm" `Quick
+            test_five_index_trace_llm_refused;
           Alcotest.test_case "determinism" `Slow test_determinism;
           Alcotest.test_case "parallel determinism" `Slow test_parallel_determinism;
           Alcotest.test_case "prepared artifacts" `Quick test_prepare_artifacts;

@@ -273,38 +273,70 @@ let test_server_telemetry_independent () =
   check_string "hit answer is byte-identical to the searched one"
     (get (field "taco" r1)) (get (field "taco" r2))
 
+let alpha_src = "void g(int m, int *x, int *y) { int j; for (j = 0; j < m; j++) y[j] = x[j] * 3; }"
+
+let add_src =
+  "void h(int n, int *a, int *b, int *r) { int i; for (i = 0; i < n; i++) r[i] = a[i] + b[i]; }"
+
+(* A miss ("m1"), its exact repeat ([repeat_id]), an alpha variant, a
+   distinct kernel and a malformed request. *)
+let jobs_mix ~repeat_id =
+  [
+    lift_req ~id:"m1" mul3_src mul3_sig;
+    lift_req ~id:repeat_id mul3_src mul3_sig;
+    lift_req ~id:"al" alpha_src "m:size,x:arr[m],y:out[m]";
+    lift_req ~id:"ad" add_src "n:size,a:arr[n],b:arr[n],r:out[n]";
+    J.to_string
+      (J.Obj [ ("id", J.String "bad"); ("c", J.String "void f(int n { }"); ("sig", J.String "n:size") ]);
+  ]
+
+let jobs_server jobs = Server.create ~config:{ Server.jobs; cache_max = 32; verify = true } ()
+
+(* "id status taco" of a response line *)
+let answer line =
+  let j = parse_resp line in
+  Printf.sprintf "%s %s %s"
+    (Option.value ~default:"-" (field "id" j))
+    (Option.value ~default:"-" (field "status" j))
+    (Option.value ~default:"-" (field "taco" j))
+
 (* jobs = 4 races the mix through the single-flight cache; which request
    becomes the searching owner is scheduling-dependent, but every
    per-request answer (status and rendered program) must match the
    sequential run byte for byte. *)
 let test_server_jobs_agree () =
-  let alpha_src =
-    "void g(int m, int *x, int *y) { int j; for (j = 0; j < m; j++) y[j] = x[j] * 3; }"
-  in
-  let add_src =
-    "void h(int n, int *a, int *b, int *r) { int i; for (i = 0; i < n; i++) r[i] = a[i] + b[i]; }"
-  in
-  let mix =
-    [
-      lift_req ~id:"m1" mul3_src mul3_sig;
-      lift_req ~id:"m1" mul3_src mul3_sig;
-      lift_req ~id:"al" alpha_src "m:size,x:arr[m],y:out[m]";
-      lift_req ~id:"ad" add_src "n:size,a:arr[n],b:arr[n],r:out[n]";
-      J.to_string (J.Obj [ ("id", J.String "bad"); ("c", J.String "void f(int n { }"); ("sig", J.String "n:size") ]);
-    ]
-  in
-  let run jobs =
-    let s = Server.create ~config:{ Server.jobs; cache_max = 32; verify = true } () in
-    List.map
-      (fun line ->
-        let j = parse_resp line in
-        Printf.sprintf "%s %s %s"
-          (Option.value ~default:"-" (field "id" j))
-          (Option.value ~default:"-" (field "status" j))
-          (Option.value ~default:"-" (field "taco" j)))
-      (Server.run_lines s mix)
-  in
+  let mix = jobs_mix ~repeat_id:"m1" in
+  let run jobs = List.map answer (Server.run_lines (jobs_server jobs) mix) in
   Alcotest.(check (list string)) "4-way run answers like the sequential one" (run 1) (run 4)
+
+(* The same mix through the streaming loop [stagg serve --jobs N] runs,
+   where every request at jobs > 1 is processed on a domain of its own:
+   the responses come back in request order and answer like jobs = 1. *)
+let test_channel_jobs_agree () =
+  let input = Filename.temp_file "stagg-serve-test" ".in" in
+  let output = Filename.temp_file "stagg-serve-test" ".out" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ input; output ])
+    (fun () ->
+      Out_channel.with_open_bin input (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) (jobs_mix ~repeat_id:"m2"));
+      let run jobs =
+        let stopped =
+          In_channel.with_open_bin input (fun ic ->
+              Out_channel.with_open_bin output (fun oc ->
+                  Server.serve_channel (jobs_server jobs) ~ic ~oc))
+        in
+        check_bool "ended by EOF, not a shutdown" false stopped;
+        In_channel.with_open_bin output In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+        |> List.map answer
+      in
+      let seq = run 1 and par = run 4 in
+      Alcotest.(check (list string))
+        "responses in request order" [ "m1"; "m2"; "al"; "ad"; "bad" ]
+        (List.map (fun a -> List.hd (String.split_on_char ' ' a)) par);
+      Alcotest.(check (list string)) "4-way channel loop answers like the sequential one" seq par)
 
 (* ---- the streaming loop over a socket ---- *)
 
@@ -549,6 +581,8 @@ let () =
           Alcotest.test_case "telemetry independent per request" `Quick
             test_server_telemetry_independent;
           Alcotest.test_case "jobs=4 answers match jobs=1" `Quick test_server_jobs_agree;
+          Alcotest.test_case "jobs=4 channel loop answers match jobs=1" `Quick
+            test_channel_jobs_agree;
           Alcotest.test_case "shutdown stops reading at jobs 2" `Quick test_shutdown_stops_reading;
           Alcotest.test_case "nesting caps" `Quick test_server_nesting_caps;
           Alcotest.test_case "line length cap" `Quick test_server_line_cap;

@@ -451,11 +451,6 @@ let test_template_rank_overflow () =
       | Error msg -> check_bool "Exec reports MAXRANK" true (String.length msg > 0)
       | Ok _ -> Alcotest.fail "expected the rank-9 kernel to exceed MAXRANK")
 
-let test_kernel_to_c_renders () =
-  let k = Lower.lower_exn (parse "a(i) = b(i,j) * c(j)") in
-  let c = Ir.kernel_to_c ~name:"gemv" k in
-  check_bool "mentions loop" true (String.length c > 0 && String.contains c 'f')
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "stagg_taco"
@@ -497,7 +492,6 @@ let () =
       ( "lower",
         [
           Alcotest.test_case "kernel equals interpreter" `Quick test_lower_matches_interp_cases;
-          Alcotest.test_case "kernel_to_c renders" `Quick test_kernel_to_c_renders;
           qc qcheck_lower_equals_interp;
         ] );
       ( "compile",

@@ -286,24 +286,14 @@ let test_pool_poison_stops_claiming () =
       ignore (Pool.map ~jobs:2 task (List.init 32 Fun.id)));
   check_bool "claiming stopped after poison" true (Atomic.get ran <= 1)
 
-let test_pool_map_reduce () =
-  let sum =
-    Pool.map_reduce ~jobs:4 ~map:(fun x -> x * x) ~init:0 ~reduce:( + ) [ 1; 2; 3; 4; 5 ]
-  in
-  check_int "sum of squares" 55 sum;
-  (* in-order reduction: string concatenation is order-sensitive *)
-  let cat =
-    Pool.map_reduce ~jobs:4 ~map:string_of_int ~init:"" ~reduce:( ^ ) [ 1; 2; 3; 4; 5 ]
-  in
-  check_string "ordered reduce" "12345" cat
-
 (* ---- Frontier: two queues under one sequence numbering ---- *)
 
-(* The admission-mode A* keeps its frontier and its suppressed ledger in
-   two structures numbered from one counter, and decides which head the
-   baseline would pop next by an exact (priority, seq) comparison of the
-   two tops. Merging two [push_seq] queues that way must pop exactly like
-   one queue holding every element, under interleaved pushes and pops. *)
+(* The admission-mode A* keeps its frontier and the keys of its
+   suppressed children in two [Pqueue]s numbered from one counter, and
+   decides which head the baseline would pop next by an exact
+   (priority, seq) comparison of the two tops. Merging two [push_seq]
+   queues that way must pop exactly like one queue holding every
+   element, under interleaved pushes and pops. *)
 let qcheck_frontier_split_merge =
   QCheck.Test.make ~name:"two queues sharing one sequence counter pop like one queue"
     ~count:300
@@ -522,7 +512,6 @@ let () =
           qc qcheck_pool_map_ordered;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagates;
           Alcotest.test_case "poison stops claiming" `Quick test_pool_poison_stops_claiming;
-          Alcotest.test_case "ordered map_reduce" `Quick test_pool_map_reduce;
         ] );
       ( "lru",
         [
