@@ -245,9 +245,10 @@ let prune_of (m : Method_.t) (q : query) ~(consts : 'a list) (prep : prepared) :
            lhs_name = Genlib.tensor_name 0;
          })
 
-let lift_prefixed ?memo_scope:_ (m : Method_.t) (q : query) (prefix_r : (prefix, string) result) :
-    Result_.t =
-  let acc = Accept.start ~bench:q.qname ~method_label:m.label in
+(* Stages ③–④ on [prefix_r], in the lift [acc] whose clock the caller
+   started: before the prefix stage in {!lift}, after it in
+   {!lift_prefixed}. *)
+let lift_from acc (m : Method_.t) (q : query) (prefix_r : (prefix, string) result) : Result_.t =
   let facts = if m.analysis then Some (Stagg_minic.Facts.analyze q.func) else None in
   let traced, trace_templates, trace_warning =
     match prefix_r with
@@ -310,8 +311,15 @@ let lift_prefixed ?memo_scope:_ (m : Method_.t) (q : query) (prefix_r : (prefix,
             | Astar.Budget_exceeded (Astar.Timeout, _) -> Error "timeout"
             | Astar.Budget_exceeded (_, _) -> Error "budget exceeded"))))
 
+let lift_prefixed ?memo_scope:_ (m : Method_.t) (q : query) (prefix_r : (prefix, string) result) :
+    Result_.t =
+  lift_from (Accept.start ~bench:q.qname ~method_label:m.label) m q prefix_r
+
 let lift ?memo_scope:_ (m : Method_.t) (q : query) : Result_.t =
-  lift_prefixed m q (prefix_of_query q)
+  (* the clock starts before the prefix stage, so [time_s] covers the
+     oracle, templatization and dimension prediction too *)
+  let acc = Accept.start ~bench:q.qname ~method_label:m.label in
+  lift_from acc m q (prefix_of_query q)
 
 let run (m : Method_.t) (b : Bench.t) : Result_.t = lift m (query_of_bench m b)
 

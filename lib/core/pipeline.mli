@@ -89,15 +89,20 @@ val prune_of :
 
 (** [lift m q] — the whole pipeline on an arbitrary query; never raises.
 
-    Candidates are accepted through {!Accept.validator}. [memo_scope] is
-    ignored: kept only because liftbench passes it; goes with ROADMAP
-    item 1. *)
+    Candidates are accepted through {!Accept.validator}. The result's
+    [time_s] is the whole lift's wall time: the prefix stage
+    ({!prefix_of_query}: the oracle, templatization and dimension
+    prediction) plus stages ③–④. [memo_scope] is ignored: kept only
+    because liftbench passes it; goes with ROADMAP item 1. *)
 val lift : ?memo_scope:string -> Method_.t -> query -> Result_.t
 
 (** [lift_prefixed m q prefix] — stages ③–④ on a precomputed prefix
     (see {!prefix_of_query}); the query's client is not consulted.
-    [lift m q] is [lift_prefixed m q (prefix_of_query q)]. [memo_scope]
-    is ignored, as on {!lift}. *)
+    [lift m q] gives the result of [lift_prefixed m q (prefix_of_query q)]
+    except for [time_s]: here it covers only the per-method stages, from
+    grammar construction on, since the §8 campaign computes a prefix once
+    and shares it across every method sweep. [memo_scope] is ignored, as
+    on {!lift}. *)
 val lift_prefixed :
   ?memo_scope:string -> Method_.t -> query -> (prefix, string) result -> Result_.t
 

@@ -7,6 +7,10 @@ type t = {
   solved : bool;
   solution : Stagg_validate.Validator.solution option;
   time_s : float;
+      (** wall-clock seconds: the whole lift under [Pipeline.lift] (the
+          prefix stage — oracle, templatization, dimension prediction —
+          included); under [Pipeline.lift_prefixed], the per-method stages
+          only, the shared prefix excluded *)
   attempts : int;  (** templates sent to validation (Table 1/3 "attempts") *)
   expansions : int;  (** queue pops doing real work (excludes [suppressed]) *)
   suppressed : int;  (** doomed expansions the static analysis kept off the queue *)

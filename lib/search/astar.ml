@@ -42,18 +42,28 @@ type entry = {
   pst : Prune.state;  (** analysis-prune state of the applied-rule multiset *)
 }
 
-(* A frontier item allocates nothing: it is a queue slot whose value is
-   an entry and whose sequence number carries, in its low [code_bits]
-   bits, a code. A pushed child is its expanded parent and the rule
-   applied to it (code = rule id), rebuilt into an [entry] only when
-   popped ({!rebuild}); the annotation its push computed for f dies
-   young, siblings share the parent, and its prune state is one
-   [Prune.step] from the parent's. The root entry stands for itself
-   ([root_code]). A ghost ([ghost_code], value the root) replays the pop
-   of a complete duplicate of an already-validated template: its pop
+(* A frontier item allocates nothing and holds no pointer: it is a
+   queue slot whose value is an int — the index of its parent entry in
+   the search's parent table ([parents]) — and whose sequence number
+   carries, in its low [code_bits] bits, a code. A pushed child is its
+   expanded parent and the rule applied to it (code = rule id), rebuilt
+   into an [entry] only when popped ({!rebuild}); the annotation its
+   push computed for f dies young, siblings share the parent, and its
+   prune state is one [Prune.step] from the parent's. The root entry
+   stands for itself ([root_code]). A ghost ([ghost_code]) replays the
+   pop of a complete duplicate of an already-validated template: its pop
    only counts an expansion, exactly what the popped duplicate would
-   have done. Sequence numbers are unique, so ordering the packed keys
-   orders the pushes exactly as the bare sequence numbers would. *)
+   have done, and never reads its value (index 0, the root's: the root
+   is the first parent registered). Sequence numbers are unique, so
+   ordering the packed keys orders the pushes exactly as the bare
+   sequence numbers would.
+
+   A parent stays in the table while any of its children is queued:
+   [pending] counts them, and the pop that takes the last one clears the
+   parent's slot, so the entry becomes garbage at the same pop at which
+   the last queue slot holding it would have let go of it. The table
+   itself is written once when a parent registers and once when it is
+   released — never by a sift. *)
 let code_bits = 20
 let code_mask = (1 lsl code_bits) - 1
 let root_code = code_mask
@@ -68,10 +78,11 @@ let ghost_code = code_mask - 1
    key goes to a second queue, [sup], whose value is the child's
    fingerprint and whose packed sequence number carries one of two
    codes, decided at push from the child's annotation: whether the
-   baseline pop would have passed the search's guard (the top-down
-   depth prune, the bottom-up tensor count) and so counted an attempt
-   and marked the template seen ([replay_code]), or only ticked
-   ([tick_code]). The search drains [sup] in lockstep with the
+   baseline pop would have passed the search's guard and so counted an
+   attempt and marked the template seen ([replay_code]), or only ticked
+   ([tick_code]). Only the bottom-up guard, the tensor count, can
+   refuse; a top-down suppressed child always replays (see
+   [search_topdown]). The search drains [sup] in lockstep with the
    frontier; both draw from one sequence counter, so the interleaving,
    FIFO ties included, is the baseline's. *)
 let replay_code = 1
@@ -84,8 +95,11 @@ type 'sol engine = {
   a4 : Penalty.a4_scan;
   validate : Stagg_taco.Ast.program -> 'sol option;
   root : entry;
-  frontier : entry Pqueue.t;  (** priority f(x); see [code_bits] *)
-  sup : int Pqueue.t;  (** admission-suppressed fingerprints; see [replay_code] *)
+  frontier : Pqueue.t;  (** priority f(x), value a [parents] index; see [code_bits] *)
+  sup : Pqueue.t;  (** admission-suppressed fingerprints; see [replay_code] *)
+  mutable parents : entry array;  (** expanded parents, by registration order *)
+  mutable pending : int array;  (** per [parents] slot, its children still queued *)
+  mutable n_parents : int;  (** slots registered so far *)
   replays : Node.annotated -> bool;  (** the search's guard on a suppressed child *)
   dedup : dedup;
   seen_fp : Inttbl.t;  (** validated templates, fingerprints *)
@@ -95,7 +109,7 @@ type 'sol engine = {
           duplicate's ghost reconstruct the same f without rescoring *)
   fps : Node.fingerprints;
   rule_cost : float array;  (** [Pcfg.cost] per rule, precomputed *)
-  h_memo : (string, float) Hashtbl.t;  (** [Pcfg.h_cost] per nonterminal, precomputed *)
+  h_memo : float array;  (** [Pcfg.h_cost] per nonterminal id, precomputed *)
   prune : Prune.t option;  (** analysis-guided pruning (Fingerprint mode only) *)
   started : float;
   mutable eseq : int;  (** push sequence shared by [frontier] and [sup] *)
@@ -116,7 +130,7 @@ let packed_seq e code =
   e.eseq <- s + 1;
   (s lsl code_bits) lor code
 
-let qpush e f parent code = Pqueue.push_seq e.frontier f (packed_seq e code) parent
+let qpush e f pi code = Pqueue.push_seq e.frontier f (packed_seq e code) pi
 
 (* Both searches extend child metrics incrementally ({!Node.expand_metrics})
    and never rescan a tree, so a grammar outside that contract is a caller
@@ -129,8 +143,7 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays
   let x0 = Node.initial g in
   let root = { c = 0.; deriv = []; ann = Node.annotate g fps x0; pst = Prune.root } in
   let rule_cost = Array.init (Cfg.size g) (fun id -> Pcfg.cost pcfg (Cfg.rule g id)) in
-  let h_memo = Hashtbl.create 16 in
-  List.iter (fun nt -> Hashtbl.replace h_memo nt (Pcfg.h_cost pcfg nt)) (Cfg.nonterminals g);
+  let h_memo = Array.init (Node.n_nonterminals fps) (fun nt -> Pcfg.h_cost pcfg (Node.nt_name fps nt)) in
   let e =
     {
       pcfg;
@@ -139,8 +152,11 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays
       budget;
       validate;
       root;
-      frontier = Pqueue.create ~dummy:root;
-      sup = Pqueue.create ~dummy:0;
+      frontier = Pqueue.create ();
+      sup = Pqueue.create ();
+      parents = [||];
+      pending = [||];
+      n_parents = 0;
       replays;
       dedup;
       seen_fp = Inttbl.create ();
@@ -164,7 +180,7 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays
       stop = Expansions;
     }
   in
-  qpush e 0. root root_code;
+  qpush e 0. 0 root_code;
   e
 
 let elapsed e = Clock.now () -. e.started
@@ -181,9 +197,25 @@ let stats e =
 
 (* The heuristic g(x) (§5.1): Σ of [Pcfg.h_cost] over the ordered
    open-leaf list, summed left to right, with each nonterminal's cost
-   looked up in [h_memo] instead of recomputed. 0 when complete. *)
-let g_opens e opens =
-  List.fold_left (fun acc nt -> acc +. Hashtbl.find e.h_memo nt) 0. opens
+   read from [h_memo] by its id instead of recomputed. 0 when
+   complete. *)
+let g_opens e opens = List.fold_left (fun acc nt -> acc +. e.h_memo.(nt)) 0. opens
+
+(* Register [parent] with [n] queued children in slot [e.n_parents] —
+   the index those children were pushed with. *)
+let register e parent n =
+  let i = e.n_parents in
+  if i = Array.length e.parents then begin
+    let cap = max 16 (2 * i) in
+    let ps = Array.make cap e.root and pn = Array.make cap 0 in
+    Array.blit e.parents 0 ps 0 i;
+    Array.blit e.pending 0 pn 0 i;
+    e.parents <- ps;
+    e.pending <- pn
+  end;
+  e.parents.(i) <- parent;
+  e.pending.(i) <- n;
+  e.n_parents <- i + 1
 
 (* The frontier is also capped: a queue of this size means the heuristic
    has stopped discriminating and memory would grow without bound. *)
@@ -225,11 +257,7 @@ let over_budget e =
    sequence numbers are unique, so comparing the packed keys compares
    them. *)
 let baseline_pops_suppressed e =
-  (not (Pqueue.is_empty e.sup))
-  && (Pqueue.is_empty e.frontier
-     ||
-     let sp = Pqueue.top_prio e.sup and qp = Pqueue.top_prio e.frontier in
-     sp < qp || (sp = qp && Pqueue.top_seq e.sup < Pqueue.top_seq e.frontier))
+  (not (Pqueue.is_empty e.sup)) && (Pqueue.is_empty e.frontier || Pqueue.precedes e.sup e.frontier)
 
 (* [true] iff [key] was already in [tbl]; adds it otherwise *)
 let check_add tbl key =
@@ -285,18 +313,21 @@ let penalty e g (m : Node.metrics) rid rd =
 
 (* Push every legal one-step expansion of [parent]. Each child's
    annotation is extended from the parent's to score it, then dropped:
-   the frontier keeps only (parent, rule). *)
+   the frontier keeps only (parent index, rule). The children are pushed
+   with the next free [parents] slot, which the parent takes afterwards
+   if any child was queued. *)
 let push_expansions e (g : Cfg.t) (parent : entry) =
   match parent.ann.Node.opens with
   | [] -> ()
   | nt :: _ ->
+      let pi = e.n_parents in
       (* Sibling children whose rule adds no nonterminals all share the
          parent's tail as their opens list — physically, thanks to the
          incremental extension — and tensor/operator nonterminals expand by
          dozens of such rules. A one-slot cache keyed on physical identity
          computes their (identical, float-for-float) g once per expansion
          instead of once per rule. *)
-      let g_cache : (string list * float) option ref = ref None in
+      let g_cache : (int list * float) option ref = ref None in
       let g_of opens =
         match !g_cache with
         | Some (k, v) when k == opens -> v
@@ -305,6 +336,7 @@ let push_expansions e (g : Cfg.t) (parent : entry) =
             g_cache := Some (opens, v);
             v
       in
+      let queued = ref 0 in
       List.iter
         (fun (r : Cfg.rule) ->
           let rc = e.rule_cost.(r.id) in
@@ -326,7 +358,7 @@ let push_expansions e (g : Cfg.t) (parent : entry) =
               let pen = Inttbl.find e.pen_memo ann.Node.fp ~default:infinity in
               pen < infinity
               &&
-              (qpush e (c' +. 0. +. pen) e.root ghost_code;
+              (qpush e (c' +. 0. +. pen) 0 ghost_code;
                true)
             in
             if not ghosted then begin
@@ -349,13 +381,16 @@ let push_expansions e (g : Cfg.t) (parent : entry) =
                      inherit the doomed state through [pst]. *)
                   let code = if e.replays ann then replay_code else tick_code in
                   Pqueue.push_seq e.sup (c' +. 0. +. pen) (packed_seq e code) ann.Node.fp
-                else
+                else begin
                   let f = c' +. g_of ann.Node.opens +. pen in
-                  qpush e f parent r.id
+                  qpush e f pi r.id;
+                  incr queued
+                end
               end
             end
           end)
-        (Cfg.rules_for g nt)
+        (Node.rules_of e.fps nt);
+      if !queued > 0 then register e parent !queued
 
 (* The entry a frontier item with a rule-id code stands for. A child's
    path cost is the same float sum its push computed f from, and its
@@ -367,6 +402,15 @@ let rebuild e g parent rid =
     ann = Node.expand_metrics e.fps parent.ann (Cfg.rule g rid);
     pst = (match e.prune with None -> Prune.root | Some pr -> Prune.step pr parent.pst rid);
   }
+
+(* Rebuild the child popped from slot [pi] with rule [rid], and release
+   the parent's slot when this was its last queued child. *)
+let take_child e pi rid =
+  let en = rebuild e (Pcfg.cfg e.pcfg) e.parents.(pi) rid in
+  let left = e.pending.(pi) - 1 in
+  e.pending.(pi) <- left;
+  if left = 0 then e.parents.(pi) <- e.root;
+  en
 
 (* The searches run on the calling domain; [?domains] accepts only 1
    (see the mli). *)
@@ -384,34 +428,29 @@ let rec run e ~on_item =
   if baseline_pops_suppressed e then
     if over_budget e then Budget_exceeded (e.stop, stats e)
     else begin
-      let code = Pqueue.top_seq e.sup land code_mask in
+      let code = Pqueue.top_seq e.sup land code_mask and fp = Pqueue.top_value e.sup in
+      Pqueue.drop e.sup;
       e.suppressed <- e.suppressed + 1;
       (* a [replay_code] drain does what the baseline pop observably did:
          count the attempt and mark the template seen the first time —
          validating it was a structural no-op *)
-      (match Pqueue.pop e.sup with
-      | Some (_, fp) when code = replay_code ->
-          if not (Inttbl.check_add e.seen_fp fp) then e.attempts <- e.attempts + 1
-      | _ -> ());
+      if code = replay_code && not (Inttbl.check_add e.seen_fp fp) then
+        e.attempts <- e.attempts + 1;
       run e ~on_item
     end
   else if over_budget e then Budget_exceeded (e.stop, stats e)
   else if Pqueue.is_empty e.frontier then Exhausted (stats e)
-  else
-    let code = Pqueue.top_seq e.frontier land code_mask in
-    match Pqueue.pop e.frontier with
-    | None -> Exhausted (stats e)
-    | Some (_, _) when code = ghost_code ->
-        (* ghosts are only pushed for complete children, whose pop
-           validates a duplicate (a no-op) and expands nothing *)
-        e.expansions <- e.expansions + 1;
-        run e ~on_item
-    | Some (_, value) -> (
-        e.expansions <- e.expansions + 1;
-        let en = if code = root_code then value else rebuild e (Pcfg.cfg e.pcfg) value code in
-        match on_item en with
-        | Some outcome -> outcome
-        | None -> run e ~on_item)
+  else begin
+    let code = Pqueue.top_seq e.frontier land code_mask and pi = Pqueue.top_value e.frontier in
+    Pqueue.drop e.frontier;
+    e.expansions <- e.expansions + 1;
+    (* ghosts are only pushed for complete children, whose pop
+       validates a duplicate (a no-op) and expands nothing *)
+    if code = ghost_code then run e ~on_item
+    else
+      let en = if code = root_code then e.root else take_child e pi code in
+      match on_item en with Some outcome -> outcome | None -> run e ~on_item
+  end
 
 let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?prune
     ?prune_mode:(_ = Prune_admission) ?(domains = 1) ~budget ~validate () =
@@ -422,7 +461,16 @@ let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?p
      so depth-dead pops never decode (or walk) their tree *)
   if not (Node.depth_static fps) then
     invalid_arg "Astar: grammar is not depth-static";
-  let replays (ann : Node.annotated) = ann.depth <= max_depth in
+  (* Every suppressed child replays: it is complete, and a complete
+     child is never deeper than its parent, which passed the depth check
+     below before it was expanded. Completing a tree applies a rule
+     without nonterminals, and no such rule branches (branching needs
+     two depth-bearing rhs items; the generated grammars give each
+     tensor/const terminal a rule of its own), so any leaf it adds sits
+     at the depth of the expression open it replaces, which the parent's
+     depth already counted. So the top-down search never draws
+     [tick_code]; only the bottom-up guard can refuse a replay. *)
+  let replays (_ : Node.annotated) = true in
   let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays in
   run e ~on_item:(fun en ->
       if en.ann.Node.depth > max_depth then None
@@ -446,7 +494,7 @@ let search_bottomup ~pcfg ~penalty_ctx ~dim_list ?(dedup = Fingerprint) ?prune
   run e ~on_item:(fun en ->
       let solved =
         if en.ann.Node.metrics.n_tensors = n_predicted then
-          match Node.close_tails g en.ann.Node.opens en.deriv with
+          match Node.close_tails fps en.ann.Node.opens en.deriv with
           (* closing ε tails adds empty rule contributions, so the
              completed derivation's fingerprint equals the popped entry's *)
           | Some complete -> try_validate e g ~fp:en.ann.Node.fp complete

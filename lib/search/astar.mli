@@ -66,9 +66,9 @@ type dedup = Fingerprint | Pretty_key
     queue, numbered from the frontier's sequence counter and drained in
     lockstep with it, so the suppressed pop's budget tick lands at
     exactly the position the baseline pop would have. Whether that pop
-    also counts an attempt and marks the template seen (the search's
-    depth or tensor-count guard) is decided when the child is
-    suppressed. The type, and the searches' [?prune_mode], are kept only
+    also counts an attempt and marks the template seen (always,
+    top-down; bottom-up, when the child has the predicted tensor count)
+    is decided when the child is suppressed. The type, and the searches' [?prune_mode], are kept only
     because the lifting benchmark's replay passes them. *)
 type prune_mode = Prune_admission
 

@@ -97,12 +97,25 @@ type fingerprints = {
   d_gain : bool array;
   depth_static : bool;
   (* per-rule facts [expand_metrics] reads instead of walking the rhs:
-     its nonterminals in order, their count, the operator bits its
-     terminals add, and whether it has tensor/const terminals *)
-  r_nts : string list array;
+     its nonterminals in order (as ids), their count, the operator bits
+     its terminals add, and its tensor/const terminals in order, each
+     packed by [leaf_code] ([] when it has none) *)
+  r_nts : int list array;
   r_n_nts : int array;
   r_ops : int array;
-  r_leaves : bool array;
+  r_leaves : int list array;
+  (* the grammar's interned symbols. Nonterminals get dense ids in
+     [Cfg.nonterminals] order; [nt_names] maps them back (printing,
+     tests), [nt_rules] and [nt_eps] replace the by-name rule lookup
+     and RemoveTail's ε search. Tensor symbols — every tensor name and
+     "Const" — are numbered in [String.compare] order, so comparing two
+     ids compares the names. The tables belong to this value alone:
+     each search builds its own. *)
+  nt_names : string array;
+  nt_rules : Cfg.rule list array;
+  nt_eps : int array;  (** the ε rule of a [Cat_tail] nonterminal, or -1 *)
+  sym_names : string array;
+  const_sym : int;  (** the id of "Const" *)
 }
 
 let depth_static fps = fps.depth_static
@@ -115,7 +128,10 @@ let term_ops = function
   | Cfg.Tok_neg -> op_bit Ast.Sub
   | Cfg.Tok_tensor _ | Cfg.Tok_const | Cfg.Tok_assign | Cfg.Tok_lparen | Cfg.Tok_rparen -> 0
 
-let is_leaf = function Cfg.Tok_tensor _ | Cfg.Tok_const -> true | _ -> false
+(* A tensor/const terminal as the incremental metrics read it: its
+   symbol id, whether its index list holds "i" (a1), and whether it is
+   the dedicated [Tok_const] terminal. *)
+let leaf_code sym ~has_i ~term = (sym lsl 2) lor (if has_i then 2 else 0) lor if term then 1 else 0
 
 (* All constants fit OCaml's 63-bit native int. *)
 let fp_k = 0x2545f4914f6cdd1d
@@ -153,6 +169,17 @@ let rule_contribution (r : Cfg.rule) =
       r.rhs
   in
   if n_nt >= 2 then fp_branch :: toks else toks
+
+(* The id of the name [n] in [names]. A grammar has a handful of each
+   kind of symbol, and only table construction and full scans look a
+   name up. *)
+let index_of kind names n =
+  let rec go i =
+    if i = Array.length names then invalid_arg (Printf.sprintf "Node: unknown %s %s" kind n)
+    else if String.equal names.(i) n then i
+    else go (i + 1)
+  in
+  go 0
 
 let fingerprints g =
   let n = Cfg.size g in
@@ -205,11 +232,27 @@ let fingerprints g =
     | Cfg.Cat_program | Cfg.Cat_tail -> ())
   done;
   let rules = Cfg.rules g in
+  (* every start or rhs nonterminal is one of [Cfg.nonterminals]
+     ([Cfg.make] checks each has a category and a production) *)
+  let nt_names = Array.of_list (Cfg.nonterminals g) in
+  let sym_names =
+    Array.fold_left
+      (fun acc (r : Cfg.rule) ->
+        List.fold_left
+          (fun acc s -> match s with Cfg.T (Cfg.Tok_tensor (n, _)) -> n :: acc | _ -> acc)
+          acc r.rhs)
+      [ "Const" ] rules
+    |> List.sort_uniq String.compare |> Array.of_list
+  in
+  let sym_id = index_of "tensor symbol" sym_names in
+  let const_sym = sym_id "Const" in
   let r_nts =
     Array.map
-      (fun (r : Cfg.rule) -> List.filter_map (function Cfg.NT n -> Some n | Cfg.T _ -> None) r.rhs)
+      (fun (r : Cfg.rule) ->
+        List.filter_map (function Cfg.NT n -> Some (index_of "nonterminal" nt_names n) | Cfg.T _ -> None) r.rhs)
       rules
   in
+  let nt_rules = Array.map (Cfg.rules_for g) nt_names in
   {
     mult;
     addend;
@@ -227,9 +270,39 @@ let fingerprints g =
         rules;
     r_leaves =
       Array.map
-        (fun (r : Cfg.rule) -> List.exists (function Cfg.T t -> is_leaf t | Cfg.NT _ -> false) r.rhs)
+        (fun (r : Cfg.rule) ->
+          List.filter_map
+            (function
+              | Cfg.T (Cfg.Tok_tensor (n, idxs)) ->
+                  Some (leaf_code (sym_id n) ~has_i:(List.mem "i" idxs) ~term:false)
+              | Cfg.T Cfg.Tok_const -> Some (leaf_code const_sym ~has_i:false ~term:true)
+              | Cfg.T _ | Cfg.NT _ -> None)
+            r.rhs)
         rules;
+    nt_names;
+    nt_rules;
+    nt_eps =
+      Array.mapi
+        (fun id nt ->
+          if Cfg.category g nt <> Cfg.Cat_tail then -1
+          else
+            match List.find_opt (fun (r : Cfg.rule) -> r.rhs = []) nt_rules.(id) with
+            | Some r -> r.id
+            | None -> -1)
+        nt_names;
+    sym_names;
+    const_sym;
   }
+
+let n_nonterminals fps = Array.length fps.nt_names
+let nt_name fps id = fps.nt_names.(id)
+
+let nt_id fps nt = index_of "nonterminal" fps.nt_names nt
+
+let rules_of fps id = fps.nt_rules.(id)
+let sym_name fps id = fps.sym_names.(id)
+
+let sym_id fps n = index_of "tensor symbol" fps.sym_names n
 
 let rec fp_scan fps acc = function
   | Leaf _ | Open _ -> acc
@@ -240,7 +313,7 @@ let fingerprint fps x = fp_scan fps fp_seed x
 type metrics = {
   n_tensors : int;
   n_unique : int;
-  firsts_rev : string list;
+  firsts_rev : int list;
   sorted_firsts : bool;
   n_index_i : int;
   has_const_leaf : bool;
@@ -255,7 +328,7 @@ let n_distinct_ops m =
    the two agree field for field. Leaves must be fed left to right. *)
 type macc = {
   mutable m_n_tensors : int;
-  mutable m_firsts : string list;  (** reversed *)
+  mutable m_firsts : int list;  (** reversed *)
   mutable m_sorted : bool;
   mutable m_n_index_i : int;
   mutable m_has_const : bool;  (** a [Tok_const] leaf was seen *)
@@ -263,10 +336,15 @@ type macc = {
   mutable m_n_unique : int;
 }
 
-let macc_add_leaf a n idxs =
+(* [List.mem] would compare through [compare_val]; this is an int loop *)
+let rec mem_int (x : int) = function [] -> false | y :: rest -> x = y || mem_int x rest
+
+let macc_add_leaf fps a code =
+  let sym = code lsr 2 in
   a.m_n_tensors <- a.m_n_tensors + 1;
-  if List.mem "i" idxs then a.m_n_index_i <- a.m_n_index_i + 1;
-  if String.equal n "Const" then begin
+  if code land 2 <> 0 then a.m_n_index_i <- a.m_n_index_i + 1;
+  if code land 1 <> 0 then a.m_has_const <- true;
+  if sym = fps.const_sym then begin
     (* Const does not participate in the alphabetical-order criterion and
        counts once toward [n_unique], whether it came from the dedicated
        terminal or a pathological tensor of that name *)
@@ -275,21 +353,13 @@ let macc_add_leaf a n idxs =
       a.m_n_unique <- a.m_n_unique + 1
     end
   end
-  else if not (List.mem n a.m_firsts) then begin
-    (match a.m_firsts with
-    | [] -> ()
-    | prev :: _ -> if String.compare prev n >= 0 then a.m_sorted <- false);
-    a.m_firsts <- n :: a.m_firsts;
+  else if not (mem_int sym a.m_firsts) then begin
+    (* symbol ids follow [String.compare] order, so this is the name
+       comparison *)
+    (match a.m_firsts with [] -> () | prev :: _ -> if prev >= sym then a.m_sorted <- false);
+    a.m_firsts <- sym :: a.m_firsts;
     a.m_n_unique <- a.m_n_unique + 1
   end
-
-(* feed one terminal to the accumulator; non-leaf terminals are skipped *)
-let macc_add_term a = function
-  | Cfg.Tok_tensor (n, idxs) -> macc_add_leaf a n idxs
-  | Cfg.Tok_const ->
-      macc_add_leaf a "Const" [];
-      a.m_has_const <- true
-  | Cfg.Tok_op _ | Cfg.Tok_neg | Cfg.Tok_assign | Cfg.Tok_rparen | Cfg.Tok_lparen -> ()
 
 let metrics_of_macc a ~ops ~complete =
   {
@@ -303,8 +373,9 @@ let metrics_of_macc a ~ops ~complete =
     complete;
   }
 
-let metrics _g x =
-  (* single left-to-right scan over the frontier *)
+let metrics fps x =
+  (* single left-to-right scan over the frontier; leaves are looked up
+     by name, independently of the per-rule [r_leaves] codes *)
   let a =
     {
       m_n_tensors = 0;
@@ -321,7 +392,11 @@ let metrics _g x =
   let rec scan = function
     | Open _ -> complete := false
     | Leaf t ->
-        macc_add_term a t;
+        (match t with
+        | Cfg.Tok_tensor (n, idxs) ->
+            macc_add_leaf fps a (leaf_code (sym_id fps n) ~has_i:(List.mem "i" idxs) ~term:false)
+        | Cfg.Tok_const -> macc_add_leaf fps a (leaf_code fps.const_sym ~has_i:false ~term:true)
+        | Cfg.Tok_op _ | Cfg.Tok_neg | Cfg.Tok_assign | Cfg.Tok_rparen | Cfg.Tok_lparen -> ());
         ops := !ops lor term_ops t
     | Node (_, ch) -> List.iter scan ch
   in
@@ -344,15 +419,15 @@ let metrics _g x =
 type annotated = {
   metrics : metrics;
   n_open : int;
-  opens : string list;
+  opens : int list;
   open_paths : int list;
   depth : int;
   fp : int;
 }
 
-let collect_opens x =
+let collect_opens fps x =
   let rec go acc = function
-    | Open nt -> nt :: acc
+    | Open nt -> nt_id fps nt :: acc
     | Leaf _ -> acc
     | Node (_, ch) -> List.fold_left go acc ch
   in
@@ -374,9 +449,9 @@ let collect_open_paths fps x =
   List.rev (go 0 [] x)
 
 let annotate g fps x =
-  let opens = collect_opens x in
+  let opens = collect_opens fps x in
   {
-    metrics = metrics g x;
+    metrics = metrics fps x;
     n_open = List.length opens;
     opens;
     open_paths = collect_open_paths fps x;
@@ -395,12 +470,11 @@ let rule_safe (r : Cfg.rule) =
 
 let incremental_safe g = Array.for_all rule_safe (Cfg.rules g)
 
-let rec macc_add_rhs a = function
+let rec macc_add_leaves fps a = function
   | [] -> ()
-  | Cfg.T t :: rest ->
-      macc_add_term a t;
-      macc_add_rhs a rest
-  | Cfg.NT _ :: rest -> macc_add_rhs a rest
+  | code :: rest ->
+      macc_add_leaf fps a code;
+      macc_add_leaves fps a rest
 
 let rec add_paths n p acc = if n = 0 then acc else add_paths (n - 1) p (p :: acc)
 
@@ -414,24 +488,23 @@ let expand_metrics fps (parent : annotated) (r : Cfg.rule) : annotated =
      and the complete flag, and most change neither: those share the
      parent's record *)
   let metrics =
-    if fps.r_leaves.(id) then begin
-      (* the accumulator resumes from the parent's per-leaf facts *)
-      let a =
-        {
-          m_n_tensors = pm.n_tensors;
-          m_firsts = pm.firsts_rev;
-          m_sorted = pm.sorted_firsts;
-          m_n_index_i = pm.n_index_i;
-          m_has_const = pm.has_const_leaf;
-          m_const_sym = pm.n_unique > List.length pm.firsts_rev;
-          m_n_unique = pm.n_unique;
-        }
-      in
-      macc_add_rhs a r.rhs;
-      metrics_of_macc a ~ops ~complete
-    end
-    else if ops = pm.ops && complete = pm.complete then pm
-    else { pm with ops; complete }
+    match fps.r_leaves.(id) with
+    | [] -> if ops = pm.ops && complete = pm.complete then pm else { pm with ops; complete }
+    | leaves ->
+        (* the accumulator resumes from the parent's per-leaf facts *)
+        let a =
+          {
+            m_n_tensors = pm.n_tensors;
+            m_firsts = pm.firsts_rev;
+            m_sorted = pm.sorted_firsts;
+            m_n_index_i = pm.n_index_i;
+            m_has_const = pm.has_const_leaf;
+            m_const_sym = pm.n_unique > List.length pm.firsts_rev;
+            m_n_unique = pm.n_unique;
+          }
+        in
+        macc_add_leaves fps a leaves;
+        metrics_of_macc a ~ops ~complete
   in
   match (parent.opens, parent.open_paths) with
   | _ :: rest, p :: paths ->
@@ -480,17 +553,14 @@ let of_derivation g rev_ids =
   in
   build (Cfg.start g)
 
-let close_tails g opens rev_ids =
+let close_tails fps opens rev_ids =
   List.fold_left
     (fun acc nt ->
       match acc with
       | None -> None
       | Some ids ->
-          if Cfg.category g nt = Cfg.Cat_tail then
-            List.find_map
-              (fun (r : Cfg.rule) -> if r.rhs = [] then Some (r.id :: ids) else None)
-              (Cfg.rules_for g nt)
-          else None)
+          let eps = fps.nt_eps.(nt) in
+          if eps < 0 then None else Some (eps :: ids))
     (Some rev_ids) opens
 
 (* ---- rebuilding the template AST from a complete tree ---- *)

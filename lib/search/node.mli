@@ -36,13 +36,6 @@ val expansions : Cfg.t -> t -> (Cfg.rule * t) list
     chain builds by applying the same rules. *)
 val of_derivation : Cfg.t -> int list -> t
 
-(** [close_tails g opens rd] — Algorithm 2's RemoveTail on a derivation:
-    [opens] is the derivation's ordered open-leaf list ({!annotated}),
-    and each one, left to right, is closed by appending its ε rule to
-    [rd]. [None] unless every open is a [Cat_tail] nonterminal with an ε
-    rule. Decoding the result equals {!remove_tail} on the decoded
-    tree. *)
-val close_tails : Cfg.t -> string list -> int list -> int list option
 
 (** Expression depth as defined in §5.1: tensor/constant leaves (and open
     expression-valued leaves) have depth 1; a node of an expression-valued
@@ -64,8 +57,47 @@ val depth : Cfg.t -> t -> int
     probe keys on this instead of printed templates. *)
 type fingerprints
 
-(** Precompute the per-rule tables; O(grammar size), once per search. *)
+(** Precompute the per-rule tables and intern the grammar's symbols;
+    O(grammar size), once per search. The intern tables belong to the
+    returned value, never to the process, so searches on different
+    domains never share them. *)
 val fingerprints : Cfg.t -> fingerprints
+
+(** {2 Interned symbols}
+
+    Nonterminals are numbered densely, [0 .. n_nonterminals - 1], in
+    {!Cfg.nonterminals} order; {!annotated}[.opens] holds these ids.
+    Tensor symbols (every tensor name of a rule's terminals, and
+    ["Const"]) are numbered in [String.compare] order of their names,
+    so comparing two ids compares the names; {!metrics}[.firsts_rev]
+    holds these ids. *)
+
+val n_nonterminals : fingerprints -> int
+
+(** The name of a nonterminal id. *)
+val nt_name : fingerprints -> int -> string
+
+(** The id of a nonterminal name. Raises [Invalid_argument] for a name
+    that is not one of {!Cfg.nonterminals}. *)
+val nt_id : fingerprints -> string -> int
+
+(** [rules_of fps nt] — {!Cfg.rules_for} of the nonterminal id [nt]. *)
+val rules_of : fingerprints -> int -> Cfg.rule list
+
+(** The name of a tensor symbol id. *)
+val sym_name : fingerprints -> int -> string
+
+(** The id of a tensor symbol name. Raises [Invalid_argument] for a name
+    that no rule of the grammar mentions. *)
+val sym_id : fingerprints -> string -> int
+
+(** [close_tails fps opens rd] — Algorithm 2's RemoveTail on a
+    derivation: [opens] is the derivation's ordered open-leaf list
+    ({!annotated}), and each one, left to right, is closed by appending
+    its ε rule to [rd]. [None] unless every open is a [Cat_tail]
+    nonterminal with an ε rule. Decoding the result equals
+    {!remove_tail} on the decoded tree. *)
+val close_tails : fingerprints -> int list -> int list -> int list option
 
 (** Full-tree fingerprint by preorder rescan. Agrees with the
     incrementally-maintained {!annotated}[.fp] on every tree built by
@@ -88,9 +120,9 @@ type metrics = {
   n_unique : int;
       (** distinct tensor symbols (Const counts once) — the quantity a
           dimension list has one entry per, hence the paper's "length" *)
-  firsts_rev : string list;
-      (** distinct non-Const tensor symbols, most recent first (reverse
-          first-appearance order) *)
+  firsts_rev : int list;
+      (** distinct non-Const tensor symbol ids ({!sym_id}), most recent
+          first (reverse first-appearance order) *)
   sorted_firsts : bool;
       (** the first-appearance sequence of non-Const symbols is strictly
           sorted — the a3/b1 criterion, maintained in O(1) per leaf *)
@@ -102,7 +134,9 @@ type metrics = {
   complete : bool;
 }
 
-val metrics : Cfg.t -> t -> metrics
+(** Full-scan metrics of a tree of [fps]'s grammar; tensor leaves are
+    looked up by name ({!sym_id}). *)
+val metrics : fingerprints -> t -> metrics
 
 (** [op_bit op] — [op]'s bit in {!metrics}[.ops]. *)
 val op_bit : Stagg_taco.Ast.op -> int
@@ -111,7 +145,7 @@ val op_bit : Stagg_taco.Ast.op -> int
 val n_distinct_ops : metrics -> int
 
 (** Metrics plus the open leaves — count and ordered (left-to-right)
-    nonterminal names — and the running fingerprint, held by a popped A*
+    nonterminal ids ({!nt_id}) — and the running fingerprint, held by a popped A*
     entry and extended once per child, so neither a pop nor the g(x) of
     a push rescans a tree. [opens] and [fp] are maintained incrementally for every
     grammar: expansion always rewrites the leftmost open leaf, i.e. the
@@ -131,7 +165,7 @@ val n_distinct_ops : metrics -> int
 type annotated = {
   metrics : metrics;
   n_open : int;
-  opens : string list;
+  opens : int list;
   open_paths : int list;
   depth : int;
   fp : int;

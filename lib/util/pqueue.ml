@@ -1,47 +1,38 @@
 (* Binary min-heap over (priority, seq, value); [seq] breaks ties FIFO.
 
-   Stored as parallel arrays rather than an array of records: the
-   priorities live in an unboxed float array, so a push allocates nothing
-   (a record with a float field would box the float on every push — the
-   searches push tens of millions of frontier entries), and the sift
-   comparisons walk one contiguous float array.
+   Stored as three parallel arrays of unboxed scalars — float
+   priorities, int sequences, int values — rather than an array of
+   records: a push allocates nothing (a record with a float field would
+   box the float on every push — the searches push tens of millions of
+   frontier entries), the sift comparisons walk one contiguous float
+   array, and since no slot holds a pointer, a store is a plain write
+   (no [caml_modify]) and a vacated slot can retain nothing.
 
-   Every slot outside [0, size) holds [dummy]. Without that discipline a
-   pop leaves the vacated slot pointing at whatever lived there before
-   the swap, and [grow]'s [Array.make] pins the triggering push's value
-   in every unused slot — on a frontier that grew to millions of entries
-   the dead region retains popped values — for the A* frontier, each
-   popped child's parent entry and everything it reaches — for as long
-   as the queue lives. *)
+   Both sifts move a hole instead of swapping: the element being placed
+   is held in locals while the elements it passes shift one level, and
+   it is written once, into the slot where the hole stops. *)
 
-type 'a t = {
+type t = {
   mutable prio : float array;
   mutable seq : int array;
-  mutable value : 'a array;
+  mutable value : int array;
   mutable size : int;
   mutable next_seq : int;
-  dummy : 'a;
 }
 
-let create ~dummy = { prio = [||]; seq = [||]; value = [||]; size = 0; next_seq = 0; dummy }
+let create () = { prio = [||]; seq = [||]; value = [||]; size = 0; next_seq = 0 }
 let is_empty q = q.size = 0
 let length q = q.size
 
 let top_prio q = q.prio.(0)
 let top_seq q = q.seq.(0)
+let top_value q = q.value.(0)
 
-let less q i j = q.prio.(i) < q.prio.(j) || (q.prio.(i) = q.prio.(j) && q.seq.(i) < q.seq.(j))
-
-let swap q i j =
-  let p = q.prio.(i) in
-  q.prio.(i) <- q.prio.(j);
-  q.prio.(j) <- p;
-  let s = q.seq.(i) in
-  q.seq.(i) <- q.seq.(j);
-  q.seq.(j) <- s;
-  let v = q.value.(i) in
-  q.value.(i) <- q.value.(j);
-  q.value.(j) <- v
+(* compared here rather than by the caller: [top_prio] returns a boxed
+   float across the module boundary *)
+let precedes a b =
+  let pa = a.prio.(0) and pb = b.prio.(0) in
+  pa < pb || (pa = pb && a.seq.(0) < b.seq.(0))
 
 let grow q =
   let cap = Array.length q.prio in
@@ -53,59 +44,67 @@ let grow q =
     let ns = Array.make ncap 0 in
     Array.blit q.seq 0 ns 0 q.size;
     q.seq <- ns;
-    let nv = Array.make ncap q.dummy in
+    let nv = Array.make ncap 0 in
     Array.blit q.value 0 nv 0 q.size;
     q.value <- nv
   end
 
-let push_seq q prio seq value =
+let push_seq q p s v =
   grow q;
+  let prio = q.prio and seq = q.seq and value = q.value in
+  (* sift up: the hole starts at the new last slot *)
   let i = ref q.size in
-  q.prio.(!i) <- prio;
-  q.seq.(!i) <- seq;
-  q.value.(!i) <- value;
   q.size <- q.size + 1;
-  (* sift up *)
   let continue_ = ref true in
   while !continue_ && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if less q !i parent then begin
-      swap q !i parent;
+    let pp = prio.(parent) in
+    if p < pp || (p = pp && s < seq.(parent)) then begin
+      prio.(!i) <- pp;
+      seq.(!i) <- seq.(parent);
+      value.(!i) <- value.(parent);
       i := parent
     end
     else continue_ := false
-  done
+  done;
+  prio.(!i) <- p;
+  seq.(!i) <- s;
+  value.(!i) <- v
 
-let push q prio value =
-  push_seq q prio q.next_seq value;
+let push q p v =
+  push_seq q p q.next_seq v;
   q.next_seq <- q.next_seq + 1
 
-let pop q =
-  if q.size = 0 then None
-  else begin
-    let prio = q.prio.(0) and value = q.value.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.prio.(0) <- q.prio.(q.size);
-      q.seq.(0) <- q.seq.(q.size);
-      q.value.(0) <- q.value.(q.size);
-      (* sift down *)
-      let i = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < q.size && less q l !smallest then smallest := l;
-        if r < q.size && less q r !smallest then smallest := r;
-        if !smallest <> !i then begin
-          swap q !smallest !i;
-          i := !smallest
+let drop q =
+  if q.size = 0 then invalid_arg "Pqueue.drop: empty queue";
+  let n = q.size - 1 in
+  q.size <- n;
+  if n > 0 then begin
+    let prio = q.prio and seq = q.seq and value = q.value in
+    (* sift down: the last element moves into the hole left at the root *)
+    let p = prio.(n) and s = seq.(n) and v = value.(n) in
+    let i = ref 0 in
+    let continue_ = ref true in
+    while !continue_ do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue_ := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && (prio.(r) < prio.(l) || (prio.(r) = prio.(l) && seq.(r) < seq.(l))) then r
+          else l
+        in
+        let cp = prio.(c) in
+        if cp < p || (cp = p && seq.(c) < s) then begin
+          prio.(!i) <- cp;
+          seq.(!i) <- seq.(c);
+          value.(!i) <- value.(c);
+          i := c
         end
         else continue_ := false
-      done
-    end;
-    (* the vacated slot (or slot 0 when the heap just emptied) must not
-       keep the old value reachable *)
-    q.value.(q.size) <- q.dummy;
-    Some (prio, value)
+      end
+    done;
+    prio.(!i) <- p;
+    seq.(!i) <- s;
+    value.(!i) <- v
   end

@@ -1,26 +1,25 @@
-(** Imperative min-priority queue (binary heap) keyed by [float].
+(** Imperative min-priority queue (binary heap) of [int] values keyed by
+    [float].
 
     Used as the frontier of both A* searches (paper Algorithms 1 and 2).
     Ties are broken by a sequence number (FIFO by default), which makes
     the searches deterministic and keeps them faithful to the paper's
-    "queue" phrasing. *)
+    "queue" phrasing. Values are plain ints — the searches store an
+    index into a table of their own, or a fingerprint — so the heap is
+    three unboxed arrays the collector never scans, and neither a push
+    nor a {!drop} allocates or pays a write barrier. *)
 
-type 'a t
+type t
 
-(** [create ~dummy] — an empty queue. [dummy] is written into every slot
-    not currently holding a live element (vacated by {!pop}, or allocated
-    ahead by growth), so popped values become unreachable as soon as the
-    caller drops them instead of lingering in the backing array. Pick a
-    cheap constant of the element type (an immediate constructor, [0],
-    [""], …). *)
-val create : dummy:'a -> 'a t
+(** An empty queue. *)
+val create : unit -> t
 
-val is_empty : 'a t -> bool
-val length : 'a t -> int
+val is_empty : t -> bool
+val length : t -> int
 
 (** [push q priority v] inserts [v] with the given priority; the
     tie-break sequence is drawn from the queue's internal counter. *)
-val push : 'a t -> float -> 'a -> unit
+val push : t -> float -> int -> unit
 
 (** [push_seq q priority seq v] inserts [v] with a caller-supplied
     tie-break sequence and leaves the internal counter untouched. Lets a
@@ -30,15 +29,22 @@ val push : 'a t -> float -> 'a -> unit
     two heads gives the pop order of a single queue holding both. Do not
     mix with {!push} on the same queue unless the caller guarantees the
     sequences stay unique. *)
-val push_seq : 'a t -> float -> int -> 'a -> unit
+val push_seq : t -> float -> int -> int -> unit
 
-(** [pop q] removes and returns a minimum-priority element, with its
-    priority. [None] on an empty queue. *)
-val pop : 'a t -> (float * 'a) option
+(** The minimum element's priority, tie-break sequence and value, read
+    without removing it. Undefined (raises) on an empty queue — guard
+    with {!is_empty}. *)
+val top_prio : t -> float
 
-(** The minimum element's priority / tie-break sequence, without
-    allocating. Undefined (raises) on an empty queue — guard with
-    {!is_empty}. *)
-val top_prio : 'a t -> float
+val top_seq : t -> int
+val top_value : t -> int
 
-val top_seq : 'a t -> int
+(** [precedes a b] — [a]'s head pops before [b]'s in one queue holding
+    both: its (priority, sequence) key is the smaller. Two queues fed
+    from one sequence counter pop like one queue by taking the head that
+    precedes. Undefined (raises) when either queue is empty. *)
+val precedes : t -> t -> bool
+
+(** [drop q] removes the minimum element (the one the [top_*]
+    accessors read). Raises [Invalid_argument] on an empty queue. *)
+val drop : t -> unit

@@ -210,7 +210,7 @@ let test_decoding () =
         if Node.to_program g decoded <> program then Alcotest.failf "%s: to_program differs" label;
         if Option.is_some program then incr programs;
         let opens = (Node.annotate g fps x).Node.opens in
-        let closed = Option.map (Node.of_derivation g) (Node.close_tails g opens rd) in
+        let closed = Option.map (Node.of_derivation g) (Node.close_tails fps opens rd) in
         let reference = Node.remove_tail g x in
         if closed <> reference then Alcotest.failf "%s: close_tails differs from remove_tail" label;
         if opens <> [] && Option.is_some reference then incr closed_partials;
@@ -287,8 +287,8 @@ let a4_scan_sound =
   QCheck.Test.make ~name:"a non-candidate never decodes to an a4 match" ~count:20_000
     (QCheck.make ~print:print_a4_case gen_a4_case)
     (fun (i, rd) ->
-      let (_, g, _, _), scan = List.nth (Lazy.force a4_grammars) i in
-      let checked = Penalty.checks_a4 a4_on (Node.metrics g (Node.of_derivation g rd)) in
+      let (_, g, fps, _), scan = List.nth (Lazy.force a4_grammars) i in
+      let checked = Penalty.checks_a4 a4_on (Node.metrics fps (Node.of_derivation g rd)) in
       let candidate = Penalty.a4_candidate scan (List.hd rd) (List.tl rd) in
       let matches = same_operand g rd in
       if candidate then incr a4_candidates;

@@ -66,7 +66,7 @@ let test_node_depth_paper_examples () =
 let test_node_metrics () =
   let g = gemv_grammar () in
   let x = expand_first g (Node.initial g) in
-  let m = Node.metrics g x in
+  let m = Node.metrics (Node.fingerprints g) x in
   check_bool "complete" true m.complete;
   check_int "tensors counted (lhs + rhs)" 2 m.n_tensors;
   check_int "unique symbols" 2 m.n_unique
@@ -87,6 +87,15 @@ let test_remove_tail () =
       | Some p -> check_string "one-tensor prefix" "a = b(i)" (Stagg_taco.Pretty.program_to_string p)
       | None -> Alcotest.fail "to_program")
   | None -> Alcotest.fail "remove_tail failed"
+
+(* the names of a tree's open leaves, left to right *)
+let open_names x =
+  let rec go acc = function
+    | Node.Open nt -> nt :: acc
+    | Node.Leaf _ -> acc
+    | Node.Node (_, ch) -> List.fold_left go acc ch
+  in
+  List.rev (go [] x)
 
 (* property: the incremental annotation carried through the A* queue agrees
    with a full rescan at every expansion, on random walks through top-down
@@ -134,7 +143,7 @@ let test_incremental_metrics_agree () =
                     check_int (label ^ ": n_tensors") sm.Node.n_tensors im.Node.n_tensors;
                     check_int (label ^ ": n_unique") sm.Node.n_unique im.Node.n_unique;
                     check_bool (label ^ ": firsts_rev") true
-                      (List.equal String.equal sm.Node.firsts_rev im.Node.firsts_rev);
+                      (List.equal Int.equal sm.Node.firsts_rev im.Node.firsts_rev);
                     check_bool (label ^ ": sorted_firsts") sm.Node.sorted_firsts
                       im.Node.sorted_firsts;
                     check_int (label ^ ": n_index_i") sm.Node.n_index_i im.Node.n_index_i;
@@ -144,7 +153,12 @@ let test_incremental_metrics_agree () =
                     check_bool (label ^ ": complete") sm.Node.complete im.Node.complete;
                     check_int (label ^ ": n_open") scan.Node.n_open inc.Node.n_open;
                     check_bool (label ^ ": opens") true
-                      (List.equal String.equal scan.Node.opens inc.Node.opens);
+                      (List.equal Int.equal scan.Node.opens inc.Node.opens);
+                    (* and as names: the ids map back to the tree's own
+                       open leaves, left to right *)
+                    check_bool (label ^ ": open names") true
+                      (List.equal String.equal (open_names x')
+                         (List.map (Node.nt_name fps) inc.Node.opens));
                     (* the rolling fingerprint must agree with a preorder
                        rescan of the child tree *)
                     check_bool (label ^ ": fp") true
@@ -168,6 +182,127 @@ let test_incremental_metrics_agree () =
       done)
     grammars
 
+(* Interning: every nonterminal id maps back to its name and on to the
+   same rules, and tensor symbol ids order like their names, on a
+   top-down, a bottom-up and the full TACO grammar. *)
+let test_interned_symbols () =
+  List.iter
+    (fun (label, g) ->
+      let fps = Node.fingerprints g in
+      let nts = Cfg.nonterminals g in
+      check_int (label ^ ": one id per nonterminal") (List.length nts) (Node.n_nonterminals fps);
+      List.iter
+        (fun nt ->
+          let id = Node.nt_id fps nt in
+          check_string (label ^ ": name of the id of " ^ nt) nt (Node.nt_name fps id);
+          check_bool (label ^ ": rules of " ^ nt) true (Node.rules_of fps id = Cfg.rules_for g nt))
+        nts;
+      for id = 0 to Node.n_nonterminals fps - 1 do
+        check_int (label ^ ": id of a name") id (Node.nt_id fps (Node.nt_name fps id))
+      done;
+      let syms =
+        Array.fold_left
+          (fun acc (r : Cfg.rule) ->
+            List.fold_left
+              (fun acc s -> match s with Cfg.T (Cfg.Tok_tensor (n, _)) -> n :: acc | _ -> acc)
+              acc r.rhs)
+          [ "Const" ] (Cfg.rules g)
+      in
+      List.iter
+        (fun a ->
+          check_string (label ^ ": symbol name of id") a (Node.sym_name fps (Node.sym_id fps a));
+          List.iter
+            (fun b ->
+              check_int
+                (Printf.sprintf "%s: ids of %s, %s order like the names" label a b)
+                (compare (String.compare a b) 0)
+                (compare (Node.sym_id fps a) (Node.sym_id fps b)))
+            syms)
+        syms)
+    [
+      ("td", gemv_grammar ());
+      ( "bu",
+        Gen_bottomup.generate ~dim_list:[ 1; 2; 1 ] ~templates:gemv_templates );
+      ("full", Taco_grammar.generate ~n_rhs_tensors:3 ~max_rank:2 ~n_indices:3 ());
+    ]
+
+(* a3/b1 on tensor names whose byte order is not their first-use order:
+   uppercase sorts before lowercase, "a10" before "a9", "_" after
+   uppercase, and a tensor named "Const" must merge with the Const
+   terminal. Every tree of up to four right-hand-side tensors is scanned;
+   the id-based metrics must agree with a scan over the names. *)
+let test_a3_byte_order () =
+  let t n idxs = Cfg.T (Cfg.Tok_tensor (n, idxs)) in
+  let g =
+    Cfg.make ~start:"P"
+      ~categories:[ ("P", Cfg.Cat_program); ("E", Cfg.Cat_expr); ("T", Cfg.Cat_tensor) ]
+      [
+        ("P", [ t "a" [ "i" ]; Cfg.T Cfg.Tok_assign; Cfg.NT "E" ]);
+        ("E", [ Cfg.NT "T" ]);
+        ("E", [ Cfg.NT "E"; Cfg.T (Cfg.Tok_op Ast.Add); Cfg.NT "T" ]);
+        ("T", [ t "b" [] ]);
+        ("T", [ t "Z" [] ]);
+        ("T", [ t "_x" [ "i" ] ]);
+        ("T", [ t "a10" [] ]);
+        ("T", [ t "a9" [ "j" ] ]);
+        ("T", [ t "Const" [] ]);
+        ("T", [ Cfg.T Cfg.Tok_const ]);
+      ]
+  in
+  let fps = Node.fingerprints g in
+  (* the reference: the first-use scan the metrics replaced, on names *)
+  let reference x =
+    let rec leaves acc = function
+      | Node.Leaf (Cfg.Tok_tensor (n, _)) -> n :: acc
+      | Node.Leaf Cfg.Tok_const -> "Const" :: acc
+      | Node.Leaf _ | Node.Open _ -> acc
+      | Node.Node (_, ch) -> List.fold_left leaves acc ch
+    in
+    let names = List.rev (leaves [] x) in
+    let firsts =
+      List.fold_left
+        (fun acc n -> if String.equal n "Const" || List.mem n acc then acc else acc @ [ n ])
+        [] names
+    in
+    let rec sorted = function
+      | a :: (b :: _ as rest) -> String.compare a b < 0 && sorted rest
+      | _ -> true
+    in
+    (firsts, List.length firsts + Bool.to_int (List.mem "Const" names), sorted firsts)
+  in
+  let trees = ref 0 and unsorted = ref 0 in
+  let rec go ann x steps =
+    let m = ann.Node.metrics in
+    let firsts, n_unique, sorted = reference x in
+    incr trees;
+    if not sorted then incr unsorted;
+    check_bool "first uses" true
+      (List.equal String.equal firsts (List.rev_map (Node.sym_name fps) m.Node.firsts_rev));
+    check_int "n_unique" n_unique m.Node.n_unique;
+    check_bool "sorted_firsts" sorted m.Node.sorted_firsts;
+    check_bool "full scan agrees" true (Node.metrics fps x = m);
+    if steps > 0 then
+      List.iter
+        (fun ((r : Cfg.rule), x') -> go (Node.expand_metrics fps ann r) x' (steps - 1))
+        (Node.expansions g x)
+  in
+  let x0 = Node.initial g in
+  go (Node.annotate g fps x0) x0 9;
+  check_bool "walked every tree" true (!trees > 2_000);
+  check_bool "both verdicts reached" true (!unsorted > 0 && !unsorted < !trees);
+  (* byte order, not first use: Z before b, a10 before a9 *)
+  let complete names =
+    (* a flat leaf sequence is all the full scan reads *)
+    let rhs = List.map (fun n -> Node.Leaf (Cfg.Tok_tensor (n, []))) names in
+    Node.metrics fps
+      (Node.Node (0, [ Node.Leaf (Cfg.Tok_tensor ("a", [ "i" ])); Node.Leaf Cfg.Tok_assign; Node.Node (1, rhs) ]))
+  in
+  check_bool "a, Z: unsorted" false (complete [ "Z" ]).Node.sorted_firsts;
+  check_bool "a, a10, a9: sorted" true (complete [ "a10"; "a9" ]).Node.sorted_firsts;
+  check_bool "a, a9, a10: unsorted" false (complete [ "a9"; "a10" ]).Node.sorted_firsts;
+  check_bool "Const skipped: a, Const, b" true (complete [ "Const"; "b" ]).Node.sorted_firsts;
+  check_int "Const counts once" 3 (complete [ "Const"; "b"; "Const" ]).Node.n_unique
+
 (* ---- penalties ---- *)
 
 let ctx ?(enabled = Penalty.all_topdown) ?(dims = [ 1; 2; 1 ]) ?(ops = [ Ast.Mul ]) ?(const = false) () =
@@ -187,11 +322,17 @@ let mk_metrics ?(has_const = false) ?(ops = []) ~complete leaves =
     | a :: (b :: _ as rest) -> String.compare a b < 0 && sorted rest
     | _ -> true
   in
+  (* symbol ids in name order, as [Node.fingerprints] numbers them *)
+  let names = List.sort_uniq String.compare (List.map fst leaves) in
+  let sym_id n =
+    let rec go i = function [] -> assert false | m :: rest -> if m = n then i else go (i + 1) rest in
+    go 0 names
+  in
   let const_sym = List.exists (fun (n, _) -> String.equal n "Const") leaves in
   {
     Node.n_tensors = List.length leaves;
     n_unique = (List.length firsts_rev + if const_sym then 1 else 0);
-    firsts_rev;
+    firsts_rev = List.map sym_id firsts_rev;
     sorted_firsts = sorted (List.rev firsts_rev);
     n_index_i = List.length (List.filter (fun (_, idxs) -> List.mem "i" idxs) leaves);
     has_const_leaf = has_const;
@@ -215,7 +356,7 @@ let test_penalty_a2 () =
   ignore metrics_of_template;
   let g = gemv_grammar () in
   let x = expand_first g (Node.initial g) in
-  let m = Node.metrics g x in
+  let m = Node.metrics (Node.fingerprints g) x in
   (* complete template with 2 unique tensors but |L| = 3 → +100 *)
   let score =
     Penalty.score (ctx ~enabled:[ Penalty.A2 ] ()) m ~program:(Node.to_program g x)
@@ -495,6 +636,8 @@ let () =
           Alcotest.test_case "remove_tail" `Quick test_remove_tail;
           Alcotest.test_case "incremental metrics agree with rescan" `Quick
             test_incremental_metrics_agree;
+          Alcotest.test_case "interned symbols map back to names" `Quick test_interned_symbols;
+          Alcotest.test_case "a3 on byte order, not first use" `Quick test_a3_byte_order;
         ] );
       ( "penalty",
         [

@@ -125,36 +125,48 @@ let qcheck_rat_compare_consistent =
 
 (* ---- Pqueue ---- *)
 
+(* The queue is read through its head accessors and emptied with an
+   allocation-free [drop]; the tests pop through this option-returning
+   helper. *)
+let pop q =
+  if Pqueue.is_empty q then None
+  else begin
+    let p = Pqueue.top_prio q and v = Pqueue.top_value q in
+    Pqueue.drop q;
+    Some (p, v)
+  end
+
 let test_pqueue_order () =
-  let q = Pqueue.create ~dummy:"" in
-  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3., "c"); (1., "a"); (2., "b"); (0.5, "z") ];
+  let q = Pqueue.create () in
+  let names = [| "c"; "a"; "b"; "z" |] in
+  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3., 0); (1., 1); (2., 2); (0.5, 3) ];
   let drain () =
-    let rec go acc = match Pqueue.pop q with None -> List.rev acc | Some (_, v) -> go (v :: acc) in
+    let rec go acc = match pop q with None -> List.rev acc | Some (_, v) -> go (names.(v) :: acc) in
     go []
   in
   Alcotest.(check (list string)) "sorted by priority" [ "z"; "a"; "b"; "c" ] (drain ())
 
 let test_pqueue_fifo_ties () =
-  let q = Pqueue.create ~dummy:0 in
+  let q = Pqueue.create () in
   List.iter (fun v -> Pqueue.push q 1. v) [ 1; 2; 3; 4; 5 ];
-  let rec drain acc = match Pqueue.pop q with None -> List.rev acc | Some (_, v) -> drain (v :: acc) in
+  let rec drain acc = match pop q with None -> List.rev acc | Some (_, v) -> drain (v :: acc) in
   Alcotest.(check (list int)) "equal priorities drain FIFO" [ 1; 2; 3; 4; 5 ] (drain [])
 
 let qcheck_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue drains in nondecreasing priority" ~count:200
     (QCheck.list (QCheck.float_bound_exclusive 1000.))
     (fun prios ->
-      let q = Pqueue.create ~dummy:0. in
-      List.iter (fun p -> Pqueue.push q p p) prios;
+      let q = Pqueue.create () in
+      List.iter (fun p -> Pqueue.push q p 0) prios;
       let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
+        match pop q with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
       in
       let out = drain [] in
       List.length out = List.length prios
       && (List.sort compare out = out))
 
 let drain_payloads q =
-  let rec go acc = match Pqueue.pop q with None -> List.rev acc | Some (_, v) -> go (v :: acc) in
+  let rec go acc = match pop q with None -> List.rev acc | Some (_, v) -> go (v :: acc) in
   go []
 
 (* a small priority alphabet forces plenty of ties *)
@@ -164,34 +176,38 @@ let qcheck_pqueue_fifo_ties =
   QCheck.Test.make ~name:"pqueue breaks equal priorities FIFO (stable drain)" ~count:300
     arb_small_prios
     (fun prios ->
-      let q = Pqueue.create ~dummy:(0, 0) in
-      List.iteri (fun i p -> Pqueue.push q (float_of_int p) (p, i)) prios;
+      let q = Pqueue.create () in
+      List.iteri (fun i p -> Pqueue.push q (float_of_int p) i) prios;
       (* stable sort of (prio, insertion index) by prio = expected drain *)
       let expected = List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.mapi (fun i p -> (p, i)) prios) in
-      drain_payloads q = expected)
+      drain_payloads q = List.map snd expected)
 
 let qcheck_pqueue_roundtrip =
   QCheck.Test.make ~name:"pqueue push/pop round-trips the payload multiset" ~count:300
     (QCheck.list (QCheck.pair (QCheck.float_bound_exclusive 100.) QCheck.small_int))
     (fun entries ->
-      let q = Pqueue.create ~dummy:0 in
+      let q = Pqueue.create () in
       List.iter (fun (p, v) -> Pqueue.push q p v) entries;
       let n = List.length entries in
       Pqueue.length q = n
       && List.sort compare (drain_payloads q) = List.sort compare (List.map snd entries)
       && Pqueue.is_empty q
-      && Pqueue.pop q = None)
+      && pop q = None)
 
 let test_pqueue_push_seq () =
-  let q = Pqueue.create ~dummy:"" in
-  Pqueue.push_seq q 1. 5 "b";
-  Pqueue.push_seq q 1. 2 "a";
-  Pqueue.push_seq q 0.5 9 "z";
-  (* head accessors observe priority and tie-break without popping *)
+  let q = Pqueue.create () in
+  let names = [| "a"; "b"; "z" |] in
+  Pqueue.push_seq q 1. 5 1;
+  Pqueue.push_seq q 1. 2 0;
+  Pqueue.push_seq q 0.5 9 2;
+  (* head accessors observe priority, tie-break and value without popping *)
   Alcotest.(check (float 0.)) "top_prio" 0.5 (Pqueue.top_prio q);
   check_int "top_seq" 9 (Pqueue.top_seq q);
+  check_int "top_value" 2 (Pqueue.top_value q);
   (* equal priorities order by the CALLER-supplied sequence, not insertion *)
-  Alcotest.(check (list string)) "seq tie-break" [ "z"; "a"; "b" ] (drain_payloads q)
+  Alcotest.(check (list string))
+    "seq tie-break" [ "z"; "a"; "b" ]
+    (List.map (fun v -> names.(v)) (drain_payloads q))
 
 (* Heap-order property under INTERLEAVED push/pop (the drain-only
    properties above never exercise pops of a partially filled heap after
@@ -202,7 +218,7 @@ let qcheck_pqueue_interleaved =
   QCheck.Test.make ~name:"pqueue matches reference model under interleaved push/pop" ~count:400
     (QCheck.list (QCheck.option (QCheck.int_range 0 4)))
     (fun ops ->
-      let q = Pqueue.create ~dummy:(-1, -1) in
+      let q = Pqueue.create () in
       let model = ref [] in
       (* ascending (prio, seq) *)
       let seq = ref 0 in
@@ -212,40 +228,70 @@ let qcheck_pqueue_interleaved =
           match op with
           | Some p ->
               let v = (p, !seq) in
+              Pqueue.push q (float_of_int p) !seq;
               incr seq;
-              Pqueue.push q (float_of_int p) v;
               model := List.merge compare !model [ v ]
           | None -> (
-              match (Pqueue.pop q, !model) with
+              match (pop q, !model) with
               | None, [] -> ()
-              | Some (_, v), m :: rest when v = m -> model := rest
+              | Some (_, v), (_, s) :: rest when v = s -> model := rest
               | _ -> ok := false))
         ops;
       !ok && Pqueue.length q = List.length !model)
 
-(* Retention regression: a popped value must become unreachable once the
-   caller drops it. Before slots were cleared to [dummy] on pop (and
-   [grow] stopped filling fresh capacity with a live element), the
-   backing array pinned every popped value until it was overwritten by a
-   later push — on an A* frontier, dead search trees by the thousand. *)
+(* Retention regression. The queue used to hold arbitrary values, and a
+   popped one stayed reachable from its vacated slot until a later push
+   overwrote it — on an A* frontier, dead search trees by the thousand.
+   The slots now hold unboxed ints and floats, so nothing popped can be
+   retained; what remains to check is that emptying the queue creates
+   nothing for the collector either: a full drain allocates no word. *)
 let test_pqueue_no_retention () =
-  let n = 64 in
-  let q = Pqueue.create ~dummy:(ref (-1)) in
-  let w = Weak.create n in
+  let n = 4096 in
+  let q = Pqueue.create () in
   for i = 0 to n - 1 do
-    let v = ref i in
-    Weak.set w i (Some v);
-    Pqueue.push q (float_of_int i) v
+    Pqueue.push q (float_of_int ((i * 7919) land 1023)) i
   done;
+  let before = Gc.minor_words () in
   while not (Pqueue.is_empty q) do
-    ignore (Pqueue.pop q)
+    Pqueue.drop q
   done;
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check w i then incr live
-  done;
-  check_int "popped values unreachable" 0 !live
+  let allocated = Gc.minor_words () -. before in
+  check_int "drained" 0 (Pqueue.length q);
+  check_int "words allocated by the drain" 0 (int_of_float allocated)
+
+(* Model property for the int queue's hole-moving sifts: heavy priority
+   ties (two priorities), caller-supplied sequence numbers that arrive
+   out of order, and pushes interleaved with drops. Before every drop the
+   three head accessors must read the smallest (prio, seq) of a sorted
+   reference list, with the value pushed alongside it. *)
+let qcheck_pqueue_ties_model =
+  QCheck.Test.make ~name:"pqueue heads match a sorted (prio, seq) model under ties" ~count:400
+    (QCheck.list (QCheck.option QCheck.bool))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref [] in
+      let k = ref 0 in
+      List.for_all
+        (function
+          | Some hi ->
+              let prio = if hi then 1. else 0. in
+              (* odd multiplier then xor: unique, but not increasing *)
+              let seq = (!k * 7919) lxor 0x2a5 in
+              incr k;
+              Pqueue.push_seq q prio seq (-seq);
+              model := List.merge compare !model [ (prio, seq) ];
+              Pqueue.length q = List.length !model
+          | None -> (
+              match !model with
+              | [] -> Pqueue.is_empty q
+              | (p, s) :: rest ->
+                  let ok =
+                    Pqueue.top_prio q = p && Pqueue.top_seq q = s && Pqueue.top_value q = -s
+                  in
+                  Pqueue.drop q;
+                  model := rest;
+                  ok))
+        ops)
 
 (* ---- Pool ---- *)
 
@@ -299,13 +345,13 @@ let qcheck_frontier_split_merge =
     ~count:300
     QCheck.(small_list (option (pair bool (int_range 0 3))))
     (fun ops ->
-      let a = Pqueue.create ~dummy:(-1) and b = Pqueue.create ~dummy:(-1) in
-      let one = Pqueue.create ~dummy:(-1) in
+      let a = Pqueue.create () and b = Pqueue.create () in
+      let one = Pqueue.create () in
       let seq = ref 0 in
       let pop_merged () =
         let from q =
           let s = Pqueue.top_seq q in
-          Option.map (fun (p, v) -> (p, s, v)) (Pqueue.pop q)
+          Option.map (fun (p, v) -> (p, s, v)) (pop q)
         in
         match (Pqueue.is_empty a, Pqueue.is_empty b) with
         | true, true -> None
@@ -313,7 +359,10 @@ let qcheck_frontier_split_merge =
         | true, false -> from b
         | false, false ->
             let pa = Pqueue.top_prio a and pb = Pqueue.top_prio b in
-            if pa < pb || (pa = pb && Pqueue.top_seq a < Pqueue.top_seq b) then from a
+            let a_first = pa < pb || (pa = pb && Pqueue.top_seq a < Pqueue.top_seq b) in
+            (* [precedes] makes the same comparison inside the queue *)
+            if Pqueue.precedes a b <> a_first || Pqueue.precedes b a = a_first then None
+            else if a_first then from a
             else from b
       in
       List.for_all
@@ -329,7 +378,7 @@ let qcheck_frontier_split_merge =
                 if Pqueue.is_empty one then None
                 else
                   let s = Pqueue.top_seq one in
-                  Option.map (fun (p, v) -> (p, s, v)) (Pqueue.pop one)
+                  Option.map (fun (p, v) -> (p, s, v)) (pop one)
               in
               pop_merged () = expected)
         ops)
@@ -506,6 +555,7 @@ let () =
           qc qcheck_pqueue_fifo_ties;
           qc qcheck_pqueue_roundtrip;
           qc qcheck_pqueue_interleaved;
+          qc qcheck_pqueue_ties_model;
         ] );
       ( "pool",
         [
