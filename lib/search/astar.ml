@@ -11,7 +11,6 @@ type stats = {
   expansions : int;
   suppressed : int;
   peak_frontier : int;
-  push_decodes : int;
   a4_rejections : int;
 }
 
@@ -32,9 +31,8 @@ type prune_mode = Prune_admission
    rule ids, most recent first, with everything the pop and its pushes
    read besides a tree — path cost, metrics, open leaves, depth,
    fingerprint — extended incrementally in [ann]. A tree or program is
-   decoded ({!Node.of_derivation}) only where one is read: an a4
-   candidate at push, and a template that reaches validation (or is
-   printed as a [Pretty_key]) at pop. *)
+   decoded ({!Node.of_derivation}) only where one is read: a template
+   that reaches validation (or is printed as a [Pretty_key]) at pop. *)
 type entry = {
   c : float;  (** path cost c(x) *)
   deriv : int list;  (** applied rule ids, most recent first *)
@@ -102,11 +100,10 @@ type 'sol engine = {
   mutable n_parents : int;  (** slots registered so far *)
   replays : Node.annotated -> bool;  (** the search's guard on a suppressed child *)
   dedup : dedup;
-  seen_fp : Inttbl.t;  (** validated templates, fingerprints *)
+  seen_fp : Inttbl.t;
+      (** validated templates, fingerprints; the value is [ghostable]
+          once a later complete twin may be pushed as a ghost *)
   seen_str : (string, unit) Hashtbl.t;  (** validated templates, printed form (legacy mode) *)
-  pen_memo : Inttbl.t;
-      (** fingerprint → penalty a complete template was pushed with; lets a
-          duplicate's ghost reconstruct the same f without rescoring *)
   fps : Node.fingerprints;
   rule_cost : float array;  (** [Pcfg.cost] per rule, precomputed *)
   h_memo : float array;  (** [Pcfg.h_cost] per nonterminal id, precomputed *)
@@ -117,7 +114,6 @@ type 'sol engine = {
   mutable expansions : int;
   mutable suppressed : int;  (** [sup] drains *)
   mutable peak_frontier : int;  (** largest [frontier] length seen by [run] *)
-  mutable push_decodes : int;  (** a4 candidates decoded at push *)
   mutable a4_rejections : int;  (** complete children a4 kept off the frontier *)
   mutable timed_out : bool;  (** latched by the periodic clock check *)
   mutable stop : stop_reason;  (** which limit fired, for [Budget_exceeded] *)
@@ -161,7 +157,6 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays
       dedup;
       seen_fp = Inttbl.create ();
       seen_str = Hashtbl.create 64;
-      pen_memo = Inttbl.create ();
       fps;
       rule_cost;
       h_memo;
@@ -174,7 +169,6 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays
       expansions = 0;
       suppressed = 0;
       peak_frontier = 0;
-      push_decodes = 0;
       a4_rejections = 0;
       timed_out = false;
       stop = Expansions;
@@ -191,7 +185,6 @@ let stats e =
     expansions = e.expansions;
     suppressed = e.suppressed;
     peak_frontier = e.peak_frontier;
-    push_decodes = e.push_decodes;
     a4_rejections = e.a4_rejections;
   }
 
@@ -266,6 +259,14 @@ let check_add tbl key =
   (Hashtbl.add tbl key ();
    false)
 
+(* [seen_fp]'s value for a fingerprint: [ghostable] once a complete
+   twin of the template has been queued — frontier or [sup] — so a
+   later complete twin ghosts (see [push_expansions]); [not_ghostable]
+   while none has been. [unseen] is [find]'s default. *)
+let ghostable = 1.
+let not_ghostable = 0.
+let unseen = -1.
+
 (* Validate the complete template derived by [deriv]. Duplicate
    templates — the EXPR OP EXPR rule makes the grammar ambiguous, and
    associative duplicates print identically — are validated once. The
@@ -273,8 +274,10 @@ let check_add tbl key =
    duplicate is never decoded; [Pretty_key] mode decodes every template
    to print its key, for differential testing against the legacy scheme.
    A template without a program (an unrecognized rule shape) is neither
-   counted nor marked seen. *)
-let try_validate e g ~fp deriv : 'sol option =
+   counted nor marked seen. [queued] says whether [deriv] is the popped
+   entry's own derivation, which was queued complete; a bottom-up entry
+   validated through its closed tails was not. *)
+let try_validate e g ~fp ~queued deriv : 'sol option =
   if e.dedup = Fingerprint && Inttbl.mem e.seen_fp fp then None
   else
     match Node.to_program g (Node.of_derivation g deriv) with
@@ -282,7 +285,9 @@ let try_validate e g ~fp deriv : 'sol option =
     | Some p ->
         let dup =
           match e.dedup with
-          | Fingerprint -> Inttbl.check_add e.seen_fp fp
+          | Fingerprint ->
+              Inttbl.replace e.seen_fp fp (if queued then ghostable else not_ghostable);
+              false
           | Pretty_key -> check_add e.seen_str (Pretty.program_to_string p)
         in
         if dup then None
@@ -291,20 +296,24 @@ let try_validate e g ~fp deriv : 'sol option =
           e.validate p
         end
 
-(* X(x) of the child [rid :: rd] with metrics [m]. a4 is decided on
-   the derivation: the scan clears most complete children without a
-   tree, and only a candidate is decoded and checked exactly. *)
-let penalty e g (m : Node.metrics) rid rd =
+(* X(x) of the child of [parent] by rule [rid], with metrics [m]. a4 is
+   decided on the derivation, with no tree. Every complete child of one
+   expansion fills the parent's one open leaf, so the first child a4
+   checks is scanned whole ({!Penalty.a4_fires}), which also summarizes
+   the path from that leaf to the root, and each later one only folds
+   its own rule up that path ({!Penalty.a4_fires_on_path}). [checked]
+   says whether an earlier child of the expansion was checked. *)
+let penalty e (parent : entry) (m : Node.metrics) rid checked =
   let pen = Penalty.score_compiled e.penalty m in
   if
     pen < infinity
     && Penalty.checks_a4 e.penalty m
-    && Penalty.a4_candidate e.a4 rid rd
     &&
-    (e.push_decodes <- e.push_decodes + 1;
-     match Node.to_program g (Node.of_derivation g (rid :: rd)) with
-     | Some p -> Penalty.same_operand_addsubdiv p.Stagg_taco.Ast.rhs
-     | None -> false)
+    if !checked then Penalty.a4_fires_on_path e.a4 rid
+    else begin
+      checked := true;
+      Penalty.a4_fires e.a4 rid parent.deriv
+    end
   then begin
     e.a4_rejections <- e.a4_rejections + 1;
     infinity
@@ -316,7 +325,7 @@ let penalty e g (m : Node.metrics) rid rd =
    the frontier keeps only (parent index, rule). The children are pushed
    with the next free [parents] slot, which the parent takes afterwards
    if any child was queued. *)
-let push_expansions e (g : Cfg.t) (parent : entry) =
+let push_expansions e (parent : entry) =
   match parent.ann.Node.opens with
   | [] -> ()
   | nt :: _ ->
@@ -336,7 +345,7 @@ let push_expansions e (g : Cfg.t) (parent : entry) =
             g_cache := Some (opens, v);
             v
       in
-      let queued = ref 0 in
+      let queued = ref 0 and checked = ref false in
       List.iter
         (fun (r : Cfg.rule) ->
           let rc = e.rule_cost.(r.id) in
@@ -344,38 +353,41 @@ let push_expansions e (g : Cfg.t) (parent : entry) =
             let c' = parent.c +. rc in
             let ann = Node.expand_metrics e.fps parent.ann r in
             let complete = ann.Node.metrics.complete in
-            let ghosted =
-              (* pre-probe duplicate suppressor: a complete child whose
-                 fingerprint has already been validated will be a dead pop,
-                 so push a ghost in its place — no tree, no program
-                 rebuild, no penalty rescore. [pen_memo] holds the penalty
-                 its first twin was pushed with (equal template ⇒ equal
-                 metrics and AST ⇒ equal penalty), making the ghost's f
-                 bit-identical to the suppressed entry's. *)
-              e.dedup = Fingerprint && complete && Inttbl.mem e.seen_fp ann.Node.fp
-              &&
-              (* only finite penalties are memoized *)
-              let pen = Inttbl.find e.pen_memo ann.Node.fp ~default:infinity in
-              pen < infinity
-              &&
-              (qpush e (c' +. 0. +. pen) 0 ghost_code;
-               true)
+            let seen =
+              if e.dedup = Fingerprint && complete then Inttbl.find e.seen_fp ann.Node.fp ~default:unseen
+              else unseen
             in
-            if not ghosted then begin
+            if seen = ghostable then
+              (* pre-probe duplicate suppressor: a complete child whose
+                 template has already been validated will be a dead pop,
+                 so push a ghost in its place — no tree, no program
+                 rebuild. A twin was queued, so its penalty was finite
+                 and a4 did not fire on it; an equal template has equal
+                 metrics and AST, so the child's penalty is its
+                 [score_compiled], and the ghost's f is bit-identical to
+                 the child's. *)
+              qpush e (c' +. 0. +. Penalty.score_compiled e.penalty ann.Node.metrics) 0 ghost_code
+            else begin
               let pst' =
                 match e.prune with None -> Prune.root | Some pr -> Prune.step pr parent.pst r.id
               in
-              let pen = penalty e g ann.Node.metrics r.id parent.deriv in
+              let pen = penalty e parent ann.Node.metrics r.id checked in
               if pen < infinity then begin
-                if e.dedup = Fingerprint && complete then Inttbl.replace e.pen_memo ann.Node.fp pen;
+                (* a template validated through a bottom-up entry's closed
+                   tails ghosts from its first queued complete twin on.
+                   None was queued before that validation: the generated
+                   bottom-up grammars derive a template one way only, so
+                   the twin's derivation runs through the validated entry
+                   and is pushed after its pop. *)
+                if seen = not_ghostable then Inttbl.replace e.seen_fp ann.Node.fp ghostable;
                 if Option.is_some e.prune && complete && Prune.is_doomed pst' then
                   (* a DOOMED complete child — the analysis proved its
                      validation enumerates zero substitutions — is never
                      enqueued: its key goes to [sup], whose drain replays
                      the pop's observable effects at its baseline
                      position. The penalty is scored the baseline way
-                     because f must be bit-identical, and [pen_memo] is
-                     still fed so later twins ghost exactly as before.
+                     because f must be bit-identical. Its drain marks the
+                     template ghostable, as a pop would.
                      Incomplete doomed children stay ordinary entries:
                      their pops never validate anyway, and their children
                      inherit the doomed state through [pst]. *)
@@ -434,8 +446,10 @@ let rec run e ~on_item =
       (* a [replay_code] drain does what the baseline pop observably did:
          count the attempt and mark the template seen the first time —
          validating it was a structural no-op *)
-      if code = replay_code && not (Inttbl.check_add e.seen_fp fp) then
-        e.attempts <- e.attempts + 1;
+      if code = replay_code && not (Inttbl.mem e.seen_fp fp) then begin
+        Inttbl.replace e.seen_fp fp ghostable;
+        e.attempts <- e.attempts + 1
+      end;
       run e ~on_item
     end
   else if over_budget e then Budget_exceeded (e.stop, stats e)
@@ -475,9 +489,11 @@ let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?p
   run e ~on_item:(fun en ->
       if en.ann.Node.depth > max_depth then None
       else if en.ann.Node.metrics.complete then
-        Option.map (fun sol -> Solved (sol, stats e)) (try_validate e g ~fp:en.ann.Node.fp en.deriv)
+        Option.map
+          (fun sol -> Solved (sol, stats e))
+          (try_validate e g ~fp:en.ann.Node.fp ~queued:true en.deriv)
       else begin
-        push_expansions e g en;
+        push_expansions e en;
         None
       end)
 
@@ -497,12 +513,13 @@ let search_bottomup ~pcfg ~penalty_ctx ~dim_list ?(dedup = Fingerprint) ?prune
           match Node.close_tails fps en.ann.Node.opens en.deriv with
           (* closing ε tails adds empty rule contributions, so the
              completed derivation's fingerprint equals the popped entry's *)
-          | Some complete -> try_validate e g ~fp:en.ann.Node.fp complete
+          | Some complete ->
+              try_validate e g ~fp:en.ann.Node.fp ~queued:(en.ann.Node.opens = []) complete
           | None -> None
         else None
       in
       match solved with
       | Some sol -> Some (Solved (sol, stats e))
       | None ->
-          push_expansions e g en;
+          push_expansions e en;
           None)

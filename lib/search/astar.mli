@@ -29,12 +29,14 @@ type stats = {
           ghosts; suppressed keys are not counted). Deterministic,
           so it pins the frontier's memory high-water mark: turning the
           analysis prune off enqueues doomed children and raises it. *)
-  push_decodes : int;
-      (** complete children decoded at push to decide a4: the derivation
-          scan ({!Penalty.a4_candidate}) found an operator with
-          equal-hash operands. Only children every other criterion
-          left finite are scanned. *)
-  a4_rejections : int;  (** children a4 kept off the frontier *)
+  a4_rejections : int;
+      (** complete children a4 kept off the frontier. a4 is decided on
+          the derivation ({!Penalty.a4_fires}), with no tree, and only
+          for children every other criterion left finite and whose
+          metrics allow a match ({!Penalty.checks_a4}); from the second
+          such child of one expansion on, by folding the child's rule up
+          the path the first one's scan recorded
+          ({!Penalty.a4_fires_on_path}). *)
 }
 
 (** Which limit ended an unsuccessful search: the deterministic caps
@@ -52,12 +54,20 @@ val stats_of : 'sol outcome -> stats
 
 (** How validated templates are deduplicated. [Fingerprint] (the
     default) keys the [seen] probe on {!Node.fingerprint} — O(1) per
-    complete tree, no printing — and additionally suppresses frontier
-    pushes of complete children whose fingerprint has already been
-    validated (they are replaced by weightless ghost entries whose pop
-    replays the duplicate's no-op, keeping attempt/expansion counts and
-    pop order bit-identical). [Pretty_key] is the legacy scheme — the
-    probe keys on the printed template — kept for differential testing. *)
+    complete tree, no printing — and additionally replaces the frontier
+    push of a complete child whose template is already validated by a
+    ghost: a key with no entry, whose pop counts the expansion the
+    duplicate's no-op pop would have, so attempt/expansion counts and pop
+    order are bit-identical. The ghost's f is the child's own, its
+    penalty read off its metrics alone: a complete twin was queued, so a4
+    did not fire on the template. A template is ghostable from its
+    validation at the pop of a complete entry or the drain of a
+    suppressed one; validated through a bottom-up entry's closed tails,
+    from the first complete twin queued after that (no twin is queued
+    before it in a grammar that derives each template one way, as the
+    generated bottom-up grammars do). [Pretty_key] is the legacy scheme —
+    the probe keys on the printed template — kept for differential
+    testing. *)
 type dedup = Fingerprint | Pretty_key
 
 (** How analysis-pruned (doomed) complete children are absorbed. There

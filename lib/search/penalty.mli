@@ -48,16 +48,27 @@ val same_operand_addsubdiv : Stagg_taco.Ast.expr -> bool
     tests and one-off calls. *)
 val score : ctx -> Node.metrics -> program:Stagg_taco.Ast.program option -> float
 
-(** Per-grammar tables and a reusable stack for {!a4_candidate}. Mutable
-    scratch: one per search, never shared between domains. *)
+(** Per-grammar tables and reusable scratch for a4 on derivations.
+    Mutable: one per search, never shared between domains. *)
 type a4_scan
 
 val a4_scan : Stagg_grammar.Cfg.t -> a4_scan
 
-(** [a4_candidate s rid rd] — one allocation-free pass over the complete
-    derivation [rid :: rd] (applied rule ids, most recent first). [false]
-    guarantees that the template it decodes to is not an a4 match:
-    either it decodes to no program, or no +, − or / in it has operands
-    with equal expression hashes (equal ASTs always hash equally).
-    [true] (a candidate) must be decided on the decoded program. *)
-val a4_candidate : a4_scan -> int -> int list -> bool
+(** [a4_fires s rid rd] — a4's verdict on the complete derivation
+    [rid :: rd] (applied rule ids, most recent first): exactly
+    {!same_operand_addsubdiv} on the program {!Node.to_program} decodes
+    it to, [false] when that is [None]. One pass over the derivation,
+    with no tree or program built, except for a derivation holding a
+    rule whose rhs is neither one symbol, a prefix minus and one
+    symbol, nor three symbols (only bottom-up grammars have such rules):
+    that one is decoded. The pass also leaves in [s] a summary of the
+    path from [rid]'s node to the root, for {!a4_fires_on_path}. *)
+val a4_fires : a4_scan -> int -> int list -> bool
+
+(** [a4_fires_on_path s rid'] — [a4_fires s rid' rd] for the [rd] of
+    the last {!a4_fires} call on [s], where [rid'] is another rule for
+    the nonterminal that call's [rid] expanded, also without
+    nonterminals: a sibling of the same expansion. It folds [rid']'s
+    node up the recorded path, one step per ancestor, and reads the
+    rest of the derivation not at all. *)
+val a4_fires_on_path : a4_scan -> int -> bool

@@ -2,7 +2,10 @@ open Ast
 
 exception Parse_error of string
 
-type state = { mutable toks : Lexer.token list }
+let max_depth = 256
+
+(* [depth] counts the nesting levels open at the head of [toks] *)
+type state = { mutable toks : Lexer.token list; mutable depth : int }
 
 let peek st = match st.toks with [] -> Lexer.EOF | t :: _ -> t
 
@@ -19,8 +22,25 @@ let expect st tok =
 let is_sum_name name =
   match String.lowercase_ascii name with "sum" | "summation" -> true | _ -> false
 
+(* [nested f st] parses one level deeper, and fails past [max_depth].
+   Without the cap the recursion follows the input's nesting: every
+   later pass over the AST recurses as deep, and since each minor GC
+   scans the whole stack, a deep input costs time super-linear in its
+   length. Every nesting path — a parenthesis, a prefix minus, a call's
+   arguments — recurses through [parse_factor], the only place that
+   opens a level. *)
+let nested f st =
+  if st.depth >= max_depth then
+    raise (Parse_error (Printf.sprintf "nesting deeper than %d" max_depth));
+  st.depth <- st.depth + 1;
+  let r = f st in
+  st.depth <- st.depth - 1;
+  r
+
 (* factor := '-' factor | '(' expr ')' | NUMBER | IDENT [ '(' args ')' ] *)
-let rec parse_factor st =
+let rec parse_factor st = nested parse_factor_body st
+
+and parse_factor_body st =
   match peek st with
   | Lexer.MINUS ->
       advance st;
@@ -134,7 +154,7 @@ let parse_lhs st =
 
 let run f s =
   match
-    let st = { toks = Lexer.tokenize s } in
+    let st = { toks = Lexer.tokenize s; depth = 0 } in
     let r = f st in
     expect st Lexer.EOF;
     r

@@ -56,10 +56,3 @@ and replace t key v =
 let find t key ~default =
   let i = probe t key in
   if occupied t i then t.vals.(i) else default
-
-let check_add t key =
-  let i = probe t key in
-  occupied t i
-  ||
-  (insert t i key 0.;
-   false)

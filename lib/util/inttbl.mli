@@ -14,8 +14,3 @@ val replace : t -> int -> float -> unit
 
 (** [find t k ~default] — [k]'s value, or [default] when unbound. *)
 val find : t -> int -> default:float -> float
-
-(** [check_add t k] — [true] if [k] was bound; otherwise binds it (to
-    [0.]) and returns [false]. The set-membership idiom of a dedup
-    table. *)
-val check_add : t -> int -> bool

@@ -7,11 +7,12 @@
      frontier carries rule-id derivations, and decoding one must rebuild
      the tree, the tail-closed tree and the program the [Node.expansions]
      chain and [Node.remove_tail] build;
-   - a differential of the A* search's a4 scan ({!Penalty.a4_candidate})
-     against a4 on the decoded program, over random complete derivations
-     of generated grammars and of every suite kernel's STAGG^TD grammar,
-     and a count over one STAGG^TD suite pass that every child decoded at
-     push is one a4 rejects;
+   - a differential of the A* search's a4 verdict on derivations
+     ({!Penalty.a4_fires}) against a4 on the decoded program, over random
+     complete derivations of generated grammars and of every suite
+     kernel's STAGG^TD grammar; of its verdict on the siblings of one
+     expansion ({!Penalty.a4_fires_on_path}) against that full scan; and
+     a count of the children a4 rejects over one STAGG^TD suite pass;
    - a differential run of the pipeline with fingerprint vs legacy
      printed-string dedup: solved sets, first solutions, and search counts
      must be identical;
@@ -241,21 +242,73 @@ let suite_td_grammars =
          | Error _ -> None)
        Suite.all)
 
-(* one a4 scanner per grammar, as each search owns one *)
+(* Every rule shape the a4 scan reads, and derivations that decode to
+   no program although they hold equal a4 operands: an lhs two unit
+   rules above its tensor, a tensor in an operator slot, an operator or
+   an ε rule in an operand slot. Its last rule completes a tree at an
+   operator slot. No generated grammar has these; a4 must read what
+   does not decode as no match, as [None] is. *)
+let odd_shapes =
+  let t name = Cfg.T (Cfg.Tok_tensor (name, [])) in
+  let op o = Cfg.T (Cfg.Tok_op o) in
+  let e = Cfg.NT "E" in
+  Cfg.make ~start:"P"
+    ~categories:
+      [
+        ("P", Cfg.Cat_program);
+        ("L", Cfg.Cat_tensor);
+        ("M", Cfg.Cat_tensor);
+        ("E", Cfg.Cat_expr);
+        ("O", Cfg.Cat_op);
+        ("X", Cfg.Cat_expr);
+      ]
+    [
+      ("P", [ Cfg.NT "L"; Cfg.T Cfg.Tok_assign; e ]);
+      ("P", [ Cfg.NT "M"; Cfg.T Cfg.Tok_assign; e ]);
+      ("P", [ t "a"; Cfg.T Cfg.Tok_assign; e ]);
+      ("L", [ t "a" ]);
+      ("M", [ Cfg.NT "L" ]);
+      ("E", [ e; op Stagg_taco.Ast.Add; e ]);
+      ("E", [ e; op Stagg_taco.Ast.Div; e ]);
+      ("E", [ e; Cfg.NT "O"; e ]);
+      ("E", [ Cfg.T Cfg.Tok_lparen; e; Cfg.T Cfg.Tok_rparen ]);
+      ("E", [ Cfg.T Cfg.Tok_lparen; t "b"; Cfg.T Cfg.Tok_rparen ]);
+      ("E", [ Cfg.T Cfg.Tok_neg; e ]);
+      ("E", [ Cfg.T Cfg.Tok_neg; t "c" ]);
+      ("E", [ t "b" ]);
+      ("E", [ t "c" ]);
+      ("E", [ Cfg.T Cfg.Tok_const ]);
+      ("E", [ t "Const" ]);
+      ("E", [ Cfg.NT "X" ]);
+      ("E", [ op Stagg_taco.Ast.Mul ]);
+      ("X", [ t "b" ]);
+      ("X", []);
+      ("O", [ op Stagg_taco.Ast.Sub ]);
+      ("O", [ Cfg.NT "O" ]);
+      ("O", [ t "b" ]);
+      ("E", [ e; Cfg.NT "O"; t "b" ]);
+    ]
+
+(* one a4 scanner per grammar, as each search owns one; a second for
+   the siblings of one expansion, so the full-scan reference does not
+   overwrite their path summary *)
 let a4_grammars =
   lazy
     (List.map
-       (fun ((_, g, _, _) as case) -> (case, Penalty.a4_scan g))
+       (fun ((_, g, _, _) as case) -> (case, Penalty.a4_scan g, Penalty.a4_scan g))
        (Lazy.force grammars @ [ grammar_case "two tails" two_tails ]
-       @ Lazy.force suite_td_grammars))
+       @ Lazy.force suite_td_grammars
+       @ [ grammar_case "odd shapes" odd_shapes ]))
 
 let same_operand g rd =
   match Node.to_program g (Node.of_derivation g rd) with
   | Some p -> Penalty.same_operand_addsubdiv p.Stagg_taco.Ast.rhs
   | None -> false
 
-let a4_candidates = ref 0
 let a4_matches = ref 0
+let a4_cleared = ref 0
+let path_siblings = ref 0
+let path_matches = ref 0
 
 (* Case: an index into [a4_grammars] and a complete derivation of that
    grammar, most recent rule first. Runs after the decoding differential,
@@ -263,7 +316,7 @@ let a4_matches = ref 0
 let gen_a4_case _st =
   let gs = Lazy.force a4_grammars in
   let i = next_int (List.length gs) in
-  let (_, g, _, sizes), _ = List.nth gs i in
+  let (_, g, _, sizes), _, _ = List.nth gs i in
   let rec complete () =
     let rd = ref [] in
     match walk ~visit:(fun _ d -> rd := d) g sizes (Node.initial g) [] (3 + next_int 24) with
@@ -273,43 +326,121 @@ let gen_a4_case _st =
   (i, complete ())
 
 let print_a4_case (i, rd) =
-  let (label, _, _, _), _ = List.nth (Lazy.force a4_grammars) i in
+  let (label, _, _, _), _, _ = List.nth (Lazy.force a4_grammars) i in
   Printf.sprintf "%s: %s" label (String.concat " " (List.map string_of_int rd))
 
 let a4_on =
   Penalty.compile
     { Penalty.dim_list = []; ops_available = []; grammar_has_const = false; enabled = [ Penalty.A4 ] }
 
-(* Neither the metrics pre-check ({!Penalty.checks_a4}) nor the scan
-   ever clears an a4 match, so the search's verdict — a candidate that
-   passes both, decided on its decoded program — is a4's verdict. *)
-let a4_scan_sound =
-  QCheck.Test.make ~name:"a non-candidate never decodes to an a4 match" ~count:20_000
+(* The metrics pre-check ({!Penalty.checks_a4}) never clears an a4
+   match, and the verdict on the derivation is a4's on the decoded
+   program, [None] included: so the search's verdict — a child that
+   passes the pre-check, decided on its derivation — is a4's verdict. *)
+let a4_exact =
+  QCheck.Test.make ~name:"a4 on derivations = on programs" ~count:20_000
     (QCheck.make ~print:print_a4_case gen_a4_case)
     (fun (i, rd) ->
-      let (_, g, fps, _), scan = List.nth (Lazy.force a4_grammars) i in
+      let (_, g, fps, _), scan, _ = List.nth (Lazy.force a4_grammars) i in
       let checked = Penalty.checks_a4 a4_on (Node.metrics fps (Node.of_derivation g rd)) in
-      let candidate = Penalty.a4_candidate scan (List.hd rd) (List.tl rd) in
+      let fires = Penalty.a4_fires scan (List.hd rd) (List.tl rd) in
       let matches = same_operand g rd in
-      if candidate then incr a4_candidates;
       if matches then incr a4_matches;
-      let verdict = checked && candidate && same_operand g rd in
-      ((not matches) || (checked && candidate)) && verdict = matches)
+      if checked && not matches then incr a4_cleared;
+      ((not matches) || checked) && fires = matches)
+
+(* Case: a random complete derivation less its last rule — a partial
+   derivation with exactly one open leaf — whose completions are that
+   leaf's rules without nonterminals, the complete children of one
+   expansion. Scanning the one that completed the walk in full and
+   folding each other one up its path must give every sibling its own
+   full scan's verdict. Runs after [a4_exact], so that corpus is
+   unchanged. *)
+let a4_siblings_agree =
+  QCheck.Test.make ~name:"sibling verdicts = full scans" ~count:5_000
+    (QCheck.make ~print:print_a4_case gen_a4_case)
+    (fun (i, rd) ->
+      let (_, g, _, _), full, path = List.nth (Lazy.force a4_grammars) i in
+      let first = List.hd rd and parent = List.tl rd in
+      let siblings =
+        List.filter_map
+          (fun (r : Cfg.rule) ->
+            if r.id <> first && List.for_all (function Cfg.T _ -> true | Cfg.NT _ -> false) r.rhs
+            then Some r.id
+            else None)
+          (Cfg.rules_for g (Cfg.rule g first).lhs)
+      in
+      let by_scan = List.map (fun id -> Penalty.a4_fires full id parent) (first :: siblings) in
+      let on_first = Penalty.a4_fires path first parent in
+      let by_path = on_first :: List.map (Penalty.a4_fires_on_path path) siblings in
+      path_siblings := !path_siblings + List.length siblings;
+      path_matches := !path_matches + List.length (List.filter Fun.id by_scan);
+      by_scan = by_path)
 
 let test_a4_corpus () =
-  (* the property is vacuous unless the walks reach a4 matches; the
-     counters are the ones the property, run just before, filled *)
+  (* the properties are vacuous unless the walks reach a4 matches, and
+     non-matches the pre-check lets through; the counters are the ones
+     the properties, run just before, filled *)
   check_bool "a4 matches reached" true (!a4_matches > 100);
-  check_bool "candidates reached" true (!a4_candidates >= !a4_matches)
+  check_bool "pre-checked non-matches reached" true (!a4_cleared > 100);
+  check_bool "siblings reached" true (!path_siblings > 10_000);
+  check_bool "sibling matches reached" true (!path_matches > 100)
+
+(* Hand-picked derivations of [odd_shapes] (rule ids in the order its
+   productions are listed, applied in preorder): a4's verdict on each,
+   by the scan, by folding it up from a sibling's scan, and on the
+   decoded program. *)
+let test_a4_odd_shapes () =
+  let g = odd_shapes in
+  let scan = Penalty.a4_scan g in
+  List.iter
+    (fun (what, preorder, expected) ->
+      let rd = List.rev preorder in
+      let rid = List.hd rd and parent = List.tl rd in
+      check_bool (what ^ ": decoded") expected (same_operand g rd);
+      check_bool (what ^ ": scan") expected (Penalty.a4_fires scan rid parent);
+      (* from each sibling's scan, folded back up to [rid] *)
+      List.iter
+        (fun (r : Cfg.rule) ->
+          if List.for_all (function Cfg.T _ -> true | Cfg.NT _ -> false) r.rhs then begin
+            ignore (Penalty.a4_fires scan r.id parent : bool);
+            check_bool (what ^ ": fold") expected (Penalty.a4_fires_on_path scan rid)
+          end)
+        (Cfg.rules_for g (Cfg.rule g rid).lhs))
+    [
+      ("a = b + b", [ 2; 5; 12; 12 ], true);
+      ("L = b + b", [ 0; 3; 5; 12; 12 ], true);
+      ("M = b + b, lhs two rules above a", [ 1; 4; 3; 5; 12; 12 ], false);
+      ("a = X + X, both eps", [ 2; 5; 16; 19; 16; 19 ], false);
+      ("a = X + b, X -> b", [ 2; 5; 16; 18; 12 ], true);
+      ("a = b O b, O -> b", [ 2; 7; 12; 22; 12 ], false);
+      ("a = b O b, O -> O -> -", [ 2; 7; 12; 21; 20; 12 ], true);
+      ("a = * + *", [ 2; 5; 17; 17 ], false);
+      ("a = (b) + b", [ 2; 5; 9; 12 ], true);
+      ("a = (b) + b, nested paren", [ 2; 5; 8; 12; 12 ], true);
+      ("a = -c / -(c)", [ 2; 6; 11; 10; 8; 13 ], true);
+      ("a = -b + -c", [ 2; 5; 10; 12; 11 ], false);
+      ("a = -b + -(b)", [ 2; 5; 10; 12; 10; 8; 12 ], true);
+      ("a = Const + Const tensor", [ 2; 5; 14; 15 ], true);
+      ("a = b + c", [ 2; 5; 12; 13 ], false);
+      ("a = (b + c) + (b + c)", [ 2; 5; 8; 5; 12; 13; 5; 12; 13 ], true);
+      ("a = (b + c) + (b / c)", [ 2; 5; 8; 5; 12; 13; 6; 12; 13 ], false);
+      ("a = b O (b + b), O -> O -> b", [ 2; 7; 12; 21; 22; 8; 5; 12; 12 ], false);
+      ("a = b O b, O last, O -> -", [ 2; 23; 12; 20 ], true);
+      ("a = b O b, O last, O -> b", [ 2; 23; 12; 22 ], false);
+      ("a = c O b, O last, O -> -", [ 2; 23; 13; 20 ], false);
+    ]
 
 (* One STAGG^TD suite pass, searched as the pipeline searches it, with
-   the push-side a4 counts read off the search statistics: every child
-   the scan sends to decoding is one a4 rejects. The per-kernel search
-   counts must match the pipeline's own run, so this is that pass. *)
+   the children a4 rejects read off the search statistics. The
+   per-kernel search counts must match the pipeline's own run, so this
+   is that pass. The total was recorded when a4 was still decided on
+   each candidate's decoded program (28 801 decodes, every one a
+   rejection), so it pins the verdicts on derivations to those. *)
 let test_a4_suite_pass () =
   let m = Stagg.Method_.stagg_td in
   let results = Stagg.Pipeline.run_suite ~jobs:1 m Suite.all in
-  let decodes = ref 0 and rejections = ref 0 in
+  let rejections = ref 0 in
   List.iter2
     (fun (b : Bench.t) (r : Stagg.Result_.t) ->
       let q = Stagg.Pipeline.query_of_bench m b in
@@ -336,11 +467,9 @@ let test_a4_suite_pass () =
               check_int (b.name ^ " attempts") r.attempts st.attempts;
               check_int (b.name ^ " expansions") r.expansions st.expansions;
               check_int (b.name ^ " suppressed") r.suppressed st.suppressed;
-              decodes := !decodes + st.push_decodes;
               rejections := !rejections + st.a4_rejections))
     Suite.all results;
-  check_bool "a4 rejects children in the pass" true (!rejections > 0);
-  check_int "push-side decodes = a4 rejections" !rejections !decodes
+  check_int "a4 rejections" 28_801 !rejections
 
 (* ---- fingerprint vs legacy string dedup, end to end ---- *)
 
@@ -400,9 +529,11 @@ let () =
         ] );
       ( "a4",
         [
-          QCheck_alcotest.to_alcotest a4_scan_sound;
+          QCheck_alcotest.to_alcotest a4_exact;
+          QCheck_alcotest.to_alcotest a4_siblings_agree;
           Alcotest.test_case "a4 corpus reaches matches" `Quick test_a4_corpus;
-          Alcotest.test_case "push-side decodes are a4 rejections" `Slow test_a4_suite_pass;
+          Alcotest.test_case "a4 on rule shapes that do not decode" `Quick test_a4_odd_shapes;
+          Alcotest.test_case "a4 rejections over a suite pass" `Slow test_a4_suite_pass;
         ] );
       ( "differential",
         [

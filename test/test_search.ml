@@ -624,6 +624,59 @@ let test_search_contract () =
   | Astar.Exhausted _ -> ()
   | Astar.Solved _ | Astar.Budget_exceeded _ -> Alcotest.fail "expected an exhausted search"
 
+(* Per-kernel (attempts, expansions, suppressed, peak_frontier) of the
+   FullGrammar ablations over the artificial suite, where duplicate
+   templates abound: the ghost rule (which complete duplicates skip the
+   frontier, and when) moves expansions, suppressed and peak_frontier
+   per kernel even where the suite totals `@smoke` pins could balance
+   out. Recorded when a ghost's f came from a per-fingerprint penalty
+   memo; a ghost now takes f from its own metrics. *)
+let full_grammar_pins =
+  [
+    ( Stagg.Method_.td_full_grammar,
+      [
+        ("art_copy", (6, 8, 4, 14));
+        ("art_scal_const", (14, 84, 8, 301));
+        ("art_vec_add", (137, 258, 133, 1120));
+        ("art_dot", (76, 234, 64, 1014));
+        ("art_outer", (7968, 16100, 7860, 74881));
+        ("art_gemv", (2554, 5870, 2436, 24508));
+        ("art_gemm", (11452, 29981, 11213, 147776));
+        ("art_ttv", (40960, 212078, 40960, 1384945));
+        ("art_ttm", (0, 142825, 0, 1081790));
+        ("art_mttkrp", (0, 197565, 0, 1270690));
+      ] );
+    ( Stagg.Method_.bu_full_grammar,
+      [
+        ("art_copy", (5, 11, 0, 7));
+        ("art_scal_const", (57, 102, 3, 85));
+        ("art_vec_add", (193, 287, 10, 406));
+        ("art_dot", (34, 104, 6, 220));
+        ("art_outer", (9036, 10006, 127, 19274));
+        ("art_gemv", (867, 1357, 47, 4593));
+        ("art_gemm", (9687, 11449, 150, 29411));
+        ("art_ttv", (60000, 68290, 816, 419904));
+        ("art_ttm", (0, 94750, 40507, 1500660));
+        ("art_mttkrp", (0, 29710, 7580, 1500074));
+      ] );
+  ]
+
+let test_full_grammar_pins () =
+  List.iter
+    (fun ((m : Stagg.Method_.t), pins) ->
+      let results = Stagg.Pipeline.run_suite ~jobs:1 m Stagg_benchsuite.Suite.artificial in
+      check_int (m.label ^ " kernels") (List.length pins) (List.length results);
+      List.iter2
+        (fun (bench, (attempts, expansions, suppressed, peak)) (r : Stagg.Result_.t) ->
+          let lbl = m.label ^ " " ^ bench in
+          check_string (lbl ^ " kernel") bench r.bench;
+          check_int (lbl ^ " attempts") attempts r.attempts;
+          check_int (lbl ^ " expansions") expansions r.expansions;
+          check_int (lbl ^ " suppressed") suppressed r.suppressed;
+          check_int (lbl ^ " peak_frontier") peak r.peak_frontier)
+        pins results)
+    full_grammar_pins
+
 let () =
   Alcotest.run "stagg_search"
     [
@@ -659,5 +712,6 @@ let () =
           Alcotest.test_case "timeout fires on a 64-pop poll boundary" `Quick test_timeout_poll;
           Alcotest.test_case "domains other than 1 rejected" `Quick test_domains_only_one;
           Alcotest.test_case "grammars outside the contract rejected" `Quick test_search_contract;
+          Alcotest.test_case "FullGrammar per-kernel ghost-rule pins" `Slow test_full_grammar_pins;
         ] );
     ]

@@ -60,6 +60,30 @@ let test_parse_errors () =
   check_bool "no lhs" true (Result.is_error (Parser.parse_program "= b(i)"));
   check_bool "prose" true (Result.is_error (Parser.parse_program "cannot translate"))
 
+(* The nesting cap: each parenthesis, prefix minus and call opens a
+   level, and the right-hand side's outermost operand is level 1, so [k]
+   nestings put the innermost operand at level k + 1. [k = max_depth - 1]
+   parses, one more is a structured error, and a million levels are
+   refused the same way and quickly (the parser stops at the cap). *)
+let test_parse_depth_cap () =
+  let cap = Parser.max_depth in
+  let refused = Error (Printf.sprintf "nesting deeper than %d" cap) in
+  let rep k s = String.concat "" (List.init k (fun _ -> s)) in
+  List.iter
+    (fun (what, open_, close_) ->
+      let parse k = Parser.parse_program (Printf.sprintf "a = %sb%s" (rep k open_) (rep k close_)) in
+      check_bool (what ^ " at the cap parse") true (Result.is_ok (parse (cap - 1)));
+      check_bool (what ^ " past the cap refused") true (parse cap = refused);
+      let t0 = Clock.now () in
+      check_bool (what ^ " a million deep refused") true (parse 1_000_000 = refused);
+      check_bool (what ^ " refused fast") true (Clock.now () -. t0 < 5.0))
+    [ ("parens", "(", ")"); ("unary minus", "-", ""); ("call arguments", "sum(", ")") ];
+  (* a million levels alternating minus and parenthesis *)
+  let t0 = Clock.now () in
+  check_bool "-( a million deep refused" true
+    (Parser.parse_program ("a = " ^ rep 500_000 "-(" ^ "b" ^ rep 500_000 ")") = refused);
+  check_bool "-( refused fast" true (Clock.now () -. t0 < 5.0)
+
 let test_parse_decimal () =
   let p = parse "a(i) = b(i) * 0.5" in
   match p.rhs with
@@ -463,6 +487,7 @@ let () =
           Alcotest.test_case "precedence" `Quick test_parse_precedence;
           Alcotest.test_case "left associativity" `Quick test_parse_left_assoc;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "deep nesting refused" `Quick test_parse_depth_cap;
           Alcotest.test_case "decimal literals" `Quick test_parse_decimal;
           qc qcheck_print_parse_roundtrip;
         ] );
