@@ -1,6 +1,7 @@
 (** The flags [stagg lift], [stagg suite] and the §8 harness
     ([bench/main.exe]) share, defined once so both executables spell,
-    document and parse them alike. *)
+    document and parse them alike, and [stagg serve]'s numeric flags,
+    which parse through the same {!positive_int}. *)
 
 open Cmdliner
 
@@ -56,3 +57,20 @@ let oracle =
            $(b,--oracle llm) is byte-identical to one without the flag.")
 
 let with_oracle oracle m = Option.fold ~none:m ~some:(Stagg.Method_.with_oracle m) oracle
+
+let serve_jobs =
+  Arg.(
+    value
+    & opt positive_int 1
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Process up to $(docv) requests concurrently. Identical concurrent requests \
+           single-flight through the result cache; 1 (the default) is fully deterministic: \
+           responses depend only on the request stream.")
+
+let cache_max =
+  Arg.(
+    value
+    & opt positive_int 1024
+    & info [ "cache-max" ] ~docv:"M"
+        ~doc:"Result-cache capacity (ready entries; least-recently-used eviction).")

@@ -130,7 +130,7 @@ let analyze_cmd =
             let q = Stagg.Pipeline.query_of_bench m b in
             let consts = Stagg_minic.Ast.constants (Bench.func b) in
             (match Stagg.Pipeline.prune_of m q ~consts prep with
-            | None -> Printf.printf "grammar pruning: off (analysis or fingerprint dedup disabled)\n"
+            | None -> Printf.printf "grammar pruning: off (analysis disabled)\n"
             | Some pr ->
                 Printf.printf "grammar pruning (%s): %d/%d rules doomed%s\n" m.label
                   (Stagg_grammar.Prune.n_doomed pr) (Stagg_grammar.Prune.n_rules pr)
@@ -317,30 +317,9 @@ let serve_cmd =
       & info [ "stdio" ]
           ~doc:"Serve stdin → stdout (the default; explicit flag for scripts' clarity).")
   in
-  let serve_jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Process up to $(docv) requests concurrently. Identical concurrent requests \
-             single-flight through the result cache; 1 (the default) is fully \
-             deterministic: responses depend only on the request stream.")
-  in
-  let cache_max_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "cache-max" ] ~docv:"M"
-          ~doc:"Result-cache capacity (ready entries; least-recently-used eviction).")
-  in
-  let no_verify_arg =
-    Arg.(
-      value & flag
-      & info [ "no-verify" ]
-          ~doc:"Skip bounded verification of lifted (and remapped) results.")
-  in
-  let run socket stdio jobs cache_max no_verify =
+  let run socket stdio jobs cache_max =
     ignore stdio;
-    let config = { Stagg_serve.Server.jobs; cache_max; verify = not no_verify } in
+    let config = { Stagg_serve.Server.jobs; cache_max; verify = true } in
     let server = Stagg_serve.Server.create ~config () in
     match socket with
     | Some path -> Stagg_serve.Server.run_socket server ~path
@@ -352,7 +331,7 @@ let serve_cmd =
          "Run the lifting server: line-delimited JSON requests ($(b,{\"c\": ..., \"sig\": \
           ...})) in, lifted TACO programs out, with a canonical-fingerprint result cache \
           (single-flight, LRU) in front of the search.")
-    Term.(const run $ socket_arg $ stdio_arg $ serve_jobs_arg $ cache_max_arg $ no_verify_arg)
+    Term.(const run $ socket_arg $ stdio_arg $ Cli_flags.serve_jobs $ Cli_flags.cache_max)
 
 (* ---- lint ---- *)
 

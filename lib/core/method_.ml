@@ -35,9 +35,9 @@ type t = {
   budget : Astar.budget;
   max_depth : int;  (** top-down depth limit (§5.1) *)
   dedup : Astar.dedup;
-      (** frontier/seen dedup scheme: [Fingerprint] everywhere except the
-          tests, which set the [Pretty_key] reference; the lifting
-          benchmark passes it on *)
+      (** always [Fingerprint], the search's one dedup scheme. Kept only
+          because the lifting benchmark passes it on as
+          [Astar.search_*]'s [?dedup]. *)
   verify : bool;  (** bounded verification of validated candidates (§7) *)
   analysis : bool;
       (** static liftability analysis: fail fast on unliftable kernels and

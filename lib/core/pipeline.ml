@@ -233,7 +233,7 @@ let facts_warnings (q : query) (facts : Stagg_minic.Facts.t) ~(dim_list : int li
 
 let prune_of (m : Method_.t) (q : query) ~(consts : 'a list) (prep : prepared) :
     Stagg_grammar.Prune.t option =
-  if not (m.analysis && m.dedup = Astar.Fingerprint) then None
+  if not m.analysis then None
   else
     let module Sig = Stagg_minic.Signature in
     Some
@@ -294,11 +294,11 @@ let lift_from acc (m : Method_.t) (q : query) (prefix_r : (prefix, string) resul
             match m.search with
             | Method_.Top_down ->
                 Astar.search_topdown ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
-                  ~max_depth:m.max_depth ~dedup:m.dedup ?prune ~prune_mode:m.prune_mode
+                  ~max_depth:m.max_depth ?prune ~prune_mode:m.prune_mode
                   ~budget:m.budget ~validate ()
             | Method_.Bottom_up ->
                 Astar.search_bottomup ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
-                  ~dim_list:prep.dim_list ~dedup:m.dedup ?prune ~prune_mode:m.prune_mode
+                  ~dim_list:prep.dim_list ?prune ~prune_mode:m.prune_mode
                   ~budget:m.budget ~validate ()
           in
           let stats = Astar.stats_of outcome in

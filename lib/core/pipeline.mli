@@ -79,11 +79,10 @@ val prepare_query : Method_.t -> query -> (prepared, string) result
 val prepare : Method_.t -> Stagg_benchsuite.Bench.t -> (prepared, string) result
 
 (** The analysis-guided rule-doom table for one prepared method, or
-    [None] when the method disables the analysis (or runs the legacy
-    [Pretty_key] dedup, which cannot replay suppressed pops). [consts] is
-    the kernel's literal-constant pool ({!Stagg_minic.Ast.constants}):
-    an empty pool dooms every [Const] rule. Exposed for the CLI's
-    [analyze] command; {!lift} applies it internally. *)
+    [None] when the method disables the analysis. [consts] is the
+    kernel's literal-constant pool ({!Stagg_minic.Ast.constants}): an
+    empty pool dooms every [Const] rule. Exposed for the CLI's [analyze]
+    command; {!lift} applies it internally. *)
 val prune_of :
   Method_.t -> query -> consts:'a list -> prepared -> Stagg_grammar.Prune.t option
 

@@ -83,8 +83,3 @@ let category g n =
 
 let rule_lhs_cat g id = g.lhs_cat.(id)
 let size g = Array.length g.rules
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>start: %s@," g.start;
-  Array.iter (fun r -> Format.fprintf fmt "%s@," (rule_to_string r)) g.rules;
-  Format.fprintf fmt "@]"

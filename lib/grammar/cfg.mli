@@ -65,4 +65,3 @@ val size : t -> int
 
 val term_to_string : term -> string
 val rule_to_string : rule -> string
-val pp : Format.formatter -> t -> unit

@@ -71,5 +71,3 @@ let to_string (p : t) =
            | m, -1 -> "-" ^ String.concat "*" m
            | m, k -> string_of_int k ^ "*" ^ String.concat "*" m)
          p)
-
-let pp fmt p = Format.pp_print_string fmt (to_string p)

@@ -33,4 +33,3 @@ val mentions : t -> string -> bool
 val subst : t -> string -> t -> t
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -45,8 +45,5 @@ val gcd_independent : Affine.t -> loop_vars:string list -> bool
     side bound the distance away from zero. *)
 val banerjee_independent : Affine.t -> loop_vars:string list -> bool
 
-(** Disjunction of the two tests. *)
-val independent : Affine.t -> loop_vars:string list -> bool
-
 (** One {!store_info} per recovered store, in syntactic order. *)
 val classify : Recover.access list -> store_info list

@@ -1,10 +1,7 @@
 open Stagg_util
 open Stagg_grammar
-module Pretty = Stagg_taco.Pretty
 
 type budget = { max_attempts : int; max_expansions : int; timeout_s : float }
-
-let default_budget = { max_attempts = 2_000; max_expansions = 200_000; timeout_s = 10. }
 
 type stats = {
   attempts : int;
@@ -23,7 +20,7 @@ type 'sol outcome =
 
 let stats_of = function Solved (_, s) | Exhausted s | Budget_exceeded (_, s) -> s
 
-type dedup = Fingerprint | Pretty_key
+type dedup = Fingerprint
 
 type prune_mode = Prune_admission
 
@@ -32,7 +29,7 @@ type prune_mode = Prune_admission
    read besides a tree — path cost, metrics, open leaves, depth,
    fingerprint — extended incrementally in [ann]. A tree or program is
    decoded ({!Node.of_derivation}) only where one is read: a template
-   that reaches validation (or is printed as a [Pretty_key]) at pop. *)
+   that reaches validation at pop. *)
 type entry = {
   c : float;  (** path cost c(x) *)
   deriv : int list;  (** applied rule ids, most recent first *)
@@ -99,15 +96,13 @@ type 'sol engine = {
   mutable pending : int array;  (** per [parents] slot, its children still queued *)
   mutable n_parents : int;  (** slots registered so far *)
   replays : Node.annotated -> bool;  (** the search's guard on a suppressed child *)
-  dedup : dedup;
   seen_fp : Inttbl.t;
       (** validated templates, fingerprints; the value is [ghostable]
           once a later complete twin may be pushed as a ghost *)
-  seen_str : (string, unit) Hashtbl.t;  (** validated templates, printed form (legacy mode) *)
   fps : Node.fingerprints;
   rule_cost : float array;  (** [Pcfg.cost] per rule, precomputed *)
   h_memo : float array;  (** [Pcfg.h_cost] per nonterminal id, precomputed *)
-  prune : Prune.t option;  (** analysis-guided pruning (Fingerprint mode only) *)
+  prune : Prune.t option;  (** analysis-guided pruning *)
   started : float;
   mutable eseq : int;  (** push sequence shared by [frontier] and [sup] *)
   mutable attempts : int;
@@ -131,7 +126,7 @@ let qpush e f pi code = Pqueue.push_seq e.frontier f (packed_seq e code) pi
 (* Both searches extend child metrics incrementally ({!Node.expand_metrics})
    and never rescan a tree, so a grammar outside that contract is a caller
    error, not a slow path. Every grammar the pipeline builds satisfies it. *)
-let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays =
+let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~prune ~replays =
   let g = Pcfg.cfg pcfg in
   if not (Node.incremental_safe g) then
     invalid_arg "Astar: grammar is not incremental-safe (a tensor right of a nonterminal)";
@@ -154,15 +149,11 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays
       pending = [||];
       n_parents = 0;
       replays;
-      dedup;
       seen_fp = Inttbl.create ();
-      seen_str = Hashtbl.create 64;
       fps;
       rule_cost;
       h_memo;
-      (* the duplicate/doomed replay protocol marks [seen_fp], so pruning
-         only composes with fingerprint dedup *)
-      prune = (if dedup = Fingerprint then prune else None);
+      prune;
       started = Clock.now ();
       eseq = 0;
       attempts = 0;
@@ -252,13 +243,6 @@ let over_budget e =
 let baseline_pops_suppressed e =
   (not (Pqueue.is_empty e.sup)) && (Pqueue.is_empty e.frontier || Pqueue.precedes e.sup e.frontier)
 
-(* [true] iff [key] was already in [tbl]; adds it otherwise *)
-let check_add tbl key =
-  Hashtbl.mem tbl key
-  ||
-  (Hashtbl.add tbl key ();
-   false)
-
 (* [seen_fp]'s value for a fingerprint: [ghostable] once a complete
    twin of the template has been queued — frontier or [sup] — so a
    later complete twin ghosts (see [push_expansions]); [not_ghostable]
@@ -271,30 +255,20 @@ let unseen = -1.
    templates — the EXPR OP EXPR rule makes the grammar ambiguous, and
    associative duplicates print identically — are validated once. The
    probe keys on the derivation's fingerprint (O(1), no printing), so a
-   duplicate is never decoded; [Pretty_key] mode decodes every template
-   to print its key, for differential testing against the legacy scheme.
-   A template without a program (an unrecognized rule shape) is neither
-   counted nor marked seen. [queued] says whether [deriv] is the popped
-   entry's own derivation, which was queued complete; a bottom-up entry
-   validated through its closed tails was not. *)
+   duplicate is never decoded. A template without a program (an
+   unrecognized rule shape) is neither counted nor marked seen. [queued]
+   says whether [deriv] is the popped entry's own derivation, which was
+   queued complete; a bottom-up entry validated through its closed tails
+   was not. *)
 let try_validate e g ~fp ~queued deriv : 'sol option =
-  if e.dedup = Fingerprint && Inttbl.mem e.seen_fp fp then None
+  if Inttbl.mem e.seen_fp fp then None
   else
     match Node.to_program g (Node.of_derivation g deriv) with
     | None -> None
     | Some p ->
-        let dup =
-          match e.dedup with
-          | Fingerprint ->
-              Inttbl.replace e.seen_fp fp (if queued then ghostable else not_ghostable);
-              false
-          | Pretty_key -> check_add e.seen_str (Pretty.program_to_string p)
-        in
-        if dup then None
-        else begin
-          e.attempts <- e.attempts + 1;
-          e.validate p
-        end
+        Inttbl.replace e.seen_fp fp (if queued then ghostable else not_ghostable);
+        e.attempts <- e.attempts + 1;
+        e.validate p
 
 (* X(x) of the child of [parent] by rule [rid], with metrics [m]. a4 is
    decided on the derivation, with no tree. Every complete child of one
@@ -353,10 +327,7 @@ let push_expansions e (parent : entry) =
             let c' = parent.c +. rc in
             let ann = Node.expand_metrics e.fps parent.ann r in
             let complete = ann.Node.metrics.complete in
-            let seen =
-              if e.dedup = Fingerprint && complete then Inttbl.find e.seen_fp ann.Node.fp ~default:unseen
-              else unseen
-            in
+            let seen = if complete then Inttbl.find e.seen_fp ann.Node.fp ~default:unseen else unseen in
             if seen = ghostable then
               (* pre-probe duplicate suppressor: a complete child whose
                  template has already been validated will be a dead pop,
@@ -466,7 +437,7 @@ let rec run e ~on_item =
       match on_item en with Some outcome -> outcome | None -> run e ~on_item
   end
 
-let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?prune
+let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?dedup:(_ = Fingerprint) ?prune
     ?prune_mode:(_ = Prune_admission) ?(domains = 1) ~budget ~validate () =
   check_domains domains;
   let g = Pcfg.cfg pcfg in
@@ -485,7 +456,7 @@ let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?p
      depth already counted. So the top-down search never draws
      [tick_code]; only the bottom-up guard can refuse a replay. *)
   let replays (_ : Node.annotated) = true in
-  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays in
+  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~prune ~replays in
   run e ~on_item:(fun en ->
       if en.ann.Node.depth > max_depth then None
       else if en.ann.Node.metrics.complete then
@@ -497,7 +468,7 @@ let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?p
         None
       end)
 
-let search_bottomup ~pcfg ~penalty_ctx ~dim_list ?(dedup = Fingerprint) ?prune
+let search_bottomup ~pcfg ~penalty_ctx ~dim_list ?dedup:(_ = Fingerprint) ?prune
     ?prune_mode:(_ = Prune_admission) ?(domains = 1) ~budget ~validate () =
   check_domains domains;
   let g = Pcfg.cfg pcfg in
@@ -506,7 +477,7 @@ let search_bottomup ~pcfg ~penalty_ctx ~dim_list ?(dedup = Fingerprint) ?prune
   (* the baseline pop of a complete tree validates only when it carries
      exactly the predicted tensor count, and expands nothing *)
   let replays (ann : Node.annotated) = ann.metrics.n_tensors = n_predicted in
-  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune ~replays in
+  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~prune ~replays in
   run e ~on_item:(fun en ->
       let solved =
         if en.ann.Node.metrics.n_tensors = n_predicted then

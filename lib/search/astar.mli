@@ -12,8 +12,6 @@ type budget = {
   timeout_s : float;  (** wall-clock limit *)
 }
 
-val default_budget : budget
-
 type stats = {
   attempts : int;
   expansions : int;  (** pops doing real work (entries and ghosts); excludes [suppressed] *)
@@ -52,23 +50,22 @@ type 'sol outcome =
 
 val stats_of : 'sol outcome -> stats
 
-(** How validated templates are deduplicated. [Fingerprint] (the
-    default) keys the [seen] probe on {!Node.fingerprint} — O(1) per
-    complete tree, no printing — and additionally replaces the frontier
-    push of a complete child whose template is already validated by a
-    ghost: a key with no entry, whose pop counts the expansion the
-    duplicate's no-op pop would have, so attempt/expansion counts and pop
-    order are bit-identical. The ghost's f is the child's own, its
-    penalty read off its metrics alone: a complete twin was queued, so a4
-    did not fire on the template. A template is ghostable from its
-    validation at the pop of a complete entry or the drain of a
-    suppressed one; validated through a bottom-up entry's closed tails,
-    from the first complete twin queued after that (no twin is queued
-    before it in a grammar that derives each template one way, as the
-    generated bottom-up grammars do). [Pretty_key] is the legacy scheme —
-    the probe keys on the printed template — kept for differential
-    testing. *)
-type dedup = Fingerprint | Pretty_key
+(** How validated templates are deduplicated. There is one scheme: the
+    [seen] probe keys on {!Node.fingerprint} — O(1) per complete tree,
+    no printing — and the push of a complete child whose template is
+    already validated is replaced by a ghost: a key with no entry, whose
+    pop counts the expansion the duplicate's no-op pop would have, so
+    attempt/expansion counts and pop order are bit-identical to pushing
+    the duplicate. The ghost's f is the child's own, its penalty read off
+    its metrics alone: a complete twin was queued, so a4 did not fire on
+    the template. A template is ghostable from its validation at the pop
+    of a complete entry or the drain of a suppressed one; validated
+    through a bottom-up entry's closed tails, from the first complete
+    twin queued after that (no twin is queued before it in a grammar
+    that derives each template one way, as the generated bottom-up
+    grammars do). The type, and the searches' [?dedup], are kept only
+    because the lifting benchmark's replay passes them. *)
+type dedup = Fingerprint
 
 (** How analysis-pruned (doomed) complete children are absorbed. There
     is one mode: a doomed child is never enqueued on the frontier; its
@@ -92,8 +89,7 @@ type prune_mode = Prune_admission
     validation are admission-suppressed with the baseline's observable
     effects (attempt counts, dedup marks, budget ticks) reproduced
     exactly, so solved/attempt outcomes are byte-identical with pruning
-    on or off — only reported [expansions] (and time) drop. Requires
-    [Fingerprint] dedup; silently off otherwise.
+    on or off — only reported [expansions] (and time) drop.
 
     Raises [Invalid_argument] unless the grammar is
     {!Node.incremental_safe} and {!Node.depth_static}: child metrics and

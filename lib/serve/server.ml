@@ -19,6 +19,8 @@ type t = {
 }
 
 let create ?(config = default_config) () =
+  if not config.verify then
+    invalid_arg "Server.create: verify = false (a server returns only BMC-verified results)";
   {
     cfg = { config with jobs = max 1 config.jobs; cache_max = max 1 config.cache_max };
     cache = Cache.create ~max:(max 1 config.cache_max);
@@ -68,7 +70,7 @@ let field_num j name conv =
       | Some x -> Ok (Some x)
       | None -> Error (Printf.sprintf "field %S must be a number" name))
 
-let method_of_request cfg j =
+let method_of_request j =
   let* name = field_str j "method" in
   let* base =
     match Option.value name ~default:"trace" with
@@ -77,7 +79,6 @@ let method_of_request cfg j =
     | "trace" | "trace+llm" | "trace-llm" -> Ok Method_.td_trace
     | s -> Error (Printf.sprintf "unsupported method %S (a server offers: trace)" s)
   in
-  let base = if cfg.verify then base else { base with Method_.verify = false } in
   let* timeout_s = field_num j "timeout_s" Json.to_float in
   let* max_attempts = field_num j "max_attempts" Json.to_int in
   let* max_expansions = field_num j "max_expansions" Json.to_int in
@@ -104,11 +105,11 @@ let method_of_request cfg j =
   in
   Ok (m, mdig)
 
-let decode_request cfg j =
+let decode_request j =
   let* c_source = required j "c" in
   let* sigspec = required j "sig" in
   let* id = field_str j "id" in
-  let* method_, mdig = method_of_request cfg j in
+  let* method_, mdig = method_of_request j in
   Ok { id; c_source; sigspec; method_; mdig }
 
 (* ---- the cache key ----
@@ -211,8 +212,7 @@ let try_remap ~(m : Method_.t) ~qname ~func ~signature ~consts (dl : Cache.lifte
       | Error _ -> None
       | Ok checker ->
           let passes =
-            Validator.check checker concrete
-            && ((not m.Method_.verify) || Accept.equivalent ~func ~signature concrete)
+            Validator.check checker concrete && Accept.equivalent ~func ~signature concrete
           in
           if not passes then None
           else
@@ -379,7 +379,7 @@ let process t ~seq line : string * [ `Continue | `Shutdown ] =
             `Shutdown )
       | "stats" -> (stats_response t ~id ~seq, `Continue)
       | "lift" -> (
-          match decode_request t.cfg j with
+          match decode_request j with
           | Error e -> (error_response ~id ~seq ("bad request: " ^ e), `Continue)
           | Ok req -> (handle_lift t ~seq ~req ~raw_id:id, `Continue))
       | s -> (error_response ~id ~seq (Printf.sprintf "unknown op %S" s), `Continue))

@@ -47,13 +47,17 @@
 type config = {
   jobs : int;  (** concurrent request processors; 1 = caller's domain only *)
   cache_max : int;  (** ready-entry capacity of the result cache *)
-  verify : bool;  (** BMC-verify searched and remapped results (default) *)
+  verify : bool;
+      (** must be [true]: every searched and remapped result is
+          BMC-verified before it is served. Kept only because the lifting
+          benchmark builds the record. *)
 }
 
 type t
 
 (** Fresh server state (cache, sequence counter). [config] defaults to
-    one job, a 1024-entry cache and verification on. *)
+    one job, a 1024-entry cache and verification on. Raises
+    [Invalid_argument] when [config.verify] is [false]. *)
 val create : ?config:config -> unit -> t
 
 (** The longest request line served: 65 536 bytes. The longest line the

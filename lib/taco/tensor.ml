@@ -74,11 +74,7 @@ let unsafe_shape t = t.shape
 
 let copy t = { t with shape = Array.copy t.shape; data = Array.copy t.data }
 
-let map f t = { shape = Array.copy t.shape; strides = Array.copy t.strides; data = Array.map f t.data }
-
 let equal eq a b = a.shape = b.shape && Array.for_all2 (fun x y -> eq x y) a.data b.data
-
-let fill t v = Array.fill t.data 0 (Array.length t.data) v
 
 let init shape f =
   check_shape shape;
@@ -107,13 +103,3 @@ let iteri f t =
     done;
     f ix t.data.(flat)
   done
-
-let pp pp_elt fmt t =
-  let dims = t.shape |> Array.to_list |> List.map string_of_int |> String.concat "x" in
-  Format.fprintf fmt "@[<hov 2>tensor<%s> [" (if dims = "" then "scalar" else dims);
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Format.fprintf fmt ";@ ";
-      pp_elt fmt v)
-    t.data;
-  Format.fprintf fmt "]@]"

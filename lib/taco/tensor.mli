@@ -54,12 +54,8 @@ val unsafe_data : 'a t -> 'a array
 val unsafe_strides : 'a t -> int array
 val unsafe_shape : 'a t -> int array
 val copy : 'a t -> 'a t
-val map : ('a -> 'b) -> 'a t -> 'b t
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
-val fill : 'a t -> 'a -> unit
 
 (** [iteri f t] calls [f ix v] for every element in row-major order. The
     multi-index array is reused between calls; copy it if you keep it. *)
 val iteri : (int array -> 'a -> unit) -> 'a t -> unit
-
-val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

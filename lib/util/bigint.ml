@@ -301,8 +301,6 @@ let compare a b =
 
 (* interning (see [of_int]) makes physical equality a frequent hit *)
 let equal a b = a == b || compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let hash t = Hashtbl.hash (t.sign, t.mag)
 
@@ -352,5 +350,3 @@ let of_string s =
   done;
   flush ();
   if neg_sign then neg !acc else !acc
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

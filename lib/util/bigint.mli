@@ -55,8 +55,5 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val sign : t -> int
 val is_zero : t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 val hash : t -> int
-val pp : Format.formatter -> t -> unit

@@ -80,10 +80,3 @@ let remove t k =
   | Some n ->
       unlink n;
       Hashtbl.remove t.tbl k
-
-let fold f acc t =
-  match t.sentinel with
-  | None -> acc
-  | Some s ->
-      let rec go acc n = if n == s then acc else go (f acc n.key n.value) n.next in
-      go acc s.next

@@ -32,6 +32,3 @@ val add : ('k, 'v) t -> 'k -> 'v -> ('k * 'v) option
 
 (** [remove t k] drops the binding if present. *)
 val remove : ('k, 'v) t -> 'k -> unit
-
-(** Most-recent-first fold over the current bindings. *)
-val fold : ('acc -> 'k -> 'v -> 'acc) -> 'acc -> ('k, 'v) t -> 'acc

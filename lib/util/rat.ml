@@ -40,18 +40,9 @@ let make num den =
     end
   end
 let one = { num = Bigint.one; den = Bigint.one }
-let minus_one = { num = Bigint.minus_one; den = Bigint.one }
 let of_bigint n = { num = n; den = Bigint.one }
 let of_int n = of_bigint (Bigint.of_int n)
 let of_ints n d = make (Bigint.of_int n) (Bigint.of_int d)
-
-let of_string s =
-  match String.index_opt s '/' with
-  | None -> of_bigint (Bigint.of_string s)
-  | Some i ->
-      make
-        (Bigint.of_string (String.sub s 0 i))
-        (Bigint.of_string (String.sub s (i + 1) (String.length s - i - 1)))
 
 let to_string t =
   if Bigint.equal t.den Bigint.one then Bigint.to_string t.num
@@ -61,14 +52,7 @@ let is_integer t = Bigint.equal t.den Bigint.one
 
 let to_int t = if is_integer t then Bigint.to_int t.num else None
 
-let to_float t =
-  (* good enough for display / heuristics; not used in exact paths *)
-  match (Bigint.to_int t.num, Bigint.to_int t.den) with
-  | Some n, Some d -> float_of_int n /. float_of_int d
-  | _ -> float_of_string (Bigint.to_string t.num) /. float_of_string (Bigint.to_string t.den)
-
 let neg t = { t with num = Bigint.neg t.num }
-let abs t = { t with num = Bigint.abs t.num }
 
 let add a b =
   let an = small a.num and ad = small a.den and bn = small b.num and bd = small b.den in
@@ -98,9 +82,6 @@ let compare a b =
     Stdlib.compare (an * bd) (bn * ad)
   else Bigint.compare (Bigint.mul a.num b.den) (Bigint.mul b.num a.den)
 let equal a b = a == b || (Bigint.equal a.num b.num && Bigint.equal a.den b.den)
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
-let hash t = Hashtbl.hash (Bigint.hash t.num, Bigint.hash t.den)
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Infix = struct

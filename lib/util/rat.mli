@@ -9,7 +9,6 @@ type t = private { num : Bigint.t; den : Bigint.t }
 
 val zero : t
 val one : t
-val minus_one : t
 
 (** [make num den] normalizes the fraction. @raise Division_by_zero if
     [den] is zero. *)
@@ -19,18 +18,12 @@ val of_int : int -> t
 val of_ints : int -> int -> t
 val of_bigint : Bigint.t -> t
 
-(** [of_string s] parses ["n"], ["-n"], or ["n/d"]. *)
-val of_string : string -> t
-
 val to_string : t -> string
 
 (** [to_int t] is [Some n] when [t] is an integer that fits in [int]. *)
 val to_int : t -> int option
 
-val to_float : t -> float
-
 val neg : t -> t
-val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
@@ -48,9 +41,6 @@ val is_zero : t -> bool
     layer to skip no-op scalings. *)
 val is_one : t -> bool
 val is_integer : t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 (** Infix operators, for readable arithmetic-heavy code. *)

@@ -192,8 +192,6 @@ let to_string (p : t) =
            | _ -> Rat.to_string c ^ "*" ^ String.concat "*" (Array.to_list m))
          (Array.to_list p))
 
-let pp fmt p = Format.pp_print_string fmt (to_string p)
-
 let eval (p : t) lookup =
   Array.fold_left
     (fun acc (m, c) ->

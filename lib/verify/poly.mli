@@ -36,7 +36,6 @@ val n_terms : t -> int
 
 val vars : t -> string list
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** [eval p env] substitutes concrete rationals for all variables.
     @raise Failure on an unbound variable. *)

@@ -309,6 +309,29 @@ let test_prune_no_facts_no_dooming () =
     restrict { Prune.out_rank = None; arg_ranks = None; no_consts = false; lhs_name = "a" } in
   check_int "nothing doomed without facts" 0 (Prune.n_doomed pr)
 
+(* The search prunes whenever the analysis is on: [prune_of] depends on
+   [Method_.analysis] alone, for every method row of the paper's tables,
+   and is [None] only under [without_analysis]. *)
+let test_prune_every_method () =
+  let b = Option.get (Suite.find "art_gemv") in
+  let module M = Stagg.Method_ in
+  List.iter
+    (fun (m : M.t) ->
+      let q = Stagg.Pipeline.query_of_bench m b in
+      let consts = Ast.constants q.func in
+      match Stagg.Pipeline.prepare_query m q with
+      | Error msg -> Alcotest.failf "%s: %s" m.label msg
+      | Ok prep ->
+          let pruned m = Option.is_some (Stagg.Pipeline.prune_of m q ~consts prep) in
+          check_bool (m.label ^ " prunes") true (pruned m);
+          check_bool (m.label ^ " without analysis") false (pruned (M.without_analysis m)))
+    ([ M.stagg_td; M.stagg_bu; M.td_trace; M.td_trace_llm ]
+    @ [ M.td_equal_probability; M.td_llm_grammar; M.td_full_grammar ]
+    @ [ M.bu_equal_probability; M.bu_llm_grammar; M.bu_full_grammar ]
+    @ List.map (M.drop_penalty M.stagg_td) Stagg_search.Penalty.all_topdown
+    @ List.map (M.drop_penalty M.stagg_bu) Stagg_search.Penalty.all_bottomup
+    @ [ M.drop_all_penalties M.stagg_td "All"; M.drop_all_penalties M.stagg_bu "All" ])
+
 let test_prune_arity_clash () =
   let g = Lazy.force full_grammar in
   let pr =
@@ -473,6 +496,7 @@ let () =
           Alcotest.test_case "rules doomed" `Quick test_prune_dooms_rules;
           Alcotest.test_case "no facts, no dooming" `Quick test_prune_no_facts_no_dooming;
           Alcotest.test_case "arity clash tracking" `Quick test_prune_arity_clash;
+          Alcotest.test_case "every method row prunes" `Quick test_prune_every_method;
         ] );
       ( "fail fast",
         [

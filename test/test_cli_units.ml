@@ -62,6 +62,31 @@ let test_query_of_bench_uses_mock () =
   let lines = C.query ~prompt:"p" in
   check_bool "mock yields responses" true (List.length lines >= 10)
 
+(* [stagg serve]'s --jobs/--cache-max, evaluated as the command line
+   parses them: [None] when Cmdliner refuses the arguments. *)
+let serve_flags args =
+  let open Cmdliner in
+  let cmd =
+    Cmd.v (Cmd.info "serve")
+      Term.(const (fun j m -> (j, m)) $ Cli_flags.serve_jobs $ Cli_flags.cache_max)
+  in
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  match Cmd.eval_value ~help:null ~err:null ~argv:(Array.of_list ("serve" :: args)) cmd with
+  | Ok (`Ok v) -> Some v
+  | _ -> None
+
+let test_serve_flags_positive () =
+  let check_flags what expected args =
+    Alcotest.(check (option (pair int int))) what expected (serve_flags args)
+  in
+  check_flags "defaults" (Some (1, 1024)) [];
+  check_flags "jobs 1" (Some (1, 1024)) [ "--jobs=1" ];
+  check_flags "cache-max 1" (Some (1, 1)) [ "--cache-max=1" ];
+  check_flags "-j 0 refused" None [ "-j"; "0" ];
+  check_flags "jobs -1 refused" None [ "--jobs=-1" ];
+  check_flags "cache-max 0 refused" None [ "--cache-max=0" ];
+  check_flags "cache-max -1 refused" None [ "--cache-max=-1" ]
+
 let () =
   Alcotest.run "stagg_cli_units"
     [
@@ -72,4 +97,6 @@ let () =
           Alcotest.test_case "garbage transcript" `Quick test_lift_with_garbage_transcript;
           Alcotest.test_case "benchmark query uses the mock" `Quick test_query_of_bench_uses_mock;
         ] );
+      ( "serve flags",
+        [ Alcotest.test_case "jobs and cache-max are positive" `Quick test_serve_flags_positive ] );
     ]

@@ -13,9 +13,6 @@
      kernel's STAGG^TD grammar; of its verdict on the siblings of one
      expansion ({!Penalty.a4_fires_on_path}) against that full scan; and
      a count of the children a4 rejects over one STAGG^TD suite pass;
-   - a differential run of the pipeline with fingerprint vs legacy
-     printed-string dedup: solved sets, first solutions, and search counts
-     must be identical;
    - the wall-clock budget surfacing as [failure = Some "timeout"]. *)
 
 open Stagg_grammar
@@ -154,8 +151,8 @@ let arb_case =
 (* Cross-corpus audit tables (per grammar): every fingerprint must map to
    exactly one canonical string, and every string to exactly one
    fingerprint. The first direction is soundness (a fingerprint hit never
-   suppresses a genuinely new template); the second is what makes the
-   attempt counts match the legacy string-keyed dedup exactly. *)
+   suppresses a genuinely new template); the second is what makes each
+   distinct template count exactly one attempt. *)
 let fp_to_str : (string * int, string) Hashtbl.t = Hashtbl.create 4096
 let str_to_fp : (string * string, int) Hashtbl.t = Hashtbl.create 4096
 
@@ -229,7 +226,6 @@ let test_decoding () =
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let check_string = Alcotest.(check string)
 
 (* ---- a4 on the derivation vs a4 on the decoded program ---- *)
 
@@ -462,7 +458,7 @@ let test_a4_suite_pass () =
               let st =
                 Astar.stats_of
                   (Astar.search_topdown ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
-                     ~max_depth:m.max_depth ~dedup:m.dedup ?prune ~budget:m.budget ~validate ())
+                     ~max_depth:m.max_depth ?prune ~budget:m.budget ~validate ())
               in
               check_int (b.name ^ " attempts") r.attempts st.attempts;
               check_int (b.name ^ " expansions") r.expansions st.expansions;
@@ -470,36 +466,6 @@ let test_a4_suite_pass () =
               rejections := !rejections + st.a4_rejections))
     Suite.all results;
   check_int "a4 rejections" 28_801 !rejections
-
-(* ---- fingerprint vs legacy string dedup, end to end ---- *)
-
-let first_solution (r : Stagg.Result_.t) =
-  match r.solution with
-  | Some sol -> Pretty.program_to_string sol.concrete
-  | None -> "<none>"
-
-let test_differential () =
-  let benches = Suite.artificial @ Suite.by_category Bench.Simpl_array in
-  List.iter
-    (fun (m : Stagg.Method_.t) ->
-      let fingerprint = Stagg.Pipeline.run_suite m benches in
-      let legacy =
-        Stagg.Pipeline.run_suite { m with Stagg.Method_.dedup = Astar.Pretty_key } benches
-      in
-      List.iter2
-        (fun (a : Stagg.Result_.t) (b : Stagg.Result_.t) ->
-          let lbl = m.label ^ "/" ^ a.bench in
-          check_bool (lbl ^ " solved") b.solved a.solved;
-          check_int (lbl ^ " attempts") b.attempts a.attempts;
-          (* the legacy dedup cannot replay suppressed pops, so the
-             analysis pruning is off there: its expansions count every
-             pop, the fingerprint side splits the same pops into real +
-             suppressed *)
-          check_int (lbl ^ " legacy suppresses nothing") 0 b.suppressed;
-          check_int (lbl ^ " expansions") b.expansions (a.expansions + a.suppressed);
-          check_string (lbl ^ " first solution") (first_solution b) (first_solution a))
-        fingerprint legacy)
-    [ Stagg.Method_.stagg_td; Stagg.Method_.stagg_bu ]
 
 (* ---- timeout surfacing ---- *)
 
@@ -534,11 +500,6 @@ let () =
           Alcotest.test_case "a4 corpus reaches matches" `Quick test_a4_corpus;
           Alcotest.test_case "a4 on rule shapes that do not decode" `Quick test_a4_odd_shapes;
           Alcotest.test_case "a4 rejections over a suite pass" `Slow test_a4_suite_pass;
-        ] );
-      ( "differential",
-        [
-          Alcotest.test_case "fingerprint dedup replicates legacy counts" `Slow
-            test_differential;
         ] );
       ( "timeout",
         [ Alcotest.test_case "pipeline reports timeout" `Quick test_pipeline_timeout ] );

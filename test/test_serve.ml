@@ -292,6 +292,13 @@ let jobs_mix ~repeat_id =
 
 let jobs_server jobs = Server.create ~config:{ Server.jobs; cache_max = 32; verify = true } ()
 
+(* a server returns only BMC-verified results, so it refuses to start
+   with verification off *)
+let test_server_refuses_verify_off () =
+  match Server.create ~config:{ Server.jobs = 1; cache_max = 32; verify = false } () with
+  | _ -> Alcotest.fail "a server with verify = false was created"
+  | exception Invalid_argument _ -> ()
+
 (* "id status taco" of a response line *)
 let answer line =
   let j = parse_resp line in
@@ -581,6 +588,7 @@ let () =
           Alcotest.test_case "telemetry independent per request" `Quick
             test_server_telemetry_independent;
           Alcotest.test_case "jobs=4 answers match jobs=1" `Quick test_server_jobs_agree;
+          Alcotest.test_case "verify off refused" `Quick test_server_refuses_verify_off;
           Alcotest.test_case "shutdown stops reading at jobs 2" `Quick test_shutdown_stops_reading;
           Alcotest.test_case "nesting caps" `Quick test_server_nesting_caps;
           Alcotest.test_case "line length cap" `Quick test_server_line_cap;
