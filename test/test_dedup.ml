@@ -13,6 +13,9 @@
      kernel's STAGG^TD grammar; of its verdict on the siblings of one
      expansion ({!Penalty.a4_fires_on_path}) against that full scan; and
      a count of the children a4 rejects over one STAGG^TD suite pass;
+   - an end-to-end check of the fingerprint dedup against printed-string
+     keys: over two suite passes, no template is validated twice and each
+     attempt is one distinct printed template;
    - the wall-clock budget surfacing as [failure = Some "timeout"]. *)
 
 open Stagg_grammar
@@ -427,6 +430,42 @@ let test_a4_odd_shapes () =
       ("a = c O b, O last, O -> -", [ 2; 23; 13; 20 ], false);
     ]
 
+(* Kernel [b]'s search under [m], run as the pipeline runs it, with
+   [wrap] around the pipeline's validator: [None] where the pipeline
+   runs no search (fail fast, no grammar, no validator). *)
+let search_as_pipeline (m : Stagg.Method_.t) (b : Bench.t) ~wrap =
+  let q = Stagg.Pipeline.query_of_bench m b in
+  let liftable = (not m.analysis) || Result.is_ok (Stagg_minic.Facts.analyze q.func).ft_verdict in
+  match (liftable, Stagg.Pipeline.prepare_query m q) with
+  | false, _ | _, Error _ -> None
+  | true, Ok prep -> (
+      let acc = Stagg.Accept.start ~bench:b.name ~method_label:m.label in
+      let consts = Stagg_minic.Ast.constants q.func in
+      match
+        Stagg.Accept.validator acc ~seed:m.seed ~func:q.func ~signature:q.signature ~consts
+          ~verify:m.verify ~batched:m.batched_validate ()
+      with
+      | Error _ -> None
+      | Ok validate ->
+          let prune = Stagg.Pipeline.prune_of m q ~consts prep in
+          let validate = wrap validate in
+          Some
+            (Astar.stats_of
+               (match m.search with
+               | Stagg.Method_.Top_down ->
+                   Astar.search_topdown ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
+                     ~max_depth:m.max_depth ?prune ~prune_mode:m.prune_mode ~budget:m.budget
+                     ~validate ()
+               | Stagg.Method_.Bottom_up ->
+                   Astar.search_bottomup ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
+                     ~dim_list:prep.dim_list ?prune ~prune_mode:m.prune_mode ~budget:m.budget
+                     ~validate ())))
+
+let check_counts lbl (r : Stagg.Result_.t) (st : Astar.stats) =
+  check_int (lbl ^ " attempts") r.attempts st.attempts;
+  check_int (lbl ^ " expansions") r.expansions st.expansions;
+  check_int (lbl ^ " suppressed") r.suppressed st.suppressed
+
 (* One STAGG^TD suite pass, searched as the pipeline searches it, with
    the children a4 rejects read off the search statistics. The
    per-kernel search counts must match the pipeline's own run, so this
@@ -439,33 +478,47 @@ let test_a4_suite_pass () =
   let rejections = ref 0 in
   List.iter2
     (fun (b : Bench.t) (r : Stagg.Result_.t) ->
-      let q = Stagg.Pipeline.query_of_bench m b in
-      let liftable =
-        (not m.analysis) || Result.is_ok (Stagg_minic.Facts.analyze q.func).ft_verdict
-      in
-      match (liftable, Stagg.Pipeline.prepare_query m q) with
-      | false, _ | _, Error _ -> ()
-      | true, Ok prep -> (
-          let acc = Stagg.Accept.start ~bench:b.name ~method_label:m.label in
-          let consts = Stagg_minic.Ast.constants q.func in
-          match
-            Stagg.Accept.validator acc ~seed:m.seed ~func:q.func ~signature:q.signature ~consts
-              ~verify:m.verify ~batched:m.batched_validate ()
-          with
-          | Error _ -> ()
-          | Ok validate ->
-              let prune = Stagg.Pipeline.prune_of m q ~consts prep in
-              let st =
-                Astar.stats_of
-                  (Astar.search_topdown ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
-                     ~max_depth:m.max_depth ?prune ~budget:m.budget ~validate ())
-              in
-              check_int (b.name ^ " attempts") r.attempts st.attempts;
-              check_int (b.name ^ " expansions") r.expansions st.expansions;
-              check_int (b.name ^ " suppressed") r.suppressed st.suppressed;
-              rejections := !rejections + st.a4_rejections))
+      match search_as_pipeline m b ~wrap:Fun.id with
+      | None -> ()
+      | Some st ->
+          check_counts b.name r st;
+          rejections := !rejections + st.a4_rejections)
     Suite.all results;
   check_int "a4 rejections" 28_801 !rejections
+
+(* ---- fingerprint dedup vs printed-string keys, end to end ---- *)
+
+(* STAGG^TD and STAGG^BU over the artificial and simple-array kernels,
+   searched as the pipeline searches them, with every template the
+   search validates keyed by its printed string (the canonical template
+   form of paper §4.4): no key is validated twice, and each attempt is
+   one distinct key. The counts and verdicts are the pipeline's own. *)
+let test_printed_keys () =
+  let benches = Suite.artificial @ Suite.by_category Bench.Simpl_array in
+  List.iter
+    (fun (m : Stagg.Method_.t) ->
+      List.iter2
+        (fun (b : Bench.t) (r : Stagg.Result_.t) ->
+          let lbl = m.label ^ "/" ^ b.name in
+          let seen = Hashtbl.create 64 and dups = ref 0 and found = ref false in
+          let wrap validate p =
+            let key = Stagg_taco.Pretty.program_to_string p in
+            if Hashtbl.mem seen key then incr dups;
+            Hashtbl.replace seen key ();
+            let sol = validate p in
+            if Option.is_some sol then found := true;
+            sol
+          in
+          match search_as_pipeline m b ~wrap with
+          | None -> check_int (lbl ^ " no search, no attempts") 0 r.attempts
+          | Some st ->
+              check_int (lbl ^ " printed keys validated twice") 0 !dups;
+              check_int (lbl ^ " attempts = distinct keys") (Hashtbl.length seen) st.attempts;
+              check_counts lbl r st;
+              check_bool (lbl ^ " solved") r.solved !found)
+        benches
+        (Stagg.Pipeline.run_suite ~jobs:1 m benches))
+    [ Stagg.Method_.stagg_td; Stagg.Method_.stagg_bu ]
 
 (* ---- timeout surfacing ---- *)
 
@@ -500,6 +553,11 @@ let () =
           Alcotest.test_case "a4 corpus reaches matches" `Quick test_a4_corpus;
           Alcotest.test_case "a4 on rule shapes that do not decode" `Quick test_a4_odd_shapes;
           Alcotest.test_case "a4 rejections over a suite pass" `Slow test_a4_suite_pass;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "validated templates have distinct printed keys" `Slow
+            test_printed_keys;
         ] );
       ( "timeout",
         [ Alcotest.test_case "pipeline reports timeout" `Quick test_pipeline_timeout ] );

@@ -588,7 +588,6 @@ let () =
           Alcotest.test_case "telemetry independent per request" `Quick
             test_server_telemetry_independent;
           Alcotest.test_case "jobs=4 answers match jobs=1" `Quick test_server_jobs_agree;
-          Alcotest.test_case "verify off refused" `Quick test_server_refuses_verify_off;
           Alcotest.test_case "shutdown stops reading at jobs 2" `Quick test_shutdown_stops_reading;
           Alcotest.test_case "nesting caps" `Quick test_server_nesting_caps;
           Alcotest.test_case "line length cap" `Quick test_server_line_cap;
@@ -598,5 +597,6 @@ let () =
             test_channel_long_line;
           Alcotest.test_case "jobs=4 channel loop answers match jobs=1" `Quick
             test_channel_jobs_agree;
+          Alcotest.test_case "verify off refused" `Quick test_server_refuses_verify_off;
         ] );
     ]
