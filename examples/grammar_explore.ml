@@ -27,11 +27,11 @@ let explore name =
             "refined grammar: %d productions — the full TACO template grammar has %d\n"
             refined_rules (Cfg.size full);
           (* what would the heuristic h estimate for a fresh search? *)
-          List.iter
-            (fun nt ->
-              Printf.printf "  h(%s) = %.4f (max derivable-probability, §5.1 fixpoint)\n" nt
-                (Pcfg.h prep.pcfg nt))
-            (Cfg.nonterminals (Pcfg.cfg prep.pcfg)))
+          let g = Pcfg.cfg prep.pcfg in
+          for nt = 0 to Cfg.n_nonterminals g - 1 do
+            Printf.printf "  h(%s) = %.4f (max derivable-probability, §5.1 fixpoint)\n"
+              (Cfg.nt_name g nt) (Pcfg.h prep.pcfg nt)
+          done)
 
 let () =
   Printf.printf "How STAGG turns LLM guesses into a search space\n";

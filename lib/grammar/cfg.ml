@@ -9,16 +9,16 @@ type term =
 
 type category = Cat_program | Cat_expr | Cat_op | Cat_tensor | Cat_tail
 
-type sym = NT of string | T of term
+type sym = NT of int | T of term
 
-type rule = { id : int; lhs : string; rhs : sym list; concrete_syntax : bool }
+type rule = { id : int; lhs : int; rhs : sym list }
 
 type t = {
-  start : string;
+  start : int;
   rules : rule array;
-  by_lhs : (string, rule list) Hashtbl.t;
-  categories : (string * category) list;
-  lhs_cat : category array;  (** per-rule category of the lhs nonterminal *)
+  by_lhs : rule list array;  (** per nonterminal id, in rule order *)
+  cats : category array;
+  names : string array;
 }
 
 let term_to_string = function
@@ -31,55 +31,70 @@ let term_to_string = function
   | Tok_rparen -> ")"
   | Tok_neg -> "-"
 
-let sym_to_string = function NT n -> n | T t -> Printf.sprintf "%S" (term_to_string t)
-
-let rule_to_string r =
-  Printf.sprintf "%s ::= %s" r.lhs
-    (match r.rhs with [] -> "ε" | rhs -> String.concat " " (List.map sym_to_string rhs))
-
-let make ~start ~categories ?(concrete_syntax = []) prods =
+let make ~start ~categories prods =
+  let has_prod = Hashtbl.create 16 in
+  List.iter (fun (lhs, _) -> Hashtbl.replace has_prod lhs ()) prods;
+  (* ids in [categories] order (a name's first listing), skipping
+     nonterminals without a production *)
+  let ids = Hashtbl.create 16 in
+  let named =
+    List.fold_left
+      (fun acc (n, c) ->
+        if Hashtbl.mem has_prod n && not (Hashtbl.mem ids n) then begin
+          Hashtbl.add ids n (Hashtbl.length ids);
+          (n, c) :: acc
+        end
+        else acc)
+      [] categories
+    |> List.rev |> Array.of_list
+  in
+  let id_of n =
+    match Hashtbl.find_opt ids n with
+    | Some id -> id
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Cfg.make: nonterminal %s has no %s" n
+             (if List.mem_assoc n categories then "production" else "category"))
+  in
+  let start = id_of start in
   let rules =
     Array.of_list
       (List.mapi
-         (fun id (lhs, rhs) -> { id; lhs; rhs; concrete_syntax = List.mem id concrete_syntax })
+         (fun id (lhs, rhs) ->
+           let lhs = id_of lhs in
+           { id; lhs; rhs = List.map (function `N n -> NT (id_of n) | `T t -> T t) rhs })
          prods)
   in
-  let by_lhs = Hashtbl.create 16 in
-  Array.iter
-    (fun r ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_lhs r.lhs) in
-      Hashtbl.replace by_lhs r.lhs (cur @ [ r ]))
-    rules;
-  let check_nt n =
-    if not (List.mem_assoc n categories) then
-      invalid_arg (Printf.sprintf "Cfg.make: nonterminal %s has no category" n);
-    if not (Hashtbl.mem by_lhs n) then
-      invalid_arg (Printf.sprintf "Cfg.make: nonterminal %s has no production" n)
-  in
-  check_nt start;
-  Array.iter
-    (fun r -> List.iter (function NT n -> check_nt n | T _ -> ()) r.rhs)
-    rules;
-  let lhs_cat =
-    (* every lhs of a reachable rule is categorized (checked above for the
-       start symbol and all rhs nonterminals); default only pads rules that
-       can never appear in a derivation tree *)
-    Array.map
-      (fun r -> Option.value ~default:Cat_program (List.assoc_opt r.lhs categories))
-      rules
-  in
-  { start; rules; by_lhs; categories; lhs_cat }
+  let by_lhs = Array.make (Array.length named) [] in
+  for id = Array.length rules - 1 downto 0 do
+    let r = rules.(id) in
+    by_lhs.(r.lhs) <- r :: by_lhs.(r.lhs)
+  done;
+  { start; rules; by_lhs; cats = Array.map snd named; names = Array.map fst named }
 
 let start g = g.start
 let rules g = g.rules
 let rule g id = g.rules.(id)
-let rules_for g lhs = Option.value ~default:[] (Hashtbl.find_opt g.by_lhs lhs)
-let nonterminals g = List.map fst g.categories |> List.filter (Hashtbl.mem g.by_lhs)
+let rules_for g nt = g.by_lhs.(nt)
+let category g nt = g.cats.(nt)
+let n_nonterminals g = Array.length g.names
+let nt_name g nt = g.names.(nt)
 
-let category g n =
-  match List.assoc_opt n g.categories with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Cfg.category: unknown nonterminal %s" n)
+let nt_id g n =
+  let rec go i =
+    if i = Array.length g.names then
+      invalid_arg (Printf.sprintf "Cfg.nt_id: unknown nonterminal %s" n)
+    else if String.equal g.names.(i) n then i
+    else go (i + 1)
+  in
+  go 0
 
-let rule_lhs_cat g id = g.lhs_cat.(id)
 let size g = Array.length g.rules
+
+let sym_to_string g = function
+  | NT nt -> nt_name g nt
+  | T t -> Printf.sprintf "%S" (term_to_string t)
+
+let rule_to_string g r =
+  Printf.sprintf "%s ::= %s" (nt_name g r.lhs)
+    (match r.rhs with [] -> "ε" | rhs -> String.concat " " (List.map (sym_to_string g) rhs))

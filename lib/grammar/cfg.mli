@@ -4,7 +4,13 @@
     single terminal symbol, exactly as the paper's generated grammars quote
     them (Figs. 3, 6, 7). Nonterminals carry a category used by the search
     to compute expression depth and penalties without hard-coding any
-    particular grammar. *)
+    particular grammar.
+
+    Nonterminals are numbered once, by {!make}, densely from 0 to
+    [n_nonterminals g - 1] in the order of [~categories]; every layer
+    above (the PCFG's h table, the search's open-leaf lists) indexes by
+    these ids. Names survive only for printing and tests ({!nt_name},
+    {!nt_id}). *)
 
 type term =
   | Tok_tensor of string * string list
@@ -23,45 +29,53 @@ type category =
   | Cat_tensor  (** derives a single tensor/const terminal *)
   | Cat_tail  (** bottom-up continuation nonterminals (nullable) *)
 
-type sym = NT of string | T of term
+type sym = NT of int  (** nonterminal id *) | T of term
 
 type rule = {
   id : int;
-  lhs : string;
+  lhs : int;  (** nonterminal id *)
   rhs : sym list;  (** empty list = epsilon production *)
-  concrete_syntax : bool;
-      (** true for productions that only affect concrete syntax (parens):
-          skipped when deriving ASTs for probability learning *)
 }
 
 type t
 
-(** [make ~start prods] numbers the rules in order. Each production is
-    [(lhs, rhs)]; categories are given per nonterminal.
-    @raise Invalid_argument if [start] or a referenced nonterminal has no
-    category or no production. *)
+(** [make ~start ~categories prods] numbers the rules in order and the
+    nonterminals in [categories] order, skipping those without a
+    production. Each production is [(lhs, rhs)], with nonterminals named
+    [`N name]. Linear in the size of the grammar.
+    @raise Invalid_argument if [start], a production's lhs or a referenced
+    nonterminal has no category, or [start] or a referenced nonterminal
+    has no production. *)
 val make :
   start:string ->
   categories:(string * category) list ->
-  ?concrete_syntax:int list ->
-  (string * sym list) list ->
+  (string * [ `N of string | `T of term ] list) list ->
   t
 
-val start : t -> string
+(** The start symbol's id. *)
+val start : t -> int
+
 val rules : t -> rule array
 val rule : t -> int -> rule
-val rules_for : t -> string -> rule list
-val nonterminals : t -> string list
-val category : t -> string -> category
 
-(** [rule_lhs_cat g id] — the category of rule [id]'s left-hand side,
-    precomputed at {!make} time: an O(1) array read where
-    [category g (rule g id).lhs] walks the category alist. The search's
-    depth computation sits on this in its pop loop. *)
-val rule_lhs_cat : t -> int -> category
+(** The productions of a nonterminal id, in rule order. *)
+val rules_for : t -> int -> rule list
+
+val category : t -> int -> category
+
+(** Number of nonterminals; ids run from 0 to this minus 1. *)
+val n_nonterminals : t -> int
+
+(** The name of a nonterminal id. *)
+val nt_name : t -> int -> string
+
+(** The id of a nonterminal name. A linear scan, for tests and
+    printing. @raise Invalid_argument for a name that is not a
+    nonterminal of the grammar. *)
+val nt_id : t -> string -> int
 
 (** Number of rules. *)
 val size : t -> int
 
 val term_to_string : term -> string
-val rule_to_string : rule -> string
+val rule_to_string : t -> rule -> string

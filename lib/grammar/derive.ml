@@ -31,9 +31,7 @@ let rec flatten_chain (e : Ast.expr) : (Ast.expr * (Ast.op * Ast.expr) list) opt
 let count_rules_mode ~relax (g : Cfg.t) (p : Ast.program) : int list option =
   let ( let* ) = Option.bind in
   let rec derive_nt nt v : int list option =
-    List.find_map
-      (fun (r : Cfg.rule) -> if r.concrete_syntax then None else match_rule r v)
-      (Cfg.rules_for g nt)
+    List.find_map (fun r -> match_rule r v) (Cfg.rules_for g nt)
   and match_rule (r : Cfg.rule) (v : value) : int list option =
     match (r.rhs, v) with
     (* terminal tensor / const productions. In relaxed mode the symbol name

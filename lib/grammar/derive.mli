@@ -4,8 +4,9 @@
     tensor names are the symbolic [a, b, c, ...] and whose constants are
     the [Const] symbol) in the grammar [g] and returns the rule ids used,
     with multiplicity — the multiset of rules in the leftmost derivation.
-    Rules marked [concrete_syntax] (parentheses) never participate: they
-    exist only to print/reparse and would make derivations non-unique.
+    A parenthesized rule ([EXPR ::= "(" EXPR ")"], full TACO grammar
+    only) never matches: an AST carries no parentheses, and matching it
+    would make derivations non-unique.
 
     Returns [None] when [p] is outside [L(g)] — e.g. a template with a
     parenthesized, non-chain shape is not derivable in a bottom-up grammar

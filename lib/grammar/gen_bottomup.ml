@@ -17,27 +17,27 @@ let generate ~dim_list ~templates =
     let n_indices = if dim = 0 then 1 else n_indices in
     let accesses =
       Genlib.index_tuples ~dim ~n_indices ~allow_repeat
-      |> List.map (fun idxs -> (nt, [ Cfg.T (Cfg.Tok_tensor (name, idxs)) ]))
+      |> List.map (fun idxs -> (nt, [ `T (Cfg.Tok_tensor (name, idxs)) ]))
     in
     if dim = 0 && Genlib.templates_have_const templates then
-      accesses @ [ (nt, [ Cfg.T Cfg.Tok_const ]) ]
+      accesses @ [ (nt, [ `T Cfg.Tok_const ]) ]
     else accesses
   in
   let tail_rules k =
     (* TAILk continues with the (k+2)-th tensor when one is predicted *)
     let nt = tail_nt k in
     if k + 1 < n then
-      [ (nt, []); (nt, [ Cfg.NT "OP"; Cfg.NT (tensor_nt (k + 1)); Cfg.NT (tail_nt (k + 1)) ]) ]
+      [ (nt, []); (nt, [ `N "OP"; `N (tensor_nt (k + 1)); `N (tail_nt (k + 1)) ]) ]
     else [ (nt, []) ]
   in
   let prods =
     [
-      ("PROGRAM", [ Cfg.T tensor1; Cfg.T Cfg.Tok_assign; Cfg.NT "EXPR" ]);
-      ("EXPR", [ Cfg.NT (tensor_nt 1); Cfg.NT (tail_nt 1) ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Add) ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Sub) ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Mul) ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Div) ]);
+      ("PROGRAM", [ `T tensor1; `T Cfg.Tok_assign; `N "EXPR" ]);
+      ("EXPR", [ `N (tensor_nt 1); `N (tail_nt 1) ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Add) ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Sub) ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Mul) ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Div) ]);
     ]
     @ List.concat (List.init (n - 1) (fun i -> tensor_rules (i + 1)))
     @ List.concat (List.init (n - 1) (fun i -> tail_rules (i + 1)))
@@ -60,25 +60,25 @@ let generate_full ?(n_rhs_tensors = 4) ?(max_rank = 3) ?(n_indices = 4) () =
         List.concat_map
           (fun rank ->
             Genlib.index_tuples ~dim:rank ~n_indices ~allow_repeat
-            |> List.map (fun idxs -> (nt, [ Cfg.T (Cfg.Tok_tensor (name, idxs)) ])))
+            |> List.map (fun idxs -> (nt, [ `T (Cfg.Tok_tensor (name, idxs)) ])))
           ranks)
       names
   in
   let rhs_names = List.init n_rhs_tensors (fun k -> Genlib.tensor_name (k + 1)) in
   let prods =
     [
-      ("PROGRAM", [ Cfg.NT "TENSOR1"; Cfg.T Cfg.Tok_assign; Cfg.NT "EXPR" ]);
-      ("EXPR", [ Cfg.NT "TENSOR"; Cfg.NT "TAIL" ]);
+      ("PROGRAM", [ `N "TENSOR1"; `T Cfg.Tok_assign; `N "EXPR" ]);
+      ("EXPR", [ `N "TENSOR"; `N "TAIL" ]);
       ("TAIL", []);
-      ("TAIL", [ Cfg.NT "OP"; Cfg.NT "TENSOR"; Cfg.NT "TAIL" ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Add) ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Sub) ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Mul) ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Div) ]);
+      ("TAIL", [ `N "OP"; `N "TENSOR"; `N "TAIL" ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Add) ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Sub) ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Mul) ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Div) ]);
     ]
     @ tensor_prods "TENSOR1" [ Genlib.tensor_name 0 ] false
     @ tensor_prods "TENSOR" rhs_names true
-    @ [ ("TENSOR", [ Cfg.T Cfg.Tok_const ]) ]
+    @ [ ("TENSOR", [ `T Cfg.Tok_const ]) ]
   in
   Cfg.make ~start:"PROGRAM"
     ~categories:

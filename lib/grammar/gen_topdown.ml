@@ -26,20 +26,20 @@ let generate ~dim_list ~templates =
              (* a 0-dim position also yields the bare scalar tensor *)
              let n_indices = if dim = 0 then 1 else n_indices in
              Genlib.index_tuples ~dim ~n_indices ~allow_repeat
-             |> List.map (fun idxs -> ("TENSOR", [ Cfg.T (Cfg.Tok_tensor (name, idxs)) ])))
+             |> List.map (fun idxs -> ("TENSOR", [ `T (Cfg.Tok_tensor (name, idxs)) ])))
            rhs_dims)
     in
-    per_position @ if with_const then [ ("TENSOR", [ Cfg.T Cfg.Tok_const ]) ] else []
+    per_position @ if with_const then [ ("TENSOR", [ `T Cfg.Tok_const ]) ] else []
   in
   let prods =
     [
-      ("PROGRAM", [ Cfg.T tensor1; Cfg.T Cfg.Tok_assign; Cfg.NT "EXPR" ]);
-      ("EXPR", [ Cfg.NT "TENSOR" ]);
-      ("EXPR", [ Cfg.NT "EXPR"; Cfg.NT "OP"; Cfg.NT "EXPR" ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Add) ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Sub) ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Mul) ]);
-      ("OP", [ Cfg.T (Cfg.Tok_op Ast.Div) ]);
+      ("PROGRAM", [ `T tensor1; `T Cfg.Tok_assign; `N "EXPR" ]);
+      ("EXPR", [ `N "TENSOR" ]);
+      ("EXPR", [ `N "EXPR"; `N "OP"; `N "EXPR" ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Add) ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Sub) ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Mul) ]);
+      ("OP", [ `T (Cfg.Tok_op Ast.Div) ]);
     ]
     @ tensor_rules
   in

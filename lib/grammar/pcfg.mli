@@ -12,8 +12,9 @@ type t
 val cfg : t -> Cfg.t
 
 (** [of_weights g w] normalizes [w] (indexed by rule id) per left-hand
-    side. A nonterminal whose weights are all zero gets uniform
-    probabilities (it would otherwise be underivable by accident). *)
+    side, and computes h for every nonterminal id of [g]. A nonterminal
+    whose weights are all zero gets uniform probabilities (it would
+    otherwise be underivable by accident). *)
 val of_weights : Cfg.t -> float array -> t
 
 (** Uniform probabilities for every nonterminal. *)
@@ -26,15 +27,17 @@ val prob : t -> Cfg.rule -> float
 val cost : t -> Cfg.rule -> float
 
 (** [h p nt] — the maximal probability of deriving a terminal string from
-    [nt] (§5.1); 0 if no terminal string is derivable with positive
-    probability. *)
-val h : t -> string -> float
+    the nonterminal id [nt] (§5.1); 0 if no terminal string is derivable
+    with positive probability. *)
+val h : t -> int -> float
 
 (** [-log2 (h nt)]. *)
-val h_cost : t -> string -> float
+val h_cost : t -> int -> float
 
 (** Operators that can actually be produced (positive probability on some
     rule deriving them). *)
 val ops_available : t -> Stagg_taco.Ast.op list
 
+(** The start symbol, then one line per rule — lhs and rhs by name —
+    with its probability. *)
 val pp : Format.formatter -> t -> unit

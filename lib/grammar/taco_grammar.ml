@@ -6,7 +6,7 @@ let generate ?(n_rhs_tensors = 4) ?(max_rank = 3) ?(n_indices = 4) () =
     List.concat_map
       (fun rank ->
         Genlib.index_tuples ~dim:rank ~n_indices ~allow_repeat:true
-        |> List.map (fun idxs -> ("TENSOR", [ Cfg.T (Cfg.Tok_tensor (name, idxs)) ])))
+        |> List.map (fun idxs -> ("TENSOR", [ `T (Cfg.Tok_tensor (name, idxs)) ])))
       ranks
   in
   let lhs_prods =
@@ -14,36 +14,28 @@ let generate ?(n_rhs_tensors = 4) ?(max_rank = 3) ?(n_indices = 4) () =
     List.concat_map
       (fun rank ->
         Genlib.index_tuples ~dim:rank ~n_indices ~allow_repeat:false
-        |> List.map (fun idxs -> ("TENSOR1", [ Cfg.T (Cfg.Tok_tensor ("a", idxs)) ])))
+        |> List.map (fun idxs -> ("TENSOR1", [ `T (Cfg.Tok_tensor ("a", idxs)) ])))
       ranks
   in
   let rhs_names = List.init n_rhs_tensors (fun k -> Genlib.tensor_name (k + 1)) in
   let binaries =
     List.map
-      (fun op -> ("EXPR", [ Cfg.NT "EXPR"; Cfg.T (Cfg.Tok_op op); Cfg.NT "EXPR" ]))
+      (fun op -> ("EXPR", [ `N "EXPR"; `T (Cfg.Tok_op op); `N "EXPR" ]))
       Ast.all_ops
   in
   let prods =
-    [ ("PROGRAM", [ Cfg.NT "TENSOR1"; Cfg.T Cfg.Tok_assign; Cfg.NT "EXPR" ]) ]
+    [ ("PROGRAM", [ `N "TENSOR1"; `T Cfg.Tok_assign; `N "EXPR" ]) ]
     @ lhs_prods
     @ [
-        ("EXPR", [ Cfg.NT "TENSOR" ]);
-        ("EXPR", [ Cfg.T Cfg.Tok_const ]);
-        (* parenthesized expression: concrete syntax only *)
-        ("EXPR", [ Cfg.T Cfg.Tok_lparen; Cfg.NT "EXPR"; Cfg.T Cfg.Tok_rparen ]);
-        ("EXPR", [ Cfg.T Cfg.Tok_neg; Cfg.NT "EXPR" ]);
+        ("EXPR", [ `N "TENSOR" ]);
+        ("EXPR", [ `T Cfg.Tok_const ]);
+        (* parenthesized expression: concrete syntax only, never matched
+           by [Derive] *)
+        ("EXPR", [ `T Cfg.Tok_lparen; `N "EXPR"; `T Cfg.Tok_rparen ]);
+        ("EXPR", [ `T Cfg.Tok_neg; `N "EXPR" ]);
       ]
     @ binaries
     @ List.concat_map tensor_prods_for rhs_names
-  in
-  (* locate the paren rule's id to flag it as concrete syntax *)
-  let paren_id =
-    let rec find i = function
-      | [] -> invalid_arg "Taco_grammar: no paren rule"
-      | (_, [ Cfg.T Cfg.Tok_lparen; _; _ ]) :: _ -> i
-      | _ :: rest -> find (i + 1) rest
-    in
-    find 0 prods
   in
   Cfg.make ~start:"PROGRAM"
     ~categories:
@@ -53,4 +45,4 @@ let generate ?(n_rhs_tensors = 4) ?(max_rank = 3) ?(n_indices = 4) () =
         ("EXPR", Cfg.Cat_expr);
         ("TENSOR", Cfg.Cat_tensor);
       ]
-    ~concrete_syntax:[ paren_id ] prods
+    prods

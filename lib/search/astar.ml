@@ -134,7 +134,7 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~prune ~replays =
   let x0 = Node.initial g in
   let root = { c = 0.; deriv = []; ann = Node.annotate g fps x0; pst = Prune.root } in
   let rule_cost = Array.init (Cfg.size g) (fun id -> Pcfg.cost pcfg (Cfg.rule g id)) in
-  let h_memo = Array.init (Node.n_nonterminals fps) (fun nt -> Pcfg.h_cost pcfg (Node.nt_name fps nt)) in
+  let h_memo = Array.init (Cfg.n_nonterminals g) (Pcfg.h_cost pcfg) in
   let e =
     {
       pcfg;
@@ -372,7 +372,7 @@ let push_expansions e (parent : entry) =
               end
             end
           end)
-        (Node.rules_of e.fps nt);
+        (Cfg.rules_for (Pcfg.cfg e.pcfg) nt);
       if !queued > 0 then register e parent !queued
 
 (* The entry a frontier item with a rule-id code stands for. A child's

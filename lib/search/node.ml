@@ -1,7 +1,7 @@
 open Stagg_grammar
 module Ast = Stagg_taco.Ast
 
-type t = Leaf of Cfg.term | Open of string | Node of int * t list
+type t = Leaf of Cfg.term | Open of int | Node of int * t list
 
 let initial g = Open (Cfg.start g)
 
@@ -61,7 +61,8 @@ let rec depth g = function
           if d > !m then m := d;
           if d >= 1 then incr expr_children)
         ch;
-      if Cfg.rule_lhs_cat g rid = Cfg.Cat_expr && !expr_children >= 2 then 1 + !m else !m
+      if Cfg.category g (Cfg.rule g rid).lhs = Cfg.Cat_expr && !expr_children >= 2 then 1 + !m
+      else !m
 
 (* ---- canonical template fingerprints ----
 
@@ -104,15 +105,11 @@ type fingerprints = {
   r_n_nts : int array;
   r_ops : int array;
   r_leaves : int list array;
-  (* the grammar's interned symbols. Nonterminals get dense ids in
-     [Cfg.nonterminals] order; [nt_names] maps them back (printing,
-     tests), [nt_rules] and [nt_eps] replace the by-name rule lookup
-     and RemoveTail's ε search. Tensor symbols — every tensor name and
-     "Const" — are numbered in [String.compare] order, so comparing two
-     ids compares the names. The tables belong to this value alone:
-     each search builds its own. *)
-  nt_names : string array;
-  nt_rules : Cfg.rule list array;
+  (* RemoveTail's ε rules, per nonterminal id, and the grammar's
+     interned tensor symbols — every tensor name and "Const" — numbered
+     in [String.compare] order, so comparing two ids compares the
+     names. The tables belong to this value alone: each search builds
+     its own. *)
   nt_eps : int array;  (** the ε rule of a [Cat_tail] nonterminal, or -1 *)
   sym_names : string array;
   const_sym : int;  (** the id of "Const" *)
@@ -170,12 +167,11 @@ let rule_contribution (r : Cfg.rule) =
   in
   if n_nt >= 2 then fp_branch :: toks else toks
 
-(* The id of the name [n] in [names]. A grammar has a handful of each
-   kind of symbol, and only table construction and full scans look a
-   name up. *)
-let index_of kind names n =
+(* The id of the tensor symbol [n] in [names]. A grammar has a handful
+   of them, and only table construction and full scans look a name up. *)
+let index_of names n =
   let rec go i =
-    if i = Array.length names then invalid_arg (Printf.sprintf "Node: unknown %s %s" kind n)
+    if i = Array.length names then invalid_arg (Printf.sprintf "Node: unknown tensor symbol %s" n)
     else if String.equal names.(i) n then i
     else go (i + 1)
   in
@@ -232,9 +228,6 @@ let fingerprints g =
     | Cfg.Cat_program | Cfg.Cat_tail -> ())
   done;
   let rules = Cfg.rules g in
-  (* every start or rhs nonterminal is one of [Cfg.nonterminals]
-     ([Cfg.make] checks each has a category and a production) *)
-  let nt_names = Array.of_list (Cfg.nonterminals g) in
   let sym_names =
     Array.fold_left
       (fun acc (r : Cfg.rule) ->
@@ -244,15 +237,14 @@ let fingerprints g =
       [ "Const" ] rules
     |> List.sort_uniq String.compare |> Array.of_list
   in
-  let sym_id = index_of "tensor symbol" sym_names in
+  let sym_id = index_of sym_names in
   let const_sym = sym_id "Const" in
   let r_nts =
     Array.map
       (fun (r : Cfg.rule) ->
-        List.filter_map (function Cfg.NT n -> Some (index_of "nonterminal" nt_names n) | Cfg.T _ -> None) r.rhs)
+        List.filter_map (function Cfg.NT nt -> Some nt | Cfg.T _ -> None) r.rhs)
       rules
   in
-  let nt_rules = Array.map (Cfg.rules_for g) nt_names in
   {
     mult;
     addend;
@@ -279,30 +271,19 @@ let fingerprints g =
               | Cfg.T _ | Cfg.NT _ -> None)
             r.rhs)
         rules;
-    nt_names;
-    nt_rules;
     nt_eps =
-      Array.mapi
-        (fun id nt ->
+      Array.init (Cfg.n_nonterminals g) (fun nt ->
           if Cfg.category g nt <> Cfg.Cat_tail then -1
           else
-            match List.find_opt (fun (r : Cfg.rule) -> r.rhs = []) nt_rules.(id) with
+            match List.find_opt (fun (r : Cfg.rule) -> r.rhs = []) (Cfg.rules_for g nt) with
             | Some r -> r.id
-            | None -> -1)
-        nt_names;
+            | None -> -1);
     sym_names;
     const_sym;
   }
 
-let n_nonterminals fps = Array.length fps.nt_names
-let nt_name fps id = fps.nt_names.(id)
-
-let nt_id fps nt = index_of "nonterminal" fps.nt_names nt
-
-let rules_of fps id = fps.nt_rules.(id)
 let sym_name fps id = fps.sym_names.(id)
-
-let sym_id fps n = index_of "tensor symbol" fps.sym_names n
+let sym_id fps n = index_of fps.sym_names n
 
 let rec fp_scan fps acc = function
   | Leaf _ | Open _ -> acc
@@ -425,9 +406,9 @@ type annotated = {
   fp : int;
 }
 
-let collect_opens fps x =
+let collect_opens x =
   let rec go acc = function
-    | Open nt -> nt_id fps nt :: acc
+    | Open nt -> nt :: acc
     | Leaf _ -> acc
     | Node (_, ch) -> List.fold_left go acc ch
   in
@@ -449,7 +430,7 @@ let collect_open_paths fps x =
   List.rev (go 0 [] x)
 
 let annotate g fps x =
-  let opens = collect_opens fps x in
+  let opens = collect_opens x in
   {
     metrics = metrics fps x;
     n_open = List.length opens;
@@ -540,7 +521,7 @@ let of_derivation g rev_ids =
     | id :: tl ->
         rest := tl;
         let r = Cfg.rule g id in
-        assert (String.equal r.lhs nt);
+        assert (r.lhs = nt);
         (* an explicit left-to-right loop: children are built in preorder *)
         let rec children = function
           | [] -> []

@@ -11,13 +11,13 @@ open Stagg_grammar
 
 type t =
   | Leaf of Cfg.term
-  | Open of string  (** unexpanded nonterminal *)
+  | Open of int  (** unexpanded nonterminal, by {!Cfg} id *)
   | Node of int * t list  (** applied rule id, children *)
 
 val initial : Cfg.t -> t
 
-(** Name of the leftmost unexpanded nonterminal, if any. *)
-val leftmost_open : t -> string option
+(** The id of the leftmost unexpanded nonterminal, if any. *)
+val leftmost_open : t -> int option
 
 val is_complete : t -> bool
 
@@ -57,32 +57,19 @@ val depth : Cfg.t -> t -> int
     probe keys on this instead of printed templates. *)
 type fingerprints
 
-(** Precompute the per-rule tables and intern the grammar's symbols;
-    O(grammar size), once per search. The intern tables belong to the
-    returned value, never to the process, so searches on different
-    domains never share them. *)
+(** Precompute the per-rule tables and intern the grammar's tensor
+    symbols; O(grammar size), once per search. The intern tables belong
+    to the returned value, never to the process, so searches on
+    different domains never share them. *)
 val fingerprints : Cfg.t -> fingerprints
 
 (** {2 Interned symbols}
 
-    Nonterminals are numbered densely, [0 .. n_nonterminals - 1], in
-    {!Cfg.nonterminals} order; {!annotated}[.opens] holds these ids.
-    Tensor symbols (every tensor name of a rule's terminals, and
-    ["Const"]) are numbered in [String.compare] order of their names,
-    so comparing two ids compares the names; {!metrics}[.firsts_rev]
-    holds these ids. *)
-
-val n_nonterminals : fingerprints -> int
-
-(** The name of a nonterminal id. *)
-val nt_name : fingerprints -> int -> string
-
-(** The id of a nonterminal name. Raises [Invalid_argument] for a name
-    that is not one of {!Cfg.nonterminals}. *)
-val nt_id : fingerprints -> string -> int
-
-(** [rules_of fps nt] — {!Cfg.rules_for} of the nonterminal id [nt]. *)
-val rules_of : fingerprints -> int -> Cfg.rule list
+    Nonterminals are the grammar's own ids ({!Cfg.nt_name});
+    {!annotated}[.opens] holds them. Tensor symbols (every tensor name
+    of a rule's terminals, and ["Const"]) are numbered here, in
+    [String.compare] order of their names, so comparing two ids compares
+    the names; {!metrics}[.firsts_rev] holds these ids. *)
 
 (** The name of a tensor symbol id. *)
 val sym_name : fingerprints -> int -> string
@@ -145,11 +132,11 @@ val op_bit : Stagg_taco.Ast.op -> int
 val n_distinct_ops : metrics -> int
 
 (** Metrics plus the open leaves — count and ordered (left-to-right)
-    nonterminal ids ({!nt_id}) — and the running fingerprint, held by a popped A*
-    entry and extended once per child, so neither a pop nor the g(x) of
-    a push rescans a tree. [opens] and [fp] are maintained incrementally for every
-    grammar: expansion always rewrites the leftmost open leaf, i.e. the
-    list's head / the next preorder slot.
+    {!Cfg} nonterminal ids — and the running fingerprint, held by a
+    popped A* entry and extended once per child, so neither a pop nor the
+    g(x) of a push rescans a tree. [opens] and [fp] are maintained
+    incrementally for every grammar: expansion always rewrites the
+    leftmost open leaf, i.e. the list's head / the next preorder slot.
 
     [open_paths] pairs each open leaf with its branching-ancestor count
     (the number of {e depth-adding} rule applications on the path to the

@@ -21,9 +21,11 @@ type t = {
 let create ?(config = default_config) () =
   if not config.verify then
     invalid_arg "Server.create: verify = false (a server returns only BMC-verified results)";
+  if config.jobs < 1 then invalid_arg "Server.create: jobs < 1";
+  if config.cache_max < 1 then invalid_arg "Server.create: cache_max < 1";
   {
-    cfg = { config with jobs = max 1 config.jobs; cache_max = max 1 config.cache_max };
-    cache = Cache.create ~max:(max 1 config.cache_max);
+    cfg = config;
+    cache = Cache.create ~max:config.cache_max;
     seq_mu = Mutex.create ();
     next_seq = 0;
   }
@@ -100,8 +102,8 @@ let method_of_request j =
   let m = { base with Method_.budget } in
   (* every knob that can move the outcome is part of the cache key *)
   let mdig =
-    Printf.sprintf "%s;%d;%b;%d;%d;%g" m.label m.seed m.verify budget.max_attempts
-      budget.max_expansions budget.timeout_s
+    Printf.sprintf "%s;%d;%d;%d;%g" m.label m.seed budget.max_attempts budget.max_expansions
+      budget.timeout_s
   in
   Ok (m, mdig)
 

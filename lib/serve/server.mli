@@ -57,7 +57,8 @@ type t
 
 (** Fresh server state (cache, sequence counter). [config] defaults to
     one job, a 1024-entry cache and verification on. Raises
-    [Invalid_argument] when [config.verify] is [false]. *)
+    [Invalid_argument] when [config.verify] is [false], or [jobs] or
+    [cache_max] is below 1 — the values [stagg serve] refuses too. *)
 val create : ?config:config -> unit -> t
 
 (** The longest request line served: 65 536 bytes. The longest line the

@@ -36,7 +36,9 @@ let templates_of = List.map parse
    including ones with size-preserving unit/paren rules. *)
 let min_sizes g =
   let tbl = Hashtbl.create 16 in
-  List.iter (fun nt -> Hashtbl.replace tbl nt max_int) (Cfg.nonterminals g);
+  for nt = 0 to Cfg.n_nonterminals g - 1 do
+    Hashtbl.replace tbl nt max_int
+  done;
   let rule_size (r : Cfg.rule) =
     List.fold_left
       (fun acc sym ->
@@ -185,17 +187,17 @@ let fp_soundness =
 (* Two distinct tail nonterminals open side by side, so the order in
    which tails are closed matters; no generated grammar has that. *)
 let two_tails =
-  let t name = Cfg.T (Cfg.Tok_tensor (name, [])) in
+  let t name = `T (Cfg.Tok_tensor (name, [])) in
   Cfg.make ~start:"P"
     ~categories:
       [ ("P", Cfg.Cat_program); ("E", Cfg.Cat_expr); ("T1", Cfg.Cat_tail); ("T2", Cfg.Cat_tail) ]
     [
-      ("P", [ t "a"; Cfg.T Cfg.Tok_assign; Cfg.NT "E" ]);
-      ("E", [ t "b"; Cfg.NT "T1"; Cfg.NT "T2" ]);
+      ("P", [ t "a"; `T Cfg.Tok_assign; `N "E" ]);
+      ("E", [ t "b"; `N "T1"; `N "T2" ]);
       ("T1", []);
-      ("T1", [ Cfg.T (Cfg.Tok_op Stagg_taco.Ast.Add); t "c"; Cfg.NT "T1" ]);
+      ("T1", [ `T (Cfg.Tok_op Stagg_taco.Ast.Add); t "c"; `N "T1" ]);
       ("T2", []);
-      ("T2", [ Cfg.T (Cfg.Tok_op Stagg_taco.Ast.Mul); t "d"; Cfg.NT "T2" ]);
+      ("T2", [ `T (Cfg.Tok_op Stagg_taco.Ast.Mul); t "d"; `N "T2" ]);
     ]
 
 let test_decoding () =
@@ -248,9 +250,9 @@ let suite_td_grammars =
    operator slot. No generated grammar has these; a4 must read what
    does not decode as no match, as [None] is. *)
 let odd_shapes =
-  let t name = Cfg.T (Cfg.Tok_tensor (name, [])) in
-  let op o = Cfg.T (Cfg.Tok_op o) in
-  let e = Cfg.NT "E" in
+  let t name = `T (Cfg.Tok_tensor (name, [])) in
+  let op o = `T (Cfg.Tok_op o) in
+  let e = `N "E" in
   Cfg.make ~start:"P"
     ~categories:
       [
@@ -262,30 +264,30 @@ let odd_shapes =
         ("X", Cfg.Cat_expr);
       ]
     [
-      ("P", [ Cfg.NT "L"; Cfg.T Cfg.Tok_assign; e ]);
-      ("P", [ Cfg.NT "M"; Cfg.T Cfg.Tok_assign; e ]);
-      ("P", [ t "a"; Cfg.T Cfg.Tok_assign; e ]);
+      ("P", [ `N "L"; `T Cfg.Tok_assign; e ]);
+      ("P", [ `N "M"; `T Cfg.Tok_assign; e ]);
+      ("P", [ t "a"; `T Cfg.Tok_assign; e ]);
       ("L", [ t "a" ]);
-      ("M", [ Cfg.NT "L" ]);
+      ("M", [ `N "L" ]);
       ("E", [ e; op Stagg_taco.Ast.Add; e ]);
       ("E", [ e; op Stagg_taco.Ast.Div; e ]);
-      ("E", [ e; Cfg.NT "O"; e ]);
-      ("E", [ Cfg.T Cfg.Tok_lparen; e; Cfg.T Cfg.Tok_rparen ]);
-      ("E", [ Cfg.T Cfg.Tok_lparen; t "b"; Cfg.T Cfg.Tok_rparen ]);
-      ("E", [ Cfg.T Cfg.Tok_neg; e ]);
-      ("E", [ Cfg.T Cfg.Tok_neg; t "c" ]);
+      ("E", [ e; `N "O"; e ]);
+      ("E", [ `T Cfg.Tok_lparen; e; `T Cfg.Tok_rparen ]);
+      ("E", [ `T Cfg.Tok_lparen; t "b"; `T Cfg.Tok_rparen ]);
+      ("E", [ `T Cfg.Tok_neg; e ]);
+      ("E", [ `T Cfg.Tok_neg; t "c" ]);
       ("E", [ t "b" ]);
       ("E", [ t "c" ]);
-      ("E", [ Cfg.T Cfg.Tok_const ]);
+      ("E", [ `T Cfg.Tok_const ]);
       ("E", [ t "Const" ]);
-      ("E", [ Cfg.NT "X" ]);
+      ("E", [ `N "X" ]);
       ("E", [ op Stagg_taco.Ast.Mul ]);
       ("X", [ t "b" ]);
       ("X", []);
       ("O", [ op Stagg_taco.Ast.Sub ]);
-      ("O", [ Cfg.NT "O" ]);
+      ("O", [ `N "O" ]);
       ("O", [ t "b" ]);
-      ("E", [ e; Cfg.NT "O"; t "b" ]);
+      ("E", [ e; `N "O"; t "b" ]);
     ]
 
 (* one a4 scanner per grammar, as each search owns one; a second for

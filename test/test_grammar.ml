@@ -6,6 +6,7 @@ module Ast = Stagg_taco.Ast
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 let parse = Stagg_taco.Parser.parse_program_exn
 
@@ -16,22 +17,45 @@ let tiny () =
   Cfg.make ~start:"S"
     ~categories:[ ("S", Cfg.Cat_program); ("E", Cfg.Cat_expr); ("T", Cfg.Cat_tensor) ]
     [
-      ("S", [ Cfg.T (Cfg.Tok_tensor ("a", [])); Cfg.T Cfg.Tok_assign; Cfg.NT "E" ]);
-      ("E", [ Cfg.NT "T" ]);
-      ("E", [ Cfg.NT "E"; Cfg.T (Cfg.Tok_op Ast.Add); Cfg.NT "E" ]);
-      ("T", [ Cfg.T (Cfg.Tok_tensor ("b", [])) ]);
-      ("T", [ Cfg.T (Cfg.Tok_tensor ("c", [])) ]);
+      ("S", [ `T (Cfg.Tok_tensor ("a", [])); `T Cfg.Tok_assign; `N "E" ]);
+      ("E", [ `N "T" ]);
+      ("E", [ `N "E"; `T (Cfg.Tok_op Ast.Add); `N "E" ]);
+      ("T", [ `T (Cfg.Tok_tensor ("b", [])) ]);
+      ("T", [ `T (Cfg.Tok_tensor ("c", [])) ]);
     ]
 
 let test_cfg_basics () =
   let g = tiny () in
+  let e = Cfg.nt_id g "E" in
   check_int "five rules" 5 (Cfg.size g);
-  check_int "two E rules" 2 (List.length (Cfg.rules_for g "E"));
-  check_bool "category" true (Cfg.category g "E" = Cfg.Cat_expr);
+  check_int "two E rules" 2 (List.length (Cfg.rules_for g e));
+  check_bool "category" true (Cfg.category g e = Cfg.Cat_expr);
+  (* ids follow the category list; names and ids round-trip *)
+  check_int "three nonterminals" 3 (Cfg.n_nonterminals g);
+  List.iteri
+    (fun id nt ->
+      check_int ("id of " ^ nt) id (Cfg.nt_id g nt);
+      check_string ("name of " ^ nt) nt (Cfg.nt_name g id))
+    [ "S"; "E"; "T" ];
+  Alcotest.check_raises "unknown name" (Invalid_argument "Cfg.nt_id: unknown nonterminal X")
+    (fun () -> ignore (Cfg.nt_id g "X"));
+  (* every rule prints its lhs and rhs by name *)
+  check_string "pp"
+    "start: S\n\
+     S ::= \"a\" \"=\" E   (1.0000)\n\
+     E ::= T   (0.5000)\n\
+     E ::= E \"+\" E   (0.5000)\n\
+     T ::= \"b\"   (0.5000)\n\
+     T ::= \"c\"   (0.5000)\n"
+    (Format.asprintf "%a" Pcfg.pp (Pcfg.uniform g));
   Alcotest.check_raises "missing category rejected"
     (Invalid_argument "Cfg.make: nonterminal X has no category") (fun () ->
+      ignore (Cfg.make ~start:"X" ~categories:[] [ ("X", [ `N "X" ]) ]));
+  Alcotest.check_raises "uncategorized lhs rejected"
+    (Invalid_argument "Cfg.make: nonterminal X has no category") (fun () ->
       ignore
-        (Cfg.make ~start:"X" ~categories:[] [ ("X", [ Cfg.NT "X" ]) ]))
+        (Cfg.make ~start:"S" ~categories:[ ("S", Cfg.Cat_program) ]
+           [ ("S", [ `T Cfg.Tok_const ]); ("X", [ `T Cfg.Tok_const ]) ]))
 
 let test_pcfg_normalization () =
   let g = tiny () in
@@ -47,20 +71,20 @@ let test_pcfg_normalization () =
   check_bool "E->E+E prob" true (close (Pcfg.prob p (Cfg.rule g 2)) 0.25);
   check_bool "T rules uniform" true (close (Pcfg.prob p (Cfg.rule g 3)) 0.5);
   (* probabilities per nonterminal sum to 1 *)
-  List.iter
-    (fun nt ->
-      let total = List.fold_left (fun acc r -> acc +. Pcfg.prob p r) 0. (Cfg.rules_for g nt) in
-      check_bool (nt ^ " sums to 1") true (close total 1.))
-    (Cfg.nonterminals g)
+  for nt = 0 to Cfg.n_nonterminals g - 1 do
+    let total = List.fold_left (fun acc r -> acc +. Pcfg.prob p r) 0. (Cfg.rules_for g nt) in
+    check_bool (Cfg.nt_name g nt ^ " sums to 1") true (close total 1.)
+  done
 
 let test_pcfg_h_fixpoint () =
   let g = tiny () in
   let p = Pcfg.uniform g in
   (* h(T) = 1/2; h(E) = max(1/2 * h(T), 1/2 * h(E)^2) = 1/4 *)
-  check_bool "h(T)" true (close (Pcfg.h p "T") 0.5);
-  check_bool "h(E)" true (close (Pcfg.h p "E") 0.25);
-  check_bool "h(S)" true (close (Pcfg.h p "S") 0.25);
-  check_bool "h_cost finite" true (Pcfg.h_cost p "E" < infinity)
+  let h nt = Pcfg.h p (Cfg.nt_id g nt) in
+  check_bool "h(T)" true (close (h "T") 0.5);
+  check_bool "h(E)" true (close (h "E") 0.25);
+  check_bool "h(S)" true (close (h "S") 0.25);
+  check_bool "h_cost finite" true (Pcfg.h_cost p (Cfg.nt_id g "E") < infinity)
 
 let test_pcfg_zero_prob_cost () =
   let g = tiny () in
@@ -77,6 +101,8 @@ let test_ops_available () =
 
 (* ---- generators ---- *)
 
+let rules_for g nt = Cfg.rules_for g (Cfg.nt_id g nt)
+
 let templates_of = List.map parse
 
 let test_gen_topdown_shape () =
@@ -89,7 +115,7 @@ let test_gen_topdown_shape () =
         List.filter_map
           (function Cfg.T (Cfg.Tok_tensor (n, idxs)) -> Some (n, idxs) | _ -> None)
           r.rhs)
-      (Cfg.rules_for g "TENSOR")
+      (rules_for g "TENSOR")
   in
   (* b gets every 2-arrangement of {i,j,k} without repetition: 6 *)
   check_int "b arrangements" 6
@@ -109,7 +135,7 @@ let test_gen_topdown_repeats_allowed_when_seen () =
   let has_bii =
     List.exists
       (fun (r : Cfg.rule) -> r.rhs = [ Cfg.T (Cfg.Tok_tensor ("b", [ "i"; "i" ])) ])
-      (Cfg.rules_for g "TENSOR")
+      (rules_for g "TENSOR")
   in
   check_bool "b(i,i) kept when a candidate uses it" true has_bii
 
@@ -120,7 +146,7 @@ let test_gen_topdown_const_gated () =
   let has_const g =
     List.exists
       (fun (r : Cfg.rule) -> r.rhs = [ Cfg.T Cfg.Tok_const ])
-      (Cfg.rules_for g "TENSOR")
+      (rules_for g "TENSOR")
   in
   check_bool "no const without literal candidates" false (has_const without);
   check_bool "const with literal candidates" true (has_const with_)
@@ -129,12 +155,12 @@ let test_gen_bottomup_shape () =
   (* paper Fig. 7: dimension list [0,1,2,1] *)
   let templates = templates_of [ "a = b(i) + c(i,j) * d(k)" ] in
   let g = Gen_bottomup.generate ~dim_list:[ 0; 1; 2; 1 ] ~templates in
-  check_bool "TENSOR2 exists" true (Cfg.rules_for g "TENSOR2" <> []);
-  check_bool "TENSOR4 exists" true (Cfg.rules_for g "TENSOR4" <> []);
+  check_bool "TENSOR2 exists" true (rules_for g "TENSOR2" <> []);
+  check_bool "TENSOR4 exists" true (rules_for g "TENSOR4" <> []);
   (* TAIL1 has ε and a continuation; the last TAIL has only ε *)
-  check_int "TAIL1 rules" 2 (List.length (Cfg.rules_for g "TAIL1"));
-  check_int "TAIL3 rules" 1 (List.length (Cfg.rules_for g "TAIL3"));
-  check_bool "TAIL3 is epsilon" true ((List.hd (Cfg.rules_for g "TAIL3")).rhs = [])
+  check_int "TAIL1 rules" 2 (List.length (rules_for g "TAIL1"));
+  check_int "TAIL3 rules" 1 (List.length (rules_for g "TAIL3"));
+  check_bool "TAIL3 is epsilon" true ((List.hd (rules_for g "TAIL3")).rhs = [])
 
 let test_gen_bottomup_too_short () =
   Alcotest.check_raises "needs >= 2 entries"
@@ -143,8 +169,11 @@ let test_gen_bottomup_too_short () =
 
 let test_taco_grammar_full () =
   let g = Taco_grammar.generate ~n_rhs_tensors:2 ~max_rank:2 ~n_indices:2 () in
-  check_bool "has paren rule flagged concrete" true
-    (Array.exists (fun (r : Cfg.rule) -> r.concrete_syntax) (Cfg.rules g));
+  check_bool "has paren rule" true
+    (Array.exists
+       (fun (r : Cfg.rule) ->
+         match r.rhs with [ Cfg.T Cfg.Tok_lparen; Cfg.NT _; Cfg.T Cfg.Tok_rparen ] -> true | _ -> false)
+       (Cfg.rules g));
   check_bool "sizeable" true (Cfg.size g > 20)
 
 (* ---- derivation counting ---- *)

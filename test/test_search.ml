@@ -21,11 +21,12 @@ let test_node_expansion () =
   let g = gemv_grammar () in
   let x0 = Node.initial g in
   check_bool "initially open" false (Node.is_complete x0);
-  check_string "leftmost is start" "PROGRAM" (Option.get (Node.leftmost_open x0));
+  let leftmost x = Cfg.nt_name g (Option.get (Node.leftmost_open x)) in
+  check_string "leftmost is start" "PROGRAM" (leftmost x0);
   let exps = Node.expansions g x0 in
   check_int "one PROGRAM rule" 1 (List.length exps);
   let _, x1 = List.hd exps in
-  check_string "then EXPR" "EXPR" (Option.get (Node.leftmost_open x1))
+  check_string "then EXPR" "EXPR" (leftmost x1)
 
 let rec expand_first g x =
   match Node.expansions g x with [] -> x | (_, x') :: _ -> expand_first g x'
@@ -46,12 +47,9 @@ let test_node_depth_paper_examples () =
   let leaf = Node.Leaf (Cfg.Tok_tensor ("b", [ "i" ])) in
   check_int "tensor leaf depth 1" 1 (Node.depth g leaf);
   (* build EXPR -> EXPR OP EXPR with tensor children through rule ids *)
-  let bin_rule =
-    List.find
-      (fun (r : Cfg.rule) -> List.length r.rhs = 3 && r.lhs = "EXPR")
-      (Cfg.rules_for g "EXPR")
-  in
-  let unit_rule = List.find (fun (r : Cfg.rule) -> List.length r.rhs = 1) (Cfg.rules_for g "EXPR") in
+  let expr_rules = Cfg.rules_for g (Cfg.nt_id g "EXPR") in
+  let bin_rule = List.find (fun (r : Cfg.rule) -> List.length r.rhs = 3) expr_rules in
+  let unit_rule = List.find (fun (r : Cfg.rule) -> List.length r.rhs = 1) expr_rules in
   let tensor_node t = Node.Node (unit_rule.id, [ Node.Leaf t ]) in
   let plus = Node.Leaf (Cfg.Tok_op Ast.Add) in
   let e =
@@ -89,9 +87,9 @@ let test_remove_tail () =
   | None -> Alcotest.fail "remove_tail failed"
 
 (* the names of a tree's open leaves, left to right *)
-let open_names x =
+let open_names g x =
   let rec go acc = function
-    | Node.Open nt -> nt :: acc
+    | Node.Open nt -> Cfg.nt_name g nt :: acc
     | Node.Leaf _ -> acc
     | Node.Node (_, ch) -> List.fold_left go acc ch
   in
@@ -157,8 +155,8 @@ let test_incremental_metrics_agree () =
                     (* and as names: the ids map back to the tree's own
                        open leaves, left to right *)
                     check_bool (label ^ ": open names") true
-                      (List.equal String.equal (open_names x')
-                         (List.map (Node.nt_name fps) inc.Node.opens));
+                      (List.equal String.equal (open_names g x')
+                         (List.map (Cfg.nt_name g) inc.Node.opens));
                     (* the rolling fingerprint must agree with a preorder
                        rescan of the child tree *)
                     check_bool (label ^ ": fp") true
@@ -182,24 +180,22 @@ let test_incremental_metrics_agree () =
       done)
     grammars
 
-(* Interning: every nonterminal id maps back to its name and on to the
-   same rules, and tensor symbol ids order like their names, on a
-   top-down, a bottom-up and the full TACO grammar. *)
+(* Interning: the grammar numbers its nonterminals in category order,
+   each id maps back to its name and owns exactly the rules with that
+   lhs, and tensor symbol ids order like their names, on a top-down, a
+   bottom-up and the full TACO grammar. *)
 let test_interned_symbols () =
   List.iter
-    (fun (label, g) ->
+    (fun (label, g, nts) ->
       let fps = Node.fingerprints g in
-      let nts = Cfg.nonterminals g in
-      check_int (label ^ ": one id per nonterminal") (List.length nts) (Node.n_nonterminals fps);
-      List.iter
-        (fun nt ->
-          let id = Node.nt_id fps nt in
-          check_string (label ^ ": name of the id of " ^ nt) nt (Node.nt_name fps id);
-          check_bool (label ^ ": rules of " ^ nt) true (Node.rules_of fps id = Cfg.rules_for g nt))
+      check_int (label ^ ": one id per nonterminal") (List.length nts) (Cfg.n_nonterminals g);
+      List.iteri
+        (fun id nt ->
+          check_string (label ^ ": name of id") nt (Cfg.nt_name g id);
+          check_int (label ^ ": id of " ^ nt) id (Cfg.nt_id g nt);
+          let owned = Array.to_list (Cfg.rules g) |> List.filter (fun (r : Cfg.rule) -> r.lhs = id) in
+          check_bool (label ^ ": rules of " ^ nt) true (Cfg.rules_for g id = owned))
         nts;
-      for id = 0 to Node.n_nonterminals fps - 1 do
-        check_int (label ^ ": id of a name") id (Node.nt_id fps (Node.nt_name fps id))
-      done;
       let syms =
         Array.fold_left
           (fun acc (r : Cfg.rule) ->
@@ -220,10 +216,13 @@ let test_interned_symbols () =
             syms)
         syms)
     [
-      ("td", gemv_grammar ());
+      ("td", gemv_grammar (), [ "PROGRAM"; "EXPR"; "OP"; "TENSOR" ]);
       ( "bu",
-        Gen_bottomup.generate ~dim_list:[ 1; 2; 1 ] ~templates:gemv_templates );
-      ("full", Taco_grammar.generate ~n_rhs_tensors:3 ~max_rank:2 ~n_indices:3 ());
+        Gen_bottomup.generate ~dim_list:[ 1; 2; 1 ] ~templates:gemv_templates,
+        [ "PROGRAM"; "EXPR"; "OP"; "TENSOR2"; "TENSOR3"; "TAIL1"; "TAIL2" ] );
+      ( "full",
+        Taco_grammar.generate ~n_rhs_tensors:3 ~max_rank:2 ~n_indices:3 (),
+        [ "PROGRAM"; "TENSOR1"; "EXPR"; "TENSOR" ] );
     ]
 
 (* a3/b1 on tensor names whose byte order is not their first-use order:
@@ -232,21 +231,21 @@ let test_interned_symbols () =
    terminal. Every tree of up to four right-hand-side tensors is scanned;
    the id-based metrics must agree with a scan over the names. *)
 let test_a3_byte_order () =
-  let t n idxs = Cfg.T (Cfg.Tok_tensor (n, idxs)) in
+  let t n idxs = `T (Cfg.Tok_tensor (n, idxs)) in
   let g =
     Cfg.make ~start:"P"
       ~categories:[ ("P", Cfg.Cat_program); ("E", Cfg.Cat_expr); ("T", Cfg.Cat_tensor) ]
       [
-        ("P", [ t "a" [ "i" ]; Cfg.T Cfg.Tok_assign; Cfg.NT "E" ]);
-        ("E", [ Cfg.NT "T" ]);
-        ("E", [ Cfg.NT "E"; Cfg.T (Cfg.Tok_op Ast.Add); Cfg.NT "T" ]);
+        ("P", [ t "a" [ "i" ]; `T Cfg.Tok_assign; `N "E" ]);
+        ("E", [ `N "T" ]);
+        ("E", [ `N "E"; `T (Cfg.Tok_op Ast.Add); `N "T" ]);
         ("T", [ t "b" [] ]);
         ("T", [ t "Z" [] ]);
         ("T", [ t "_x" [ "i" ] ]);
         ("T", [ t "a10" [] ]);
         ("T", [ t "a9" [ "j" ] ]);
         ("T", [ t "Const" [] ]);
-        ("T", [ Cfg.T Cfg.Tok_const ]);
+        ("T", [ `T Cfg.Tok_const ]);
       ]
   in
   let fps = Node.fingerprints g in
@@ -580,24 +579,24 @@ let test_domains_only_one () =
    top-down, an expression rule whose depth is not a per-rule constant
    (not depth-static). *)
 let test_search_contract () =
-  let tensor name idx = Cfg.T (Cfg.Tok_tensor (name, idx)) in
+  let tensor name idx = `T (Cfg.Tok_tensor (name, idx)) in
   let grammar program_rhs expr_rules =
     Pcfg.uniform
       (Cfg.make ~start:"PROGRAM"
          ~categories:[ ("PROGRAM", Cfg.Cat_program); ("EXPR", Cfg.Cat_expr); ("TAIL", Cfg.Cat_tail) ]
          ((("PROGRAM", program_rhs) :: expr_rules) @ [ ("TAIL", []) ]))
   in
-  let assign = [ tensor "a" [ "i" ]; Cfg.T Cfg.Tok_assign ] in
+  let assign = [ tensor "a" [ "i" ]; `T Cfg.Tok_assign ] in
   (* a(i) = EXPR * c(i): c(i) sits right of EXPR *)
   let unsafe =
     grammar
-      (assign @ [ Cfg.NT "EXPR"; Cfg.T (Cfg.Tok_op Ast.Mul); tensor "c" [ "i" ] ])
+      (assign @ [ `N "EXPR"; `T (Cfg.Tok_op Ast.Mul); tensor "c" [ "i" ] ])
       [ ("EXPR", [ tensor "b" [ "i" ] ]) ]
   in
   (* EXPR -> b(i) TAIL: a tail under an expression makes depth
      depend on where the tail closes *)
   let not_static =
-    grammar (assign @ [ Cfg.NT "EXPR" ]) [ ("EXPR", [ tensor "b" [ "i" ]; Cfg.NT "TAIL" ]) ]
+    grammar (assign @ [ `N "EXPR" ]) [ ("EXPR", [ tensor "b" [ "i" ]; `N "TAIL" ]) ]
   in
   check_bool "unsafe grammar detected" false (Node.incremental_safe (Pcfg.cfg unsafe));
   check_bool "non-static grammar is incremental-safe" true

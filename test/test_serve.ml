@@ -295,9 +295,18 @@ let jobs_server jobs = Server.create ~config:{ Server.jobs; cache_max = 32; veri
 (* a server returns only BMC-verified results, so it refuses to start
    with verification off *)
 let test_server_refuses_verify_off () =
-  match Server.create ~config:{ Server.jobs = 1; cache_max = 32; verify = false } () with
-  | _ -> Alcotest.fail "a server with verify = false was created"
-  | exception Invalid_argument _ -> ()
+  let refused what config =
+    match Server.create ~config () with
+    | _ -> Alcotest.failf "a server with %s was created" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "verify = false" { Server.jobs = 1; cache_max = 32; verify = false };
+  (* [create] spawns no domains, so these start nothing *)
+  List.iter
+    (fun n ->
+      refused (Printf.sprintf "jobs = %d" n) { Server.jobs = n; cache_max = 32; verify = true };
+      refused (Printf.sprintf "cache_max = %d" n) { Server.jobs = 1; cache_max = n; verify = true })
+    [ 0; -1 ]
 
 (* "id status taco" of a response line *)
 let answer line =
